@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidRangeError
+
 _MAX_DEPTH = 48
 
 
@@ -67,14 +69,17 @@ def adaptive_simpson_rel(f, a, b, rel_tol=1e-12, floor=1e-300):
 _GL_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def graded_gl_rule(n_panels=80, order=16):
+def graded_gl_rule(n_panels=44, order=16):
     """Nodes and weights of a graded Gauss-Legendre rule on [0, 1].
 
     Panels shrink dyadically toward both endpoints (down to 2^-40 at 0,
     2^-n_panels at 1); each panel carries a Gauss-Legendre rule of the
     given order. The grading toward 1 resolves integrands with a pole
     just beyond r = 1; the grading toward 0 resolves algebraic endpoint
-    behavior such as fractional powers of r.
+    behavior such as fractional powers of r. The grading toward 1 stops
+    before the nodes of the last panel round onto r = 1, where they
+    would carry no weight and turn a density singular at 1 into NaN; at
+    the default 44 panels and order 16 every node stays below 1.
     """
     key = (n_panels, order)
     if key not in _GL_CACHE:
@@ -88,5 +93,9 @@ def graded_gl_rule(n_panels=80, order=16):
             h = 0.5 * (hi - lo)
             nodes.append(lo + h * (x + 1.0))
             weights.append(h * w)
-        _GL_CACHE[key] = (np.concatenate(nodes), np.concatenate(weights))
+        nodes = np.concatenate(nodes)
+        if nodes.max() >= 1.0:
+            raise InvalidRangeError(
+                f"{n_panels} panels grade below double resolution at r = 1")
+        _GL_CACHE[key] = (nodes, np.concatenate(weights))
     return _GL_CACHE[key]

@@ -32,6 +32,7 @@ from .measures import RadialMeasure, make_measure
 MAX_SERIES_ARG = 1.0 - 2.0 ** -20
 _IDENTITY_TOL = 1e-10
 _IDENTITY_CHECK_LIMIT = 48
+_GRID_BLOCK_ENTRIES = 2 ** 22   # node x argument products per grid block
 
 
 def binomial_weights(gamma, n_max):
@@ -80,8 +81,9 @@ class KernelSpec:
     name: str = "kernel"
 
     def __post_init__(self):
-        if self.gamma < 1.0:
-            raise InvalidRangeError("kernel exponent gamma must be >= 1")
+        if not 1.0 <= self.gamma < math.inf:
+            raise InvalidRangeError("kernel exponent gamma must be finite "
+                                    f"and >= 1: {self.gamma}")
         mass = self.nu.total_mass()
         if not (0.0 < mass < math.inf):
             raise InvalidRangeError("nu must have finite positive mass")
@@ -150,8 +152,8 @@ def kernel_series(moments: Sequence[float], x, tol=1e-12):
     total = 0.0 + 0.0j if isinstance(x, complex) else 0.0
     power = 1.0 if not isinstance(x, complex) else 1.0 + 0.0j
     for n, m in enumerate(moments):
-        if m <= 0.0:
-            raise InvalidRangeError(f"moment {n} is not positive")
+        if not m > 0.0:
+            raise InvalidRangeError(f"moment {n} is not positive: {m}")
         a = 1.0 / (2.0 * m)
         total += a * power
         power *= x
@@ -189,7 +191,7 @@ def kernel_integral(spec: KernelSpec, w):
     return pref * nu_cauchy_transform(spec.nu, w, tol=spec.series_tolerance)
 
 
-def nu_cauchy_grid(nu: RadialMeasure, w_values, rule=None, block=65536):
+def nu_cauchy_grid(nu: RadialMeasure, w_values, rule=None):
     """Vectorized int dnu/(1-rw) over an array of arguments."""
     w = np.asarray(w_values)
     flat = w.ravel()
@@ -197,6 +199,7 @@ def nu_cauchy_grid(nu: RadialMeasure, w_values, rule=None, block=65536):
     if nu.density is not None:
         nodes, weights = rule if rule is not None else graded_gl_rule()
         dens_w = weights * np.asarray(nu.density(nodes), dtype=float)
+        block = max(1, _GRID_BLOCK_ENTRIES // nodes.size)
         for start in range(0, flat.size, block):
             seg = flat[start:start + block]
             out[start:start + block] = dens_w @ (
@@ -294,11 +297,7 @@ def _construction_F_table(nu: RadialMeasure, a, m_max, rule=None):
     if nu.density is not None:
         nodes, weights = rule if rule is not None else graded_gl_rule()
         dens_w = weights * np.asarray(nu.density(nodes), dtype=float)
-        quot = np.empty((orders.size, nodes.size))
-        interior = nodes < 1.0   # deepest panels can round onto r = 1,
-        quot[:, interior] = -np.expm1(
-            np.outer(orders, np.log(nodes[interior]))) / (1.0 - nodes[interior])
-        quot[:, ~interior] = orders[:, None]  # where the quotient's limit is s
+        quot = -np.expm1(np.outer(orders, np.log(nodes))) / (1.0 - nodes)
         out += quot @ dens_w
     for loc, mass in nu.atoms:
         out += mass * np.array([_stable_power_quotient(1.0 - loc, s)

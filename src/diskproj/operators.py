@@ -5,9 +5,17 @@ Four operator kinds share one handle type: the reproducing projection
 positive integral operator with kernel K_Psi(z, zeta) =
 Psi(|1 - conj(zeta) z|)/|1 - conj(zeta) z|, and the positive dyadic
 operators sum_I (Psi(|I|)/|I|) <f, 1_S(I)>_mu 1_S(I) on either shifted
-grid. Matrices are assembled (and cached) only below a cell threshold;
-above it application is matrix-free over row blocks. Dyadic application
-is always per-level index arithmetic, cost O(cells x levels).
+grid.
+
+The three integral kernels depend on a node pair only through
+w = zeta conj(z). Every band of the quadrature holds a power-of-two
+number of equally spaced nodes, so between a row band and a column band
+w takes only max(n_a, n_b) distinct values: each band-pair block is
+circulant up to index striding. A handle evaluates its kernel once at
+those values, on first use, and applies it by one FFT correlation per
+band pair. Kernel rows (apply with matrix_free=True) and the dense
+matrix the norms need are gathered from the same table. Dyadic
+application is per-level index arithmetic, cost O(cells x levels).
 
 Norms: at p = 2 the operator norm between weighted L^2 spaces is the
 largest singular value of D(sqrt(u mu)) K D(sqrt(sigma mu)); at p != 2
@@ -33,7 +41,7 @@ from .kernels import KernelSpec, kernel_integral_grid, nu_cauchy_grid
 from .measures import RadialMeasure
 
 MATRIX_THRESHOLD = 4096
-_ROW_BLOCK = 256
+_GATHER_ENTRIES = 2 ** 20   # kernel entries per gathered row block
 
 
 # -- Psi profiles -------------------------------------------------------------
@@ -47,8 +55,9 @@ class PsiProfile:
     name: str = "psi"
 
     def __post_init__(self):
-        if self.gamma < 1.0:
-            raise InvalidRangeError("profile exponent gamma must be >= 1")
+        if not 1.0 <= self.gamma < math.inf:
+            raise InvalidRangeError("profile exponent gamma must be finite "
+                                    f"and >= 1: {self.gamma}")
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -85,9 +94,10 @@ def psi_diagnostics(psi: PsiProfile, probe_count=120):
 class OperatorHandle:
     """A linear operator bound to one quadrature.
 
-    kernel_block(rows) returns the pure kernel submatrix K[rows, :]
-    (no masses); application is out = K @ (f * mu). fast_apply, when
-    set, bypasses kernels entirely (dyadic prefix sums).
+    Application is out = K @ (f * mu). fast_apply computes it without
+    forming K (FFT correlation or dyadic prefix sums); kernel_block(rows)
+    returns the pure kernel submatrix K[rows, :] (no masses), which the
+    matrix-free route and the dense matrix are built from.
     """
 
     kind: str
@@ -95,8 +105,14 @@ class OperatorHandle:
     kernel_block: Callable
     mu: np.ndarray
     positive: bool
-    fast_apply: Optional[Callable] = None
+    fast_apply: Callable
     _matrix: Optional[np.ndarray] = None
+
+    def _row_blocks(self):
+        n = self.quad.size
+        step = max(1, _GATHER_ENTRIES // n)
+        for s in range(0, n, step):
+            yield self.kernel_block(np.arange(s, min(s + step, n)))
 
     def matrix(self):
         """Pure kernel matrix; cached. Only below the cell threshold."""
@@ -105,61 +121,137 @@ class OperatorHandle:
             if n > MATRIX_THRESHOLD:
                 raise BudgetExceededError(
                     f"{n} cells exceed the matrix threshold {MATRIX_THRESHOLD}")
-            rows = [self.kernel_block(np.arange(s, min(s + _ROW_BLOCK, n)))
-                    for s in range(0, n, _ROW_BLOCK)]
-            self._matrix = np.concatenate(rows, axis=0)
+            self._matrix = np.concatenate(list(self._row_blocks()), axis=0)
         return self._matrix
 
     def apply(self, values, matrix_free=False):
+        """K @ (values * mu) by fast_apply; with matrix_free=True, by
+        kernel rows gathered block by block instead."""
         v = np.asarray(values)
-        weighted = v * self.mu
-        if self.fast_apply is not None and not matrix_free:
+        if not matrix_free:
             return self.fast_apply(v)
-        if not matrix_free and (self._matrix is not None
-                                or self.quad.size <= MATRIX_THRESHOLD):
-            return self.matrix() @ weighted
-        n = self.quad.size
-        out = np.zeros(n, dtype=complex if not self.positive else float)
-        for s in range(0, n, _ROW_BLOCK):
-            rows = np.arange(s, min(s + _ROW_BLOCK, n))
-            out[rows] = self.kernel_block(rows) @ weighted
+        weighted = v * self.mu
+        return np.concatenate([block @ weighted
+                               for block in self._row_blocks()])
+
+
+class _BandPairTable:
+    """A kernel k(w), w = z_j conj(z_i), tabulated once per ordered band pair.
+
+    For row band a and column band b with n_a and n_b arcs, let
+    N = max(n_a, n_b), s_a = N / n_a and s_b = N / n_b (one of them is 1).
+    Node angles are (k + 1/2) / n, so between arcs k_a and k_b the angle
+    of w is (m + delta) / N with m = (k_b s_b - k_a s_a) mod N and
+    delta = (s_b - s_a) / 2, and the block (a, b) holds only the N values
+    k(r_a r_b e^{2 pi i (m + delta) / N}). They are evaluated on first use.
+    """
+
+    def __init__(self, quad: DiskQuadrature, kernel_of_w: Callable):
+        self.quad = quad
+        self._kernel_of_w = kernel_of_w
+        self._arcs = np.array([b.arc_count for b in quad.bands])
+        self._slices = [slice(b.start, b.start + b.arc_count)
+                        for b in quad.bands]
+        self._span = np.maximum.outer(self._arcs, self._arcs)
+        sizes = self._span.ravel()
+        self._offset = (np.cumsum(sizes) - sizes).reshape(self._span.shape)
+        self._values = None
+        self._spectra = None
+
+    @property
+    def values(self):
+        """All band-pair tables, concatenated pair-major."""
+        if self._values is None:
+            radius = self.quad.nodes_r[[s.start for s in self._slices]]
+            w = []
+            for a, n_a in enumerate(self._arcs):
+                for b, n_b in enumerate(self._arcs):
+                    span = self._span[a, b]
+                    delta = 0.5 * (span // n_b - span // n_a)
+                    angle = (np.arange(span) + delta) / span
+                    w.append(radius[a] * radius[b] *
+                             np.exp(2j * np.pi * angle))
+            self._values = np.asarray(self._kernel_of_w(np.concatenate(w)))
+        return self._values
+
+    def rows(self, rows):
+        """Kernel submatrix K[rows, :], gathered from the tables."""
+        q = self.quad
+        rows = np.asarray(rows)
+        a = q.cell_band[rows][:, None]
+        b = q.cell_band[None, :]
+        span = self._span[a, b]
+        pos = (q.cell_arc[None, :] * (span // self._arcs[b])
+               - q.cell_arc[rows][:, None] * (span // self._arcs[a])) % span
+        return self.values[self._offset[a, b] + pos]
+
+    def _pair_spectra(self):
+        """Per pair, sum_m T[m] e^{2 pi i p m / N}: the DFT of m -> T[-m],
+        which turns the correlation with T into a circular convolution."""
+        if self._spectra is None:
+            vals = self.values
+            self._spectra = [
+                [np.fft.ifft(vals[self._offset[a, b]:
+                                  self._offset[a, b] + self._span[a, b]],
+                             norm="forward")
+                 for b in range(self._arcs.size)]
+                for a in range(self._arcs.size)]
+        return self._spectra
+
+    def correlate(self, g):
+        """K @ g, one FFT correlation per band pair.
+
+        Row band a needs out[k_a] = sum_{k_b} T[k_b s_b - k_a s_a] g[k_b]:
+        the column band is zero-stuffed to length N (its spectrum tiles
+        s_b times), and sampling every s_a-th output folds the product
+        spectrum s_a times onto length n_a.
+        """
+        spectra = self._pair_spectra()
+        g_hat = [np.fft.fft(g[s]) for s in self._slices]
+        out = np.empty(self.quad.size, dtype=complex)
+        for a, n_a in enumerate(self._arcs):
+            acc = np.zeros(n_a, dtype=complex)
+            for b, n_b in enumerate(self._arcs):
+                span = self._span[a, b]
+                prod = spectra[a][b] * np.tile(g_hat[b], span // n_b)
+                acc += prod.reshape(-1, n_a).sum(axis=0) * (n_a / span)
+            out[self._slices[a]] = np.fft.ifft(acc)
         return out
+
+
+def _table_handle(kind, quad, kernel_of_w, mu, positive):
+    table = _BandPairTable(quad, kernel_of_w)
+
+    def fast(values):
+        out = table.correlate(values * mu)
+        return out.real if positive and not np.iscomplexobj(values) else out
+
+    return OperatorHandle(kind, quad, table.rows, mu, positive,
+                          fast_apply=fast)
 
 
 def bergman_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P_omega: out(z_i) = sum_j f(z_j) conj(B_{z_i}(z_j)) mass_j."""
-    z = quad.nodes_z
-
-    def block(rows):
-        w = z[None, :] * np.conj(z[rows, None])
-        return np.conj(kernel_integral_grid(spec, w))
-
-    return OperatorHandle("bergman", quad, block, quad.masses.copy(),
-                          positive=False)
+    return _table_handle(
+        "bergman", quad, lambda w: np.conj(kernel_integral_grid(spec, w)),
+        quad.masses.copy(), positive=False)
 
 
 def positive_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P+_omega: absolute kernel |B_{z_i}(z_j)|."""
-    z = quad.nodes_z
-
-    def block(rows):
-        w = z[None, :] * np.conj(z[rows, None])
-        return np.abs(kernel_integral_grid(spec, w))
-
-    return OperatorHandle("positive", quad, block, quad.masses.copy(),
-                          positive=True)
+    return _table_handle(
+        "positive", quad, lambda w: np.abs(kernel_integral_grid(spec, w)),
+        quad.masses.copy(), positive=True)
 
 
 def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature,
                         mu=None) -> OperatorHandle:
     """P+_{Psi,mu} with kernel K_Psi against the measure mu."""
-    z = quad.nodes_z
     mu = quad.masses.copy() if mu is None else np.asarray(mu, dtype=float)
-
-    def block(rows):
-        return psi.kernel(z[rows, None], z[None, :])
-
-    return OperatorHandle("psi-positive", quad, block, mu, positive=True)
+    # K_Psi(z_i, z_j) depends only on |1 - conj(z_j) z_i| = |1 - w|,
+    # which is also the separation K_Psi sees at the pair (w, 1)
+    return _table_handle("psi-positive", quad, lambda w: psi.kernel(w, 1.0),
+                         mu, positive=True)
 
 
 def _level_cap(quad: DiskQuadrature):

@@ -58,7 +58,10 @@ class SparseOperator:
         for lev in range(self.L_max + 1):
             sel = r >= 1.0 - 2.0 ** -lev if lev else np.ones(r.size, bool)
             idx = arc_index(self.beta, lev, t[sel])
-            mu_s = np.bincount(idx, weights=self.mu[sel], minlength=2 ** lev)
+            # float even on a level no cell reaches, where bincount
+            # returns int64 zeros
+            mu_s = np.bincount(idx, weights=self.mu[sel],
+                               minlength=2 ** lev).astype(float)
             self._levels.append((np.nonzero(sel)[0], idx, mu_s))
 
     def square_masses(self, lev):
@@ -107,7 +110,7 @@ def apply_sparse(T: SparseOperator, f: Field) -> Field:
         members, idx, mu_s = T._levels[lev]
         sums = np.bincount(idx, weights=vals[members] * T.mu[members],
                            minlength=2 ** lev)
-        avg = np.divide(sums, mu_s, out=np.zeros_like(sums),
+        avg = np.divide(sums, mu_s, out=np.zeros_like(mu_s),
                         where=mu_s > 0.0)
         out[members] += (T.tau[lev] * avg)[idx]
     return Field(T.quad, out)
@@ -184,7 +187,7 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval,
         fsum = np.bincount(idx, weights=(f_abs * sm_cell)[sel],
                            minlength=2 ** lev)
         sm.append(mass)
-        ex.append(np.divide(fsum, mass, out=np.zeros_like(fsum),
+        ex.append(np.divide(fsum, mass, out=np.zeros(2 ** lev),
                             where=mass > 0.0))
 
     root = (s0.level, s0.index)

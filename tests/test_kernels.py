@@ -22,6 +22,7 @@ from scipy.special import digamma
 
 from diskproj import kernels as kn
 from diskproj import measures as ms
+from diskproj._integrate import graded_gl_rule
 from diskproj.errors import (InvalidRangeError, QuadratureMismatchError,
                              SeparationError, TruncationInfeasibleError)
 
@@ -41,14 +42,18 @@ def test_binomial_weights_match_comb():
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5])
 def test_moment_table_matches_beta_oracle(alpha):
+    # alpha < 0 has a density singular at r = 1: finite only while no rule
+    # node sits on r = 1, and good to about 1e-8 without an endpoint
+    # substitution
+    rtol = 1e-7 if alpha < 0.0 else 1e-12
     meas = ms.power_measure(alpha)
     table = kn.nu_moment_table(meas, 16)
     want = [(alpha + 1.0) / 2.0 * math.gamma((j + 1.0) / 2.0)
             * math.gamma(alpha + 1.0) / math.gamma((j + 1.0) / 2.0 + alpha + 1.0)
             for j in range(17)]
-    np.testing.assert_allclose(table, want, rtol=1e-12)
+    np.testing.assert_allclose(table, want, rtol=rtol)
 
 
 def test_moment_table_matches_adaptive_route():
@@ -114,6 +119,22 @@ def test_kernel_series_truncation_guards():
         kn.kernel_series(moments, 0.9999999)  # |x| above the series cap
     with pytest.raises(InvalidRangeError):
         kn.kernel_series([0.5, -1.0, 0.1], 0.5)
+    with pytest.raises(InvalidRangeError):
+        kn.kernel_series([0.5, math.nan, 0.1], 0.5)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_kernel_spec_rejects_non_finite_gamma(gamma):
+    with pytest.raises(InvalidRangeError):
+        kn.KernelSpec(gamma=gamma, nu=ATOM1)
+
+
+def test_graded_rule_keeps_nodes_below_one():
+    nodes, weights = graded_gl_rule()
+    assert nodes.max() < 1.0
+    assert np.all(weights > 0.0)
+    with pytest.raises(InvalidRangeError):
+        graded_gl_rule(n_panels=80)   # grades past double resolution at 1
 
 
 def test_series_and_integral_routes_agree_for_log_kernel():
@@ -132,6 +153,11 @@ def test_cauchy_grid_matches_scalar_transform():
     w = np.array([0.2 + 0.1j, -0.5, 0.8j, 0.95])
     grid = kn.nu_cauchy_grid(nu, w)
     scalar = np.array([kn.nu_cauchy_transform(nu, complex(x)) for x in w])
+    np.testing.assert_allclose(grid, scalar, rtol=1e-10)
+    # enough arguments to span several node x argument blocks
+    many = 0.9 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 10_000))
+    grid = kn.nu_cauchy_grid(nu, many)[::999]
+    scalar = [kn.nu_cauchy_transform(nu, complex(x)) for x in many[::999]]
     np.testing.assert_allclose(grid, scalar, rtol=1e-10)
     with pytest.raises(InvalidRangeError):
         kn.kernel_integral(kn.KernelSpec(gamma=1.0, nu=nu), 1.0)

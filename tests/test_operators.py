@@ -8,6 +8,9 @@ Oracles used here:
     to bracket the bisection output.
   * the exact p=2 weighted norm for a diagonal 2x2 instance is 4 by
     hand: diag(sqrt(u mu)) K diag(sqrt(sigma mu)) = diag(2 sqrt 3, 4).
+  * the kernel handles' band-pair tables are pinned against kernels
+    evaluated directly at every node pair w = z_j conj(z_i), the dense
+    route the tables replace.
 Deterministic grid quantities (identity error, comparability range)
 were computed once and frozen.
 """
@@ -23,7 +26,7 @@ from diskproj import operators as op
 from diskproj.errors import (BudgetExceededError, InvalidRangeError,
                              NoAdmissiblePairError, QuadratureMismatchError,
                              SeparationError)
-from diskproj.kernels import KernelSpec
+from diskproj.kernels import KernelSpec, kernel_integral_grid
 
 ATOM1 = ms.point_mass(1.0, 1.0)
 STD = KernelSpec(gamma=1.0, nu=ATOM1, name="std")
@@ -44,8 +47,9 @@ def test_psi_profile_closed_forms():
     z, zeta = 0.5 + 0.1j, 0.3 - 0.4j
     t = abs(1.0 - np.conj(zeta) * z)
     assert psi.kernel(z, zeta) == pytest.approx(1.0 / t ** 2, rel=1e-13)
-    with pytest.raises(InvalidRangeError):
-        op.PsiProfile(0.5, ATOM1)
+    for gamma in (0.5, math.inf, math.nan):
+        with pytest.raises(InvalidRangeError):
+            op.PsiProfile(gamma, ATOM1)
     with pytest.raises(InvalidRangeError):
         psi(0.0)
     with pytest.raises(InvalidRangeError):
@@ -82,6 +86,68 @@ def test_handle_matrix_consistency(leb_quad5):
     m = ph.matrix()
     assert np.all(m > 0.0)
     np.testing.assert_allclose(m, m.T, rtol=1e-13)
+
+
+NUS = {"atom": ATOM1, "lebesgue": ms.lebesgue(), "halfmix": ms.half_atom_mix()}
+
+
+@pytest.mark.parametrize("J, j0", [(6, 0), (5, 1)])
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+@pytest.mark.parametrize("nu_name", sorted(NUS))
+def test_table_route_matches_dense_oracle(nu_name, gamma, J, j0):
+    """FFT apply, gathered rows and matrix() of the three kernel handles
+    against kernels evaluated directly at every pair w = z_j conj(z_i)."""
+    nu = NUS[nu_name]
+    quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+    spec = KernelSpec(gamma=gamma, nu=nu)
+    psi = op.PsiProfile(gamma, nu)
+    z = quad.nodes_z
+    B = kernel_integral_grid(spec, z[None, :] * np.conj(z[:, None]))
+    cases = [(op.bergman_handle(spec, quad), np.conj(B)),
+             (op.positive_handle(spec, quad), np.abs(B)),
+             (op.psi_positive_handle(psi, quad),
+              psi.kernel(z[:, None], z[None, :]))]
+    rng = np.random.default_rng(10 * J + j0)
+    f = rng.standard_normal(quad.size) + 1j * rng.standard_normal(quad.size)
+    for h, K in cases:
+        want = K @ (f * quad.masses)
+        for matrix_free in (False, True):
+            got = h.apply(f, matrix_free=matrix_free)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(h.matrix() - K)) <= 1e-12 * np.max(np.abs(K))
+        if h.positive:
+            assert np.isrealobj(h.apply(f.real))
+
+
+def test_table_evaluates_each_band_pair_offset_once(monkeypatch):
+    quad = dk.build_quadrature(ms.lebesgue(), J=6, j0=0)
+    arcs = [b.arc_count for b in quad.bands]
+    distinct = sum(max(a, b) for a in arcs for b in arcs)
+    assert distinct == 1670 < quad.size ** 2
+    sizes = []
+    evaluate = op.kernel_integral_grid
+
+    def counted(spec, w):
+        sizes.append(np.size(w))
+        return evaluate(spec, w)
+
+    monkeypatch.setattr(op, "kernel_integral_grid", counted)
+    h = op.bergman_handle(STD, quad)
+    assert sizes == []   # nothing is evaluated before first use
+    ones = np.ones(quad.size)
+    h.apply(ones)
+    h.apply(ones, matrix_free=True)
+    h.matrix()
+    assert sizes == [distinct]
+
+
+def test_projection_identity_error_density_deep():
+    """A lebesgue-nu projection at J=10, 4100 cells: past the dense
+    threshold, finite, and closer to the identity than at J=8."""
+    spec = KernelSpec(gamma=1.0, nu=ms.lebesgue())
+    err8, err10 = (op.projection_identity_error(
+        spec, dk.build_quadrature(ms.lebesgue(), J=J)) for J in (8, 10))
+    assert math.isfinite(err10) and err10 < err8
 
 
 def test_dyadic_handle_fast_matches_matrix(leb_quad5):

@@ -11,6 +11,7 @@ its pointwise stopped sum is 1, the bound is 4/3, and the Carleson
 embedding sum collapses to (sigma mu)(D).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -89,6 +90,28 @@ def test_sparse_validation(quad3, leb_quad5):
     big = dk.build_quadrature(ms.lebesgue(), J=10, j0=1)
     with pytest.raises(BudgetExceededError):
         tw.sparse_kernel_matrix(tw.sparse_bergman_model(psi, big))
+
+
+def test_level_cap_past_the_depth(leb_quad5):
+    """Levels beyond J hold no cell; they used to crash the per-level
+    reductions (bincount returns int64 zeros on an empty level) and must
+    instead add nothing."""
+    quad = leb_quad5
+    J = quad.J
+    sigma, u, f, _ = tw.random_instance(quad, 4)
+    deep = tw.sparse_bergman_model(std_psi(), quad, L_max=J + 1)
+    flush = tw.sparse_bergman_model(std_psi(), quad, L_max=J)
+    np.testing.assert_array_equal(tw.apply_sparse(deep, f).values,
+                                  tw.apply_sparse(flush, f).values)
+    np.testing.assert_array_equal(tw.sparse_kernel_matrix(deep),
+                                  tw.sparse_kernel_matrix(flush))
+    s0 = dk.DyadicInterval(0.0, 0, 0)
+    fam = tw.stopping_family(f, sigma, s0, level_cap=J + 1)
+    assert fam.expectations == \
+        tw.stopping_family(f, sigma, s0, level_cap=J).expectations
+    rep = tw.testing_constants(deep, sigma, u, 2.0, J + 1)
+    assert rep == dataclasses.replace(
+        tw.testing_constants(flush, sigma, u, 2.0, J), depth=J + 1)
 
 
 def test_stopping_flat_field(leb_quad5):

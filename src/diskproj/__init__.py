@@ -12,7 +12,7 @@ from .measures import (RadialMeasure, catalog, expinv, half_atom_mix,
 from .kernels import (KernelSpec, MomentConstruction, check_completely_monotone,
                       construct_omega_from_nu, difference_bound_check,
                       difference_constant, kernel_integral, kernel_series,
-                      lower_bound_eq4, moments_from_phi, psi_of, shi_ratio)
+                      lower_bound_eq4, moments_from_phi, shi_ratio)
 from .disk import (Arc, DiskQuadrature, DyadicInterval, Field,
                    PolarRectangle, build_quadrature, carleson_square,
                    containing_dyadic, cz_children, minimal_common_square,

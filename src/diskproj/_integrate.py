@@ -1,16 +1,20 @@
 """Internal quadrature helpers.
 
-Two engines are provided:
+Two engines are provided, each with one job:
 
-* an adaptive composite Simpson rule (recursive bisection) for scalar
-  integrals of real- or complex-valued functions, with absolute or
-  relative tolerance control;
 * a fixed graded Gauss-Legendre rule on [0, 1] whose panels shrink
-  dyadically toward r = 1, used for vectorized evaluation of integrals
-  of the form  int rho(r) g(r, w) dr  at many targets w at once.
+  dyadically toward r = 1. It is the only engine behind integrals of
+  the form  int rho(r) g(r, w) dr  in the kernel layer and behind
+  RadialMeasure.moment, vectorized over many targets w at once (see
+  RadialMeasure.density_rule, which maps it onto an interval);
+* an adaptive composite Simpson rule (recursive bisection) to an
+  absolute tolerance, kept for the interval masses of a radial
+  measure: on polynomial densities its sums reproduce cell masses such
+  as Lebesgue dyadic lengths exactly, which a Gauss-Legendre sum misses
+  by an ulp. The test suite also uses it as the independent oracle for
+  the graded rule.
 
-The graded rule is validated against the adaptive rule in the test
-suite; both are deterministic.
+Both are deterministic.
 """
 
 from __future__ import annotations
@@ -51,21 +55,6 @@ def adaptive_simpson(f, a, b, tol=1e-12):
     return _simpson_step(f, a, fa, b, fb, tol, whole, m, fm, _MAX_DEPTH)
 
 
-def adaptive_simpson_rel(f, a, b, rel_tol=1e-12, floor=1e-300):
-    """Integrate f on [a, b] to relative tolerance rel_tol.
-
-    Runs one pass at a provisional absolute tolerance, then re-runs with
-    the tolerance anchored to the first estimate. Needed where integrand
-    scales vary over many orders (high moments of decaying densities).
-    """
-    first = adaptive_simpson(f, a, b, tol=max(abs(rel_tol), 1e-15))
-    scale = max(abs(first), floor)
-    second = adaptive_simpson(f, a, b, tol=rel_tol * scale)
-    if abs(second - first) <= rel_tol * max(abs(second), floor):
-        return second
-    return adaptive_simpson(f, a, b, tol=rel_tol * max(abs(second), floor))
-
-
 _GL_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -79,7 +68,7 @@ def graded_gl_rule(n_panels=44, order=16):
     behavior such as fractional powers of r. The grading toward 1 stops
     before the nodes of the last panel round onto r = 1, where they
     would carry no weight and turn a density singular at 1 into NaN; at
-    the default 44 panels and order 16 every node stays below 1.
+    the default 44 panels every node stays below 1 for orders 16 and 24.
     """
     key = (n_panels, order)
     if key not in _GL_CACHE:

@@ -512,7 +512,6 @@ def list_catalog():
                  "kernel (1-w)^-(alpha+2) via power-measure moments")
     lines.append("  log               gamma=1, nu=lebesgue: kernel "
                  "log(1/(1-w))/(w(1-w))")
-    lines.append("  custom            [kernel] section: gamma, nu=<measure>")
     lines.append("weights:")
     lines.append("  (1-r)^eta (1-log(1-r))^log_exp with optional angular "
                  "bump; [weight] section keys eta, log_exp, bump_*")

@@ -2,9 +2,14 @@
 
 Two evaluation routes are provided and cross-checked: the power series
 sum x^n / (2 omega_{2n+1}) driven by a moment sequence, and the integral
-form (1-w)^(-gamma) int dnu(r)/(1-rw). The moment construction turns a
-measure nu on [0,1] into the moment sequence of a radial weight whose
-kernel has exactly that integral form (gamma = 1), via
+form (1-w)^(-gamma) int dnu(r)/(1-rw). Every integral against nu here
+(moment tables, Cauchy transforms, the construction values F, the lower
+bound and the divergence proxy) runs on one engine, the graded
+Gauss-Legendre rule of nu.density_rule, vectorized over its arguments;
+each scalar function is its grid twin at one argument. The moment
+construction turns a measure nu on [0,1] into the moment sequence of a
+radial weight whose kernel has exactly that integral form (gamma = 1),
+via
 
     F(x) = int (1 - r^((x+1/2)/2)) / (1-r) dnu(r),   omega_m = 1/(2 F(m + 1/2)).
 
@@ -23,11 +28,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import nnls
 
-from ._integrate import adaptive_simpson, adaptive_simpson_rel, graded_gl_rule
 from .errors import (ConfigError, InvalidRangeError, QuadratureMismatchError,
                      SeparationError, TailVanishedError,
                      TruncationInfeasibleError)
-from .measures import RadialMeasure, make_measure
+from .measures import DEFAULT_TOL, RadialMeasure, make_measure
 
 MAX_SERIES_ARG = 1.0 - 2.0 ** -20
 _IDENTITY_TOL = 1e-10
@@ -44,21 +48,18 @@ def binomial_weights(gamma, n_max):
     return b
 
 
-def nu_moment_table(nu: RadialMeasure, n_max, rule=None):
+def nu_moment_table(nu: RadialMeasure, n_max):
     """nu_j = int r^j dnu for j = 0..n_max, vectorized over j.
 
-    Density part uses the graded Gauss-Legendre rule (panels refine
-    dyadically toward r = 1, where high moments concentrate); atoms are
-    added exactly.
+    Density part uses the density rule (panels refine dyadically toward
+    r = 1, where high moments concentrate); atoms are added exactly.
     """
     out = np.zeros(n_max + 1)
-    if nu.density is not None:
-        nodes, weights = rule if rule is not None else graded_gl_rule()
-        dens_w = weights * np.asarray(nu.density(nodes), dtype=float)
-        powers = np.ones_like(nodes)
-        for j in range(n_max + 1):
-            out[j] = dens_w @ powers
-            powers *= nodes
+    nodes, dens_w = nu.density_rule()
+    powers = np.ones_like(nodes)
+    for j in range(n_max + 1):
+        out[j] = dens_w @ powers
+        powers *= nodes
     for loc, mass in nu.atoms:
         out += mass * loc ** np.arange(n_max + 1, dtype=float)
     return out
@@ -167,61 +168,53 @@ def kernel_series(moments: Sequence[float], x, tol=1e-12):
 
 # -- integral route -----------------------------------------------------------
 
-def nu_cauchy_transform(nu: RadialMeasure, w, tol=1e-12):
-    """int dnu(r) / (1 - r w) for complex |w| < 1; atoms exact."""
-    total = 0.0 + 0.0j
-    if nu.density is not None:
-        dens = nu.density
-
-        def f(r):
-            return dens(r) / (1.0 - r * w)
-
-        total += adaptive_simpson(f, 0.0, 1.0, tol=tol)
-    for loc, mass in nu.atoms:
-        total += mass / (1.0 - loc * w)
-    return total
-
-
-def kernel_integral(spec: KernelSpec, w):
-    """(1-w)^(-gamma) * int dnu/(1-rw), principal branch."""
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise InvalidRangeError("kernel argument must satisfy |w| < 1")
-    pref = (1.0 - w) ** (-spec.gamma)
-    return pref * nu_cauchy_transform(spec.nu, w, tol=spec.series_tolerance)
+def _density_sums(nu: RadialMeasure, flat, integrand, tol=DEFAULT_TOL,
+                  block_entries=_GRID_BLOCK_ENTRIES):
+    """sum_i c_i integrand(r_i, w) over the density rule of nu, for each w
+    in the 1-d array flat, in blocks of at most block_entries node x
+    argument products."""
+    nodes, dens_w = nu.density_rule(tol=tol)
+    out = np.zeros(flat.shape, dtype=complex)
+    block = max(1, block_entries // max(nodes.size, 1))
+    for start in range(0, flat.size, block):
+        seg = flat[start:start + block]
+        out[start:start + block] = dens_w @ integrand(nodes[:, None],
+                                                      seg[None, :])
+    return out
 
 
-def nu_cauchy_grid(nu: RadialMeasure, w_values, rule=None):
-    """Vectorized int dnu/(1-rw) over an array of arguments."""
+def nu_cauchy_grid(nu: RadialMeasure, w_values, tol=DEFAULT_TOL):
+    """int dnu(r) / (1 - r w) over an array of complex |w| < 1; atoms exact.
+
+    A tol below the default selects a higher-order rule.
+    """
     w = np.asarray(w_values)
     flat = w.ravel()
-    out = np.zeros(flat.shape, dtype=complex)
-    if nu.density is not None:
-        nodes, weights = rule if rule is not None else graded_gl_rule()
-        dens_w = weights * np.asarray(nu.density(nodes), dtype=float)
-        block = max(1, _GRID_BLOCK_ENTRIES // nodes.size)
-        for start in range(0, flat.size, block):
-            seg = flat[start:start + block]
-            out[start:start + block] = dens_w @ (
-                1.0 / (1.0 - np.outer(nodes, seg)))
+    out = _density_sums(nu, flat, lambda r, x: 1.0 / (1.0 - r * x), tol)
     for loc, mass in nu.atoms:
         out += mass / (1.0 - loc * flat)
     return out.reshape(w.shape)
 
 
-def kernel_integral_grid(spec: KernelSpec, w_values, rule=None):
-    """Vectorized kernel_integral over an array of complex arguments."""
+def nu_cauchy_transform(nu: RadialMeasure, w, tol=DEFAULT_TOL):
+    """nu_cauchy_grid at one argument."""
+    return complex(nu_cauchy_grid(nu, complex(w), tol=tol))
+
+
+def kernel_integral_grid(spec: KernelSpec, w_values):
+    """(1-w)^(-gamma) * int dnu/(1-rw), principal branch, over an array;
+    the rule order follows spec.series_tolerance."""
     w = np.asarray(w_values, dtype=complex)
     pref = (1.0 - w) ** (-spec.gamma)
-    return pref * nu_cauchy_grid(spec.nu, w, rule=rule)
+    return pref * nu_cauchy_grid(spec.nu, w, tol=spec.series_tolerance)
 
 
-def psi_of(spec: KernelSpec, t):
-    """Psi(t) = t^(1-gamma) int dnu/(1 - r(1-t)) for t in (0, 2]."""
-    t_arr = np.asarray(t, dtype=float)
-    vals = nu_cauchy_grid(spec.nu, 1.0 - t_arr).real
-    out = np.power(t_arr, 1.0 - spec.gamma) * vals
-    return float(out) if np.isscalar(t) else out
+def kernel_integral(spec: KernelSpec, w):
+    """kernel_integral_grid at one argument |w| < 1."""
+    w = complex(w)
+    if abs(w) >= 1.0:
+        raise InvalidRangeError("kernel argument must satisfy |w| < 1")
+    return complex(kernel_integral_grid(spec, w))
 
 
 # -- moment construction ------------------------------------------------------
@@ -248,7 +241,8 @@ class MomentConstruction:
 
     def moment_at(self, m):
         """omega_m = 1/(2 F(a + m)) at arbitrary real order m >= 0."""
-        return 1.0 / (2.0 * _construction_F(self.nu, self.shift_a + m))
+        return 1.0 / (2.0 * float(_construction_F_table(
+            self.nu, [self.shift_a + m])[0]))
 
     def tail(self, x):
         """Tail surrogate omega-hat(x) := omega_{1/(1-x)} for x in [0, 1)."""
@@ -262,46 +256,28 @@ class MomentConstruction:
 
 
 def _stable_power_quotient(u, s):
-    """(1 - (1-u)^s) / u, evaluated without cancellation; limit s at u=0."""
+    """(1 - (1-u)^s) / u for an array of orders s, evaluated without
+    cancellation; limit s at u = 0."""
+    s = np.asarray(s, dtype=float)
     if u <= 0.0:
         return s
     if u >= 1.0:
-        return 1.0
-    return -math.expm1(s * math.log1p(-u)) / u
+        return np.ones_like(s)
+    return -np.expm1(s * math.log1p(-u)) / u
 
 
-def _construction_F(nu: RadialMeasure, x, tol=1e-12):
-    """F(x) = int (1 - r^((x+1/2)/2)) / (1-r) dnu(r)."""
-    s = (x + 0.5) / 2.0
-    total = 0.0
-    if nu.density is not None:
-        dens = nu.density
+def _construction_F_table(nu: RadialMeasure, x):
+    """F(x) = int (1 - r^((x+1/2)/2)) / (1-r) dnu(r) at an array of orders.
 
-        def f(r):
-            return _stable_power_quotient(1.0 - r, s) * dens(r)
-
-        total += adaptive_simpson_rel(f, 0.0, 1.0, rel_tol=tol)
-    for loc, mass in nu.atoms:
-        total += mass * _stable_power_quotient(1.0 - loc, s)
-    return total
-
-
-def _construction_F_table(nu: RadialMeasure, a, m_max, rule=None):
-    """F(a + m) for m = 0..m_max in one pass over the graded rule.
-
-    Same integrand as _construction_F; -expm1(s log r)/(1-r) avoids the
+    One pass over the density rule; -expm1(s log r)/(1-r) avoids the
     cancellation of 1 - r^s near r = 1, where the rule's panels cluster.
     """
-    orders = (a + np.arange(m_max + 1) + 0.5) / 2.0
-    out = np.zeros(m_max + 1)
-    if nu.density is not None:
-        nodes, weights = rule if rule is not None else graded_gl_rule()
-        dens_w = weights * np.asarray(nu.density(nodes), dtype=float)
-        quot = -np.expm1(np.outer(orders, np.log(nodes))) / (1.0 - nodes)
-        out += quot @ dens_w
+    orders = (np.asarray(x, dtype=float) + 0.5) / 2.0
+    nodes, dens_w = nu.density_rule()
+    quot = -np.expm1(np.outer(orders, np.log(nodes))) / (1.0 - nodes)
+    out = quot @ dens_w
     for loc, mass in nu.atoms:
-        out += mass * np.array([_stable_power_quotient(1.0 - loc, s)
-                                for s in orders])
+        out += mass * _stable_power_quotient(1.0 - loc, orders)
     return out
 
 
@@ -310,7 +286,7 @@ def construct_omega_from_nu(nu: RadialMeasure, m_max) -> MomentConstruction:
     if m_max < 1:
         raise InvalidRangeError("m_max must be >= 1")
     a = 0.5
-    F = _construction_F_table(nu, a, m_max)
+    F = _construction_F_table(nu, a + np.arange(m_max + 1))
     if np.any(F <= 0.0):
         raise InvalidRangeError("construction produced a nonpositive F value")
     moments = 1.0 / (2.0 * F)
@@ -348,14 +324,9 @@ def _divergence_proxy_fails(nu: RadialMeasure):
         return False
 
     def truncated(cutoff):
-        total = 0.0
-        if nu.density is not None:
-            dens = nu.density
-            total += adaptive_simpson(lambda r: dens(r) / (1.0 - r),
-                                      0.0, cutoff, tol=1e-9)
-        total += sum(mass / (1.0 - loc)
-                     for loc, mass in nu.atoms if loc <= cutoff)
-        return total
+        nodes, dens_w = nu.density_rule(0.0, cutoff)
+        return float(dens_w @ (1.0 / (1.0 - nodes))) + \
+            sum(mass / (1.0 - loc) for loc, mass in nu.atoms if loc <= cutoff)
 
     i10 = truncated(1.0 - 2.0 ** -10)
     i20 = truncated(1.0 - 2.0 ** -20)
@@ -415,47 +386,34 @@ def check_completely_monotone(seq, k_max, tol=1e-12) -> MonotonicityReport:
     return MonotonicityReport(k_max, None, True)
 
 
-def lower_bound_eq4(nu: RadialMeasure, z, tol=1e-12):
-    """|int dnu/(1-rz)| against (1/sqrt 2) int dnu/|1-rz|; ratio >= 1."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise InvalidRangeError("need |z| < 1")
-    lhs = abs(nu_cauchy_transform(nu, z, tol=tol))
-    rhs = 0.0
-    if nu.density is not None:
-        dens = nu.density
-        rhs += adaptive_simpson(lambda r: dens(r) / abs(1.0 - r * z),
-                                0.0, 1.0, tol=tol)
-    rhs += sum(mass / abs(1.0 - loc * z) for loc, mass in nu.atoms)
-    rhs /= math.sqrt(2.0)
-    return lhs, rhs, lhs / rhs
-
-
-def lower_bound_eq4_grid(nu: RadialMeasure, z_values, rule=None):
-    """Vectorized lower_bound_eq4 over many z (fixed graded rule)."""
+def lower_bound_eq4_grid(nu: RadialMeasure, z_values):
+    """|int dnu/(1-rz)| against (1/sqrt 2) int dnu/|1-rz| over an array of
+    |z| < 1; the ratio lhs/rhs is >= 1."""
     z = np.asarray(z_values, dtype=complex)
     if np.any(np.abs(z) >= 1.0):
         raise InvalidRangeError("need |z| < 1")
-    lhs = np.abs(nu_cauchy_grid(nu, z, rule=rule))
-    rhs = np.zeros(z.shape)
-    if nu.density is not None:
-        nodes, wts = graded_gl_rule() if rule is None else rule
-        dens_w = wts * nu.density(nodes)
-        step = 65536 // max(len(nodes), 1) + 1
-        flat, out = z.ravel(), rhs.ravel()
-        for k in range(0, flat.size, step):
-            blk = flat[k:k + step]
-            out[k:k + step] += np.abs(
-                1.0 - nodes[None, :] * blk[:, None]) ** -1 @ dens_w
-        rhs = out.reshape(z.shape)
+    lhs = np.abs(nu_cauchy_grid(nu, z))
+    flat = z.ravel()
+    # cache-sized blocks: faster here, and the peak memory stays that of
+    # the Cauchy pass above
+    rhs = _density_sums(nu, flat, lambda r, x: 1.0 / np.abs(1.0 - r * x),
+                        block_entries=2 ** 16).real
     for loc, mass in nu.atoms:
-        rhs += mass / np.abs(1.0 - loc * z)
-    rhs /= math.sqrt(2.0)
+        rhs += mass / np.abs(1.0 - loc * flat)
+    rhs = rhs.reshape(z.shape) / math.sqrt(2.0)
     return lhs, rhs, lhs / rhs
 
 
-def difference_bound_grid(spec: KernelSpec, z0, z, zeta, c, rule=None):
-    """Vectorized difference_bound_check over admissible triple arrays."""
+def lower_bound_eq4(nu: RadialMeasure, z):
+    """lower_bound_eq4_grid at one argument: (lhs, rhs, ratio)."""
+    lhs, rhs, ratio = lower_bound_eq4_grid(nu, complex(z))
+    return float(lhs), float(rhs), float(ratio)
+
+
+def difference_bound_grid(spec: KernelSpec, z0, z, zeta, c):
+    """|B_{z0}(zeta) - B_z(zeta)| against
+    C(c, gamma) (|z-z0|/|1-conj(zeta) z|) |B_z(zeta)| over arrays of
+    admissible triples (|1-conj(zeta) z| >= c |z-z0|)."""
     z0 = np.asarray(z0, dtype=complex)
     z = np.asarray(z, dtype=complex)
     zeta = np.asarray(zeta, dtype=complex)
@@ -464,16 +422,19 @@ def difference_bound_grid(spec: KernelSpec, z0, z, zeta, c, rule=None):
         raise InvalidRangeError("all points must lie in the open disk")
     sep = np.abs(1.0 - zeta.conjugate() * z)
     step = np.abs(z - z0)
-    if np.any(sep < c * step):
-        raise SeparationError("inadmissible triple in the batch")
-    b_z = kernel_integral_grid(spec, zeta * z.conjugate(), rule=rule)
-    b_z0 = kernel_integral_grid(spec, zeta * z0.conjugate(), rule=rule)
+    bad = np.flatnonzero(sep < c * step)
+    if bad.size:
+        i = bad[0]
+        raise SeparationError(f"|1-conj(zeta) z| = {sep.flat[i]:.3g} < "
+                              f"c |z-z0| = {c * step.flat[i]:.3g}")
+    b_z = kernel_integral_grid(spec, zeta * z.conjugate())
+    b_z0 = kernel_integral_grid(spec, zeta * z0.conjugate())
     lhs = np.abs(b_z0 - b_z)
     bound = difference_constant(c, spec.gamma) * (step / sep) * np.abs(b_z)
     return lhs, bound
 
 
-def shi_ratio(spec: KernelSpec, omega, x, tol=1e-12):
+def shi_ratio(spec: KernelSpec, omega, x, tol=DEFAULT_TOL):
     """[int dnu/(1-rx)] * omega-hat(x) / (1-x)^(gamma-1).
 
     omega is anything with a tail(x) method: a RadialMeasure or a
@@ -497,21 +458,9 @@ def difference_constant(c, gamma):
 
 
 def difference_bound_check(spec: KernelSpec, z0, z, zeta, c):
-    """|B_{z0}(zeta) - B_z(zeta)| against C(c,gamma) (|z-z0|/|1-conj(zeta) z|) |B_z(zeta)|."""
-    z0, z, zeta = complex(z0), complex(z), complex(zeta)
-    for pt in (z0, z, zeta):
-        if abs(pt) >= 1.0:
-            raise InvalidRangeError("all points must lie in the open disk")
-    sep = abs(1.0 - zeta.conjugate() * z)
-    step = abs(z - z0)
-    if sep < c * step:
-        raise SeparationError(
-            f"|1-conj(zeta) z| = {sep:.3g} < c |z-z0| = {c * step:.3g}")
-    b_z = kernel_integral(spec, zeta * z.conjugate())
-    b_z0 = kernel_integral(spec, zeta * z0.conjugate())
-    lhs = abs(b_z0 - b_z)
-    bound = difference_constant(c, spec.gamma) * (step / sep) * abs(b_z)
-    return lhs, bound
+    """difference_bound_grid at one triple: (lhs, bound)."""
+    lhs, bound = difference_bound_grid(spec, [z0], [z], [zeta], c)
+    return float(lhs[0]), float(bound[0])
 
 
 def one_minus_rz_equivalence(z, r):

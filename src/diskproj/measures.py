@@ -4,9 +4,13 @@ A radial measure omega induces the area-type measure
 d(omega x m)(r e^{i theta}) = r domega(r) dtheta / pi on the unit disk;
 everything downstream (quadratures, kernels, projections) is built on
 the three primitives implemented here: tails, moments and interval
-masses. Integrals of the density part use adaptive composite Simpson
-quadrature (absolute tolerance 1e-12 by default, relative mode for
-high moments); atom sums are exact.
+masses. Atom sums are exact. Integrals of the density part take one of
+two engines: moments, and every integral of the kernel layer, run on
+the graded Gauss-Legendre rule that density_rule maps onto an interval;
+interval masses and tails run on adaptive composite Simpson quadrature
+(absolute tolerance 1e-12 by default), which gives polynomial-density
+cell masses exactly. Both apply the same endpoint substitution to
+densities singular at r = 1.
 """
 
 from __future__ import annotations
@@ -17,10 +21,23 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from ._integrate import adaptive_simpson, adaptive_simpson_rel
+from ._integrate import adaptive_simpson, graded_gl_rule
 from .errors import ConfigError, InvalidRangeError
 
 DEFAULT_TOL = 1e-12
+# Densities with endpoint_power p < 0 are integrated above this radius in
+# the variable u = (1-r)^(1+p), which keeps the integrand bounded.
+_SUBSTITUTION_CUT = 0.875
+
+
+def _endpoint_substitution(q, u):
+    """r = 1 - u^(1/q) and the Jacobian |dr/du| = u^(1/q - 1) / q.
+
+    u is clamped at (2^-50)^q, which keeps r representably below 1.
+    """
+    u = np.maximum(u, (2.0 ** -50) ** q)
+    return 1.0 - u ** (1.0 / q), u ** (1.0 / q - 1.0) / q
+
 
 # Interval convention: interval_mass(a, b) covers [a, b] with atoms
 # counted on [a, b) internally so adjacent intervals add exactly; the
@@ -63,8 +80,32 @@ class RadialMeasure:
 
     # -- density integration -------------------------------------------------
 
-    def _density_integral(self, fn, a, b, tol, rel):
-        """Integrate fn(r) * density(r) over [a, b] adaptively."""
+    def density_rule(self, a=0.0, b=1.0, tol=DEFAULT_TOL):
+        """Nodes r_i and weights c_i with sum_i c_i g(r_i) approximating
+        int_a^b g(r) density(r) dr: the graded Gauss-Legendre rule mapped
+        onto [a, b], its weights multiplied by the density.
+
+        For endpoint_power < 0 the part of [a, b] above 7/8 is mapped in
+        u = (1-r)^(1+p) instead, and the weights carry the Jacobian. A tol
+        below DEFAULT_TOL selects order 24 instead of 16 per panel. A
+        purely atomic measure gives empty arrays.
+        """
+        if self.density is None:
+            return np.empty(0), np.empty(0)
+        x, w = graded_gl_rule(order=16 if tol >= DEFAULT_TOL else 24)
+        if self.endpoint_power < 0.0 and b > _SUBSTITUTION_CUT:
+            cut = max(a, _SUBSTITUTION_CUT)
+            q = 1.0 + self.endpoint_power
+            u_lo, u_hi = (1.0 - b) ** q, (1.0 - cut) ** q
+            r_sub, jac = _endpoint_substitution(q, u_lo + (u_hi - u_lo) * x)
+            nodes = np.concatenate((a + (cut - a) * x, r_sub))
+            weights = np.concatenate(((cut - a) * w, (u_hi - u_lo) * w * jac))
+        else:
+            nodes, weights = a + (b - a) * x, (b - a) * w
+        return nodes, weights * np.asarray(self.density(nodes), dtype=float)
+
+    def _density_integral(self, fn, a, b, tol):
+        """Integrate fn(r) * density(r) over [a, b] by adaptive Simpson."""
         if self.density is None or a >= b:
             return 0.0
         dens = self.density
@@ -72,33 +113,18 @@ class RadialMeasure:
         def integrand(r):
             return fn(r) * dens(r)
 
-        p = self.endpoint_power
-        if p < 0.0 and b > 0.875:
-            cut = max(a, 0.875)
-            head = self._plain_quad(integrand, a, cut, tol, rel)
-            # u = (1-r)^(1+p); integrand stays bounded as r -> 1.
-            q = 1.0 + p
-            u_lo = (1.0 - b) ** q
-            u_hi = (1.0 - cut) ** q
-
-            # keep 1 - u^(1/q) representably below 1: u^(1/q) >= 2^-50
-            u_floor = (2.0 ** -50) ** q
+        if self.endpoint_power < 0.0 and b > _SUBSTITUTION_CUT:
+            cut = max(a, _SUBSTITUTION_CUT)
+            q = 1.0 + self.endpoint_power
 
             def transformed(u):
-                u = max(u, u_floor)
-                r = 1.0 - u ** (1.0 / q)
-                return integrand(r) * (u ** (1.0 / q - 1.0)) / q
+                r, jac = _endpoint_substitution(q, u)
+                return integrand(r) * jac
 
-            return head + self._plain_quad(transformed, u_lo, u_hi, tol, rel)
-        return self._plain_quad(integrand, a, b, tol, rel)
-
-    @staticmethod
-    def _plain_quad(fn, a, b, tol, rel):
-        if a >= b:
-            return 0.0
-        if rel:
-            return adaptive_simpson_rel(fn, a, b, rel_tol=tol)
-        return adaptive_simpson(fn, a, b, tol=tol)
+            return adaptive_simpson(integrand, a, cut, tol=tol) + \
+                adaptive_simpson(transformed, (1.0 - b) ** q,
+                                 (1.0 - cut) ** q, tol=tol)
+        return adaptive_simpson(integrand, a, b, tol=tol)
 
     def _atom_sum(self, fn, a, b, include_right):
         total = 0.0
@@ -117,7 +143,7 @@ class RadialMeasure:
         if not (0.0 <= a <= b <= 1.0):
             raise InvalidRangeError(f"bad interval [{a}, {b}]")
         include_right = (b == 1.0) or (a == b)
-        return self._density_integral(lambda r: 1.0, a, b, tol, rel=False) + \
+        return self._density_integral(lambda r: 1.0, a, b, tol) + \
             self._atom_sum(lambda r: 1.0, a, b, include_right)
 
     def tail(self, r, tol=DEFAULT_TOL):
@@ -129,16 +155,16 @@ class RadialMeasure:
     def total_mass(self, tol=DEFAULT_TOL):
         return self.tail(0.0, tol=tol)
 
-    def moment(self, x, tol=DEFAULT_TOL, rel=True):
-        """omega_x = int r^x domega(r), x >= 0.
+    def moment(self, x, tol=DEFAULT_TOL):
+        """omega_x = int r^x domega(r), x >= 0, on the density rule.
 
-        Relative-tolerance quadrature by default: high moments of
-        decaying densities are small and an absolute target would leave
-        them with large relative error.
+        The rule's panels refine toward r = 1, where high moments
+        concentrate, so small moments keep their relative accuracy.
         """
         if x < 0.0:
             raise InvalidRangeError("moment order must be >= 0")
-        dens_part = self._density_integral(lambda r: r ** x, 0.0, 1.0, tol, rel=rel)
+        nodes, weights = self.density_rule(tol=tol)
+        dens_part = float(weights @ nodes ** x)
         atom_part = sum(mass * loc ** x for loc, mass in self.atoms)
         return dens_part + atom_part
 
@@ -147,7 +173,7 @@ class RadialMeasure:
         if not (0.0 <= a <= b <= 1.0):
             raise InvalidRangeError(f"bad interval [{a}, {b}]")
         include_right = (b == 1.0) or (a == b)
-        return self._density_integral(lambda r: r ** exponent, a, b, tol, rel=False) + \
+        return self._density_integral(lambda r: r ** exponent, a, b, tol) + \
             self._atom_sum(lambda r: r ** exponent, a, b, include_right)
 
     def doubling_report(self, depth, tol=DEFAULT_TOL):

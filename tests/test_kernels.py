@@ -11,7 +11,10 @@ Independent oracles used here:
 - phi-hat(j) = 1 + H_j gives partial sums (n+1) H_{n+1}, checked
   against the Cauchy-product coefficients computed with a bare double
   loop;
-- the explicit difference constant at (c, gamma) = (2, 1) is 84 sqrt 2.
+- the explicit difference constant at (c, gamma) = (2, 1) is 84 sqrt 2;
+- adaptive Simpson on the raw integrands (the helpers below) for the
+  Cauchy transform, the lower bound, the kernel difference bound and the
+  construction values: the library runs all of these on the graded rule.
 """
 
 import math
@@ -22,7 +25,7 @@ from scipy.special import digamma
 
 from diskproj import kernels as kn
 from diskproj import measures as ms
-from diskproj._integrate import graded_gl_rule
+from diskproj._integrate import adaptive_simpson, graded_gl_rule
 from diskproj.errors import (InvalidRangeError, QuadratureMismatchError,
                              SeparationError, TruncationInfeasibleError)
 
@@ -31,6 +34,23 @@ ATOM1 = ms.point_mass(1.0, 1.0)
 
 def harmonic_number(s):
     return digamma(s + 1.0) + np.euler_gamma
+
+
+def simpson_nu_integral(nu, g, tol=1e-12):
+    """int g(r) dnu(r): adaptive Simpson on the density, atoms exact."""
+    total = 0.0
+    if nu.density is not None:
+        dens = nu.density
+        total += adaptive_simpson(lambda r: g(r) * dens(r), 0.0, 1.0, tol=tol)
+    return total + sum(mass * g(loc) for loc, mass in nu.atoms)
+
+
+def simpson_cauchy(nu, w):
+    return simpson_nu_integral(nu, lambda r: 1.0 / (1.0 - r * w))
+
+
+def simpson_kernel(spec, w):
+    return (1.0 - w) ** -spec.gamma * simpson_cauchy(spec.nu, w)
 
 
 # -- moment tables -------------------------------------------------------------
@@ -44,10 +64,10 @@ def test_binomial_weights_match_comb():
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5])
 def test_moment_table_matches_beta_oracle(alpha):
-    # alpha < 0 has a density singular at r = 1: finite only while no rule
-    # node sits on r = 1, and good to about 1e-8 without an endpoint
-    # substitution
-    rtol = 1e-7 if alpha < 0.0 else 1e-12
+    # alpha < 0 has a density singular at r = 1: the rule runs in the
+    # endpoint variable u = (1-r)^(1+alpha) there, and the density's own
+    # 1 - r^2 near r = 1 limits it to about 1e-10
+    rtol = 1e-9 if alpha < 0.0 else 1e-12
     meas = ms.power_measure(alpha)
     table = kn.nu_moment_table(meas, 16)
     want = [(alpha + 1.0) / 2.0 * math.gamma((j + 1.0) / 2.0)
@@ -57,11 +77,14 @@ def test_moment_table_matches_beta_oracle(alpha):
 
 
 def test_moment_table_matches_adaptive_route():
-    # two independent quadratures for the same numbers
+    # the graded rule against adaptive Simpson on the raw integrand
     for nu in (ms.lebesgue(), ms.power_measure(1.0), ms.half_atom_mix()):
         table = kn.nu_moment_table(nu, 30)
-        adaptive = [nu.moment(float(j)) for j in range(31)]
+        adaptive = [simpson_nu_integral(nu, lambda r, j=j: r ** j, tol=1e-14)
+                    for j in range(31)]
         np.testing.assert_allclose(table, adaptive, rtol=1e-11)
+        np.testing.assert_allclose([nu.moment(float(j)) for j in range(31)],
+                                   adaptive, rtol=1e-11)
 
 
 # -- kernel spec and the two evaluation routes ----------------------------------
@@ -130,9 +153,10 @@ def test_kernel_spec_rejects_non_finite_gamma(gamma):
 
 
 def test_graded_rule_keeps_nodes_below_one():
-    nodes, weights = graded_gl_rule()
-    assert nodes.max() < 1.0
-    assert np.all(weights > 0.0)
+    for order in (16, 24):   # the orders RadialMeasure.density_rule uses
+        nodes, weights = graded_gl_rule(order=order)
+        assert nodes.max() < 1.0
+        assert np.all(weights > 0.0)
     with pytest.raises(InvalidRangeError):
         graded_gl_rule(n_panels=80)   # grades past double resolution at 1
 
@@ -152,23 +176,17 @@ def test_cauchy_grid_matches_scalar_transform():
     nu = ms.half_atom_mix()
     w = np.array([0.2 + 0.1j, -0.5, 0.8j, 0.95])
     grid = kn.nu_cauchy_grid(nu, w)
-    scalar = np.array([kn.nu_cauchy_transform(nu, complex(x)) for x in w])
-    np.testing.assert_allclose(grid, scalar, rtol=1e-10)
+    oracle = np.array([simpson_cauchy(nu, complex(x)) for x in w])
+    np.testing.assert_allclose(grid, oracle, rtol=1e-10)
+    scalar = [kn.nu_cauchy_transform(nu, complex(x)) for x in w]
+    np.testing.assert_allclose(scalar, oracle, rtol=1e-10)
     # enough arguments to span several node x argument blocks
     many = 0.9 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 10_000))
     grid = kn.nu_cauchy_grid(nu, many)[::999]
-    scalar = [kn.nu_cauchy_transform(nu, complex(x)) for x in many[::999]]
-    np.testing.assert_allclose(grid, scalar, rtol=1e-10)
+    oracle = [simpson_cauchy(nu, complex(x)) for x in many[::999]]
+    np.testing.assert_allclose(grid, oracle, rtol=1e-10)
     with pytest.raises(InvalidRangeError):
         kn.kernel_integral(kn.KernelSpec(gamma=1.0, nu=nu), 1.0)
-
-
-def test_psi_of_closed_form():
-    spec = kn.KernelSpec(gamma=1.0, nu=ATOM1)
-    t = np.array([2.0, 1.0, 0.25, 2.0 ** -10])
-    np.testing.assert_allclose(kn.psi_of(spec, t), 1.0 / t, rtol=1e-14)
-    spec2 = kn.KernelSpec(gamma=2.0, nu=ATOM1)
-    np.testing.assert_allclose(kn.psi_of(spec2, t), 1.0 / t ** 2, rtol=1e-14)
 
 
 # -- moment construction ---------------------------------------------------------
@@ -197,9 +215,14 @@ def test_construction_internal_identities():
     # partial sums of the phi coefficients are the odd-order F values
     np.testing.assert_allclose(np.cumsum(mc.phi_coefficients),
                                mc.F_values[1::2], rtol=1e-12)
-    # adaptive single-order route agrees with the table route
-    assert mc.moment_at(5.0) == pytest.approx(mc.constructed_moments[5],
-                                              rel=1e-11)
+    # single-order route and table route against adaptive Simpson on the
+    # raw integrand (1 - r^s)/(1-r), s = (a + 5 + 1/2)/2 = 3
+    s = 3.0
+    F5 = adaptive_simpson(lambda r: s if r == 1.0 else (1.0 - r ** s) / (1.0 - r),
+                          0.0, 1.0, tol=1e-13)
+    assert mc.moment_at(5.0) == pytest.approx(1.0 / (2.0 * F5), rel=1e-11)
+    assert mc.constructed_moments[5] == pytest.approx(1.0 / (2.0 * F5),
+                                                      rel=1e-11)
     # tail surrogate is the moment at order 1/(1-x)
     assert mc.tail(0.5) == pytest.approx(mc.moment_at(2.0), rel=1e-12)
     with pytest.raises(InvalidRangeError):
@@ -272,8 +295,10 @@ def test_transform_lower_bound_atom_is_sqrt2_on_reals():
     z = np.array([0.7, 0.2 + 0.5j, -0.9, 0.1j])
     _, _, grid_ratio = kn.lower_bound_eq4_grid(ATOM1, z)
     assert grid_ratio[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    scalar = [kn.lower_bound_eq4(ATOM1, complex(x))[2] for x in z]
-    np.testing.assert_allclose(grid_ratio, scalar, rtol=1e-12)
+    oracle = [abs(simpson_cauchy(ATOM1, x)) * math.sqrt(2.0)
+              / simpson_nu_integral(ATOM1, lambda r, x=x: 1.0 / abs(1.0 - r * x))
+              for x in z]
+    np.testing.assert_allclose(grid_ratio, oracle, rtol=1e-12)
     assert np.all(grid_ratio >= 1.0)
 
 
@@ -305,9 +330,15 @@ def test_difference_bound_scalar_grid_and_guards():
     z0, z, zeta, c = 0.5, 0.52, -0.3 + 0.4j, 2.0
     lhs, bound = kn.difference_bound_check(spec, z0, z, zeta, c)
     assert lhs <= bound
+    b_z = simpson_kernel(spec, zeta * np.conj(z))
+    b_z0 = simpson_kernel(spec, zeta * np.conj(z0))
+    want_bound = kn.difference_constant(c, spec.gamma) * abs(z - z0) \
+        / abs(1.0 - np.conj(zeta) * z) * abs(b_z)
+    assert lhs == pytest.approx(abs(b_z0 - b_z), rel=1e-9)
+    assert bound == pytest.approx(want_bound, rel=1e-9)
     glhs, gbound = kn.difference_bound_grid(spec, [z0], [z], [zeta], c)
-    assert glhs[0] == pytest.approx(lhs, rel=1e-9)
-    assert gbound[0] == pytest.approx(bound, rel=1e-9)
+    assert glhs[0] == pytest.approx(abs(b_z0 - b_z), rel=1e-9)
+    assert gbound[0] == pytest.approx(want_bound, rel=1e-9)
     with pytest.raises(SeparationError):
         kn.difference_bound_check(spec, 0.0, 0.9, 0.9, 2.0)
     with pytest.raises(SeparationError):

@@ -42,8 +42,11 @@ def test_psi_profile_closed_forms():
         assert psi(t) == pytest.approx(1.0 / t, rel=1e-14)
     grid = np.array([0.5, 1.5])
     np.testing.assert_allclose(psi(grid), 1.0 / grid, rtol=1e-14)
+    assert psi(2.0 ** -10) == pytest.approx(2.0 ** 10, rel=1e-14)
     psi2 = op.PsiProfile(2.0, ATOM1)
     assert psi2(0.3) == pytest.approx(1.0 / 0.3 ** 2, rel=1e-13)
+    t = np.array([2.0, 1.0, 0.25, 2.0 ** -10])
+    np.testing.assert_allclose(psi2(t), 1.0 / t ** 2, rtol=1e-14)
     z, zeta = 0.5 + 0.1j, 0.3 - 0.4j
     t = abs(1.0 - np.conj(zeta) * z)
     assert psi.kernel(z, zeta) == pytest.approx(1.0 / t ** 2, rel=1e-13)
@@ -148,6 +151,15 @@ def test_projection_identity_error_density_deep():
     err8, err10 = (op.projection_identity_error(
         spec, dk.build_quadrature(ms.lebesgue(), J=J)) for J in (8, 10))
     assert math.isfinite(err10) and err10 < err8
+
+
+def test_projection_identity_error_tracks_depth_at_j0_2():
+    """With four-arc core rings (j0=1) the monitor stalls near 4e-3 from
+    J=10; with j0=2 it stays within 5% of 2^-J for an atom nu."""
+    for J in range(8, 12):
+        err = op.projection_identity_error(
+            STD, dk.build_quadrature(ms.lebesgue(), J=J, j0=2))
+        assert err == pytest.approx(2.0 ** -J, rel=0.05), J
 
 
 def test_dyadic_handle_fast_matches_matrix(leb_quad5):

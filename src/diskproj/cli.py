@@ -264,7 +264,7 @@ def run_weak11(cfg: ExperimentConfig):
             b1s.append(wt.b1_characteristic(v).value)
             handle = op.bergman_handle(spec, q)
             sub = np.random.default_rng(cfg.seed + J)
-            deep = q.nodes_r >= 1.0 - 2.0 ** -J
+            deep = q.cell_band == q.cell_band[-1]   # annulus J
             worst = 0.0
             for _ in range(20):
                 vals = (sub.pareto(1.2, q.size) + 1e-6) * deep

@@ -14,13 +14,19 @@ families partition the circle; the beta = 0 family is nested across
 levels, the beta = 1/2 family is not (its shift halves with the level),
 so every cross-level algorithm here works per level by index arithmetic
 instead of by tree descent.
+
+That arithmetic lives in one cached index per quadrature and grid shift,
+DiskQuadrature.levels: the cells in some Carleson square of each level
+and their arc indices. Every per-level reduction (B_p, the dyadic
+maximal function, the dyadic operator, stopping and testing) runs on it,
+and it is the one place that checks a grid shift and a level cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -59,6 +65,14 @@ class Arc:
         return (self.start + self.length / 2.0) % 1.0
 
 
+def check_grid(beta, L_max):
+    """Reject a grid shift outside GRID_SHIFTS or a level cap below 0."""
+    if beta not in GRID_SHIFTS:
+        raise InvalidRangeError(f"grid shift {beta} is not in {GRID_SHIFTS}")
+    if not isinstance(L_max, (int, np.integer)) or L_max < 0:
+        raise InvalidRangeError(f"level cap must be an integer >= 0: {L_max}")
+
+
 def arc_index(beta, level, t):
     """Index m of the grid arc at (beta, level) containing angle t.
 
@@ -78,9 +92,8 @@ class DyadicInterval:
     index: int
 
     def __post_init__(self):
-        if self.beta not in GRID_SHIFTS:
-            raise InvalidRangeError(f"grid shift must be one of {GRID_SHIFTS}")
-        if self.level < 0 or not 0 <= self.index < (1 << self.level):
+        check_grid(self.beta, self.level)
+        if not 0 <= self.index < (1 << self.level):
             raise InvalidRangeError(
                 f"bad dyadic address level={self.level} index={self.index}")
 
@@ -206,6 +219,38 @@ def cz_children(q: PolarRectangle):
 
 # -- quadrature ---------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class DyadicLevel:
+    """The member cells of one grid level, those whose nodes lie in a
+    Carleson square of side 2^-level, and the arc index of each, both in
+    cell order."""
+
+    level: int
+    members: np.ndarray
+    arcs: np.ndarray
+
+    @property
+    def count(self):
+        return 1 << self.level
+
+    def sums(self, cell_values):
+        """Per-arc sums of cell_values over the members, in cell order."""
+        # float also on an empty level, where bincount gives int64 zeros
+        return np.bincount(self.arcs, weights=cell_values[self.members],
+                           minlength=self.count).astype(float, copy=False)
+
+    def cells(self, m):
+        """The member cells in arc m, in cell order."""
+        by_arc, bounds = self._grouped
+        return by_arc[bounds[m]:bounds[m + 1]]
+
+    @functools.cached_property
+    def _grouped(self):
+        order = np.argsort(self.arcs, kind="stable")
+        bounds = np.searchsorted(self.arcs[order], np.arange(self.count + 1))
+        return self.members[order], bounds
+
+
 @dataclass(eq=False)
 class BandInfo:
     label: str          # "core0", "core1", or "annulus j"
@@ -238,6 +283,7 @@ class DiskQuadrature:
     masses: np.ndarray
     cell_band: np.ndarray
     cell_arc: np.ndarray
+    _level_index: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def size(self):
@@ -271,6 +317,21 @@ class DiskQuadrature:
         t0 = self.cell_arc[i] * b.arc_length
         return PolarRectangle(Arc(t0, b.arc_length),
                               h=1.0 - b.r_lo, h_prime=1.0 - b.r_hi)
+
+    def levels(self, beta, L_max):
+        """The DyadicLevel of grid beta at each level 0..L_max: every cell
+        at level 0, the cells of annuli j >= l (the nodes with
+        r >= 1 - 2^-l) at level l, none above J. Each level is built once
+        per grid shift, on first use."""
+        check_grid(beta, L_max)
+        index = self._level_index.setdefault(beta, [])
+        for level in range(len(index), L_max + 1):
+            # band b >= 2 is annulus b - 1, after the two core rings
+            members = (np.flatnonzero(self.cell_band > level) if level
+                       else np.arange(self.size))
+            index.append(DyadicLevel(
+                level, members, arc_index(beta, level, self.nodes_t[members])))
+        return tuple(index[:L_max + 1])
 
     def same_as(self, other):
         return self is other or (self.omega is other.omega and

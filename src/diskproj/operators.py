@@ -14,8 +14,12 @@ w takes only max(n_a, n_b) distinct values: each band-pair block is
 circulant up to index striding. A handle evaluates its kernel once at
 those values, on first use, and applies it by one FFT correlation per
 band pair. Kernel rows (apply with matrix_free=True) and the dense
-matrix the norms need are gathered from the same table. Dyadic
-application is per-level index arithmetic, cost O(cells x levels).
+matrix the norms need are gathered from the same table.
+
+The dyadic operators are SparseOperator instances, T f = sum_S tau_S
+(E^mu_S f) 1_S over the squares of one grid, with tau_S = Psi(|I|)
+mu(S)/|I| by default. Apply and kernel rows (tau_S / mu(S) per square)
+reduce over the quadrature's per-level index, cost O(cells x levels).
 
 Norms: at p = 2 the operator norm between weighted L^2 spaces is the
 largest singular value of D(sqrt(u mu)) K D(sqrt(sigma mu)); at p != 2
@@ -27,16 +31,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.linalg import svdvals
 from scipy.optimize import bisect
 
 from . import weights as weights_mod
-from .disk import Arc, DiskQuadrature, Field, arc_index, carleson_square
+from .disk import (Arc, DiskQuadrature, Field, arc_index, carleson_square,
+                   check_grid)
 from .errors import (BudgetExceededError, InvalidRangeError,
-                     NoAdmissiblePairError, SeparationError)
+                     NoAdmissiblePairError, QuadratureMismatchError,
+                     SeparationError)
 from .kernels import KernelSpec, kernel_integral_grid, nu_cauchy_grid
 from .measures import RadialMeasure
 
@@ -95,7 +101,7 @@ class OperatorHandle:
     """A linear operator bound to one quadrature.
 
     Application is out = K @ (f * mu). fast_apply computes it without
-    forming K (FFT correlation or dyadic prefix sums); kernel_block(rows)
+    forming K (FFT correlation or per-level sums); kernel_block(rows)
     returns the pure kernel submatrix K[rows, :] (no masses), which the
     matrix-free route and the dense matrix are built from.
     """
@@ -254,46 +260,112 @@ def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature,
                          mu, positive=True)
 
 
-def _level_cap(quad: DiskQuadrature):
-    return quad.J + 1
+# -- the dyadic model operator -------------------------------------------------
+
+def _table(values, shape, name):
+    """values as a float array of the given shape, finite and >= 0."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != shape or not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise InvalidRangeError(f"{name} must be finite, >= 0, shape {shape}")
+    return arr
+
+
+@dataclass(eq=False)
+class SparseOperator:
+    """T f = sum_S tau_S (E^mu_S f) 1_S over the Carleson squares of one
+    grid up to level L_max, with tau[level][arc] >= 0.
+
+    Its kernel is K_ij = sum over squares S holding both cells of
+    tau_S / mu(S), so that T f = K (f mu).
+    """
+
+    beta: float
+    quad: DiskQuadrature
+    L_max: int
+    mu: np.ndarray                     # cell masses of the base measure
+    tau: List[np.ndarray]              # tau[level][arc], levels 0..L_max
+
+    def __post_init__(self):
+        self._levels = self.quad.levels(self.beta, self.L_max)
+        self.mu = _table(self.mu, (self.quad.size,), "mu")
+        if len(self.tau) != self.L_max + 1:
+            raise InvalidRangeError("need one tau array per level")
+        self.tau = [_table(row, (lv.count,), f"tau at level {lv.level}")
+                    for row, lv in zip(self.tau, self._levels)]
+        self._square_mass = [lv.sums(self.mu) for lv in self._levels]
+
+    def square_masses(self, lev):
+        """mu(S) for every arc at one level."""
+        return self._square_mass[lev]
+
+    def apply(self, values):
+        """T f for the cell values of f."""
+        weighted = np.asarray(values) * self.mu
+        out = np.zeros(self.quad.size)
+        for lv, tau, mu_s in zip(self._levels, self.tau, self._square_mass):
+            avg = np.divide(lv.sums(weighted), mu_s,
+                            out=np.zeros_like(mu_s), where=mu_s > 0.0)
+            out[lv.members] += (tau * avg)[lv.arcs]
+        return out
+
+    def kernel_rows(self, rows):
+        """Kernel submatrix K[rows, :]."""
+        rows = np.asarray(rows)
+        out = np.zeros((rows.size, self.quad.size))
+        for lv, tau, mu_s in zip(self._levels, self.tau, self._square_mass):
+            weight = np.divide(tau, mu_s, out=np.zeros_like(mu_s),
+                               where=mu_s > 0.0)
+            arc_of = np.full(self.quad.size, -1)
+            arc_of[lv.members] = lv.arcs
+            same = arc_of[rows][:, None] == lv.arcs[None, :]
+            out[:, lv.members] += np.where(same, weight[lv.arcs], 0.0)
+        return out
+
+    def handle(self) -> OperatorHandle:
+        return OperatorHandle("dyadic", self.quad, self.kernel_rows, self.mu,
+                              positive=True, fast_apply=self.apply)
+
+
+def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
+                         L_max: Optional[int] = None, mu=None,
+                         tau: Optional[List[np.ndarray]] = None
+                         ) -> SparseOperator:
+    """The dyadic model of the kernel profile: tau_S = Psi(|I|) mu(S)/|I|
+    at levels 0..L_max (default J: no cell lies deeper), mu the cell
+    masses by default. A custom tau table overrides the default."""
+    L_max = quad.J if L_max is None else L_max
+    mu = quad.masses if mu is None else mu
+    op = SparseOperator(beta, quad, L_max, mu, tau if tau is not None else
+                        [np.zeros(1 << lev) for lev in range(L_max + 1)])
+    if tau is None:
+        psi_vals = psi(2.0 ** -np.arange(L_max + 1))
+        op.tau = [psi_vals[lev] * op.square_masses(lev) * 2.0 ** lev
+                  for lev in range(L_max + 1)]
+    return op
+
+
+def apply_sparse(T: SparseOperator, f: Field) -> Field:
+    """Evaluate sum_S tau_S (E^mu_S f) 1_S; linear, positive on f >= 0."""
+    if not T.quad.same_as(f.quad):
+        raise QuadratureMismatchError("field on a different quadrature")
+    return Field(T.quad, T.apply(f.values))
+
+
+def sparse_kernel_matrix(T: SparseOperator) -> np.ndarray:
+    """Dense K with K_ij = sum_{S containing both} tau_S / mu(S), so
+    that T f = K (f mu) cellwise; only below the matrix threshold."""
+    return T.handle().matrix()
 
 
 def dyadic_handle(beta, psi: PsiProfile, quad: DiskQuadrature, L_max=None,
                   mu=None) -> OperatorHandle:
-    """P^beta_{Psi,mu} = sum over grid squares of (Psi(|I|)/|I|) <f,1_S>_mu 1_S."""
-    L_max = _level_cap(quad) if L_max is None else L_max
-    mu = quad.masses.copy() if mu is None else np.asarray(mu, dtype=float)
-    r, t = quad.nodes_r, quad.nodes_t
-    levels = list(range(L_max + 1))
-    coef = {l: float(psi(2.0 ** -l)) * 2.0 ** l for l in levels}
-    idx = {l: arc_index(beta, l, t) for l in levels}
-    radial = {l: r >= 1.0 - 2.0 ** -l for l in levels}
-
-    def fast(values):
-        out = np.zeros(quad.size)
-        fw = values * mu
-        for l in levels:
-            mask = radial[l]
-            sums = np.bincount(idx[l][mask], weights=fw[mask],
-                               minlength=1 << l)
-            out[mask] += coef[l] * sums[idx[l][mask]]
-        return out
-
-    def block(rows):
-        out = np.zeros((rows.size, quad.size))
-        for l in levels:
-            both = radial[l][rows, None] & radial[l][None, :] & \
-                (idx[l][rows, None] == idx[l][None, :])
-            out += coef[l] * both
-        return out
-
-    return OperatorHandle("dyadic", quad, block, mu, positive=True,
-                          fast_apply=fast)
+    """P^beta_{Psi,mu} = sum over grid squares of (Psi(|I|)/|I|) <f,1_S>_mu 1_S:
+    the handle of sparse_bergman_model's operator."""
+    return sparse_bergman_model(psi, quad, beta, L_max, mu).handle()
 
 
 def apply_bergman(handle: OperatorHandle, f: Field) -> Field:
     if not handle.quad.same_as(f.quad):
-        from .errors import QuadratureMismatchError
         raise QuadratureMismatchError("operator and field quadratures differ")
     return Field(f.quad, handle.apply(f.values))
 
@@ -318,24 +390,12 @@ def projection_identity_error(spec: KernelSpec, quad: DiskQuadrature,
 
 # -- dyadic kernels and comparability ------------------------------------------
 
-def dyadic_kernel(beta, psi: PsiProfile, z, zeta, L_max):
-    """sum over grid squares S(I), level <= L_max, containing both points,
-    of Psi(|I|)/|I|. Levels are scanned independently: the half-shifted
-    family is not nested, so membership is not monotone in the level."""
-    z, zeta = complex(z), complex(zeta)
-    tz = (np.angle(z) / (2 * np.pi)) % 1.0
-    tw = (np.angle(zeta) / (2 * np.pi)) % 1.0
-    total = 0.0
-    for l in range(L_max + 1):
-        thr = 1.0 - 2.0 ** -l
-        if abs(z) >= thr and abs(zeta) >= thr and \
-                int(arc_index(beta, l, tz)) == int(arc_index(beta, l, tw)):
-            total += float(psi(2.0 ** -l)) * 2.0 ** l
-    return total
-
-
 def _dyadic_kernel_pairs(beta, psi, z, zeta, L_max):
-    """Vectorized dyadic kernel over paired point arrays."""
+    """sum over grid squares S(I), level <= L_max, containing both points,
+    of Psi(|I|)/|I|, over paired point arrays. Levels are scanned
+    independently: the half-shifted family is not nested, so membership
+    is not monotone in the level."""
+    check_grid(beta, L_max)
     rz, rw = np.abs(z), np.abs(zeta)
     tz = (np.angle(z) / (2 * np.pi)) % 1.0
     tw = (np.angle(zeta) / (2 * np.pi)) % 1.0
@@ -348,10 +408,10 @@ def _dyadic_kernel_pairs(beta, psi, z, zeta, L_max):
     return out
 
 
-def apply_dyadic(beta, psi: PsiProfile, quad: DiskQuadrature, f: Field,
-                 L_max=None, mu=None) -> Field:
-    h = dyadic_handle(beta, psi, quad, L_max=L_max, mu=mu)
-    return Field(quad, h.apply(f.values))
+def dyadic_kernel(beta, psi: PsiProfile, z, zeta, L_max):
+    """The dyadic kernel at one pair of points."""
+    return float(_dyadic_kernel_pairs(beta, psi, complex(z), complex(zeta),
+                                      L_max))
 
 
 def comparability_constants(psi: PsiProfile, sample_count, seed, J=8,

@@ -1,12 +1,11 @@
-"""Sparse dyadic model operators, stopping squares, and testing constants.
+"""Stopping squares, testing constants and the one-weight experiment.
 
-The sparse operator T f = sum_S tau_S (E^mu_S f) 1_S runs over Carleson
-squares of one shifted dyadic grid up to a level cap. The default
-coefficient table tau_S = Psi(|I|) mu(S(I)) / |I| makes T the dyadic
-model of the kernel with profile Psi. Everything here is computed per
-level with bincount reductions, so applications are linear in cell
-count times levels; a dense kernel matrix is only assembled for norm
-computations on small quadratures.
+They run on the sparse dyadic operator T f = sum_S tau_S (E^mu_S f) 1_S
+of operators.py (re-exported here with sparse_bergman_model, apply_sparse
+and sparse_kernel_matrix). Every pass reduces level by level over the
+quadrature's dyadic-level index, so it is linear in cell count times
+levels; a dense kernel matrix is only assembled for norm computations on
+small quadratures.
 """
 
 from __future__ import annotations
@@ -17,11 +16,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .disk import DiskQuadrature, DyadicInterval, Field, arc_index
-from .errors import BudgetExceededError, InvalidRangeError
+from .disk import DiskQuadrature, DyadicInterval, Field
+from .errors import InvalidRangeError, QuadratureMismatchError
 from .kernels import KernelSpec
-from .operators import (MATRIX_THRESHOLD, PsiProfile, positive_handle,
-                        weighted_norm_lp_lower, weighted_norm_p2)
+from .operators import (PsiProfile, SparseOperator, apply_sparse,
+                        positive_handle, sparse_bergman_model,
+                        sparse_kernel_matrix, weighted_norm_lp_lower,
+                        weighted_norm_p2)
 from .weights import (WeightField, bp_characteristic, dual_weight,
                       dyadic_maximal)
 
@@ -32,106 +33,6 @@ def _conjugate(p):
     if not p > 1.0:
         raise InvalidRangeError(f"exponent p={p} must exceed 1")
     return p / (p - 1.0)
-
-
-@dataclass(eq=False)
-class SparseOperator:
-    """T f = sum_S tau_S (E^mu_S f) 1_S over squares of one grid."""
-
-    beta: float
-    quad: DiskQuadrature
-    L_max: int
-    mu: np.ndarray                     # cell masses of the base measure
-    tau: List[np.ndarray]              # tau[level][arc], levels 0..L_max
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        if self.mu.shape != (self.quad.size,) or np.any(self.mu < 0.0):
-            raise InvalidRangeError("mu must be nonnegative, one per cell")
-        if len(self.tau) != self.L_max + 1:
-            raise InvalidRangeError("need one tau array per level")
-        for lev, row in enumerate(self.tau):
-            if len(row) != 2 ** lev or np.any(np.asarray(row) < 0.0):
-                raise InvalidRangeError(f"bad tau table at level {lev}")
-        self._levels = []
-        r, t = self.quad.nodes_r, self.quad.nodes_t
-        for lev in range(self.L_max + 1):
-            sel = r >= 1.0 - 2.0 ** -lev if lev else np.ones(r.size, bool)
-            idx = arc_index(self.beta, lev, t[sel])
-            # float even on a level no cell reaches, where bincount
-            # returns int64 zeros
-            mu_s = np.bincount(idx, weights=self.mu[sel],
-                               minlength=2 ** lev).astype(float)
-            self._levels.append((np.nonzero(sel)[0], idx, mu_s))
-
-    def square_masses(self, lev):
-        """mu(S) for every arc at one level."""
-        return self._levels[lev][2]
-
-
-def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
-                         L_max: Optional[int] = None, mu=None,
-                         tau: Optional[List[np.ndarray]] = None
-                         ) -> SparseOperator:
-    """The dyadic model of the kernel profile: tau_S = Psi(|I|) mu(S)/|I|.
-
-    A custom tau table overrides the default (for stress tests)."""
-    if L_max is None:
-        L_max = quad.J
-    if mu is None:
-        mu = quad.masses
-    op = SparseOperator(beta=beta, quad=quad, L_max=L_max,
-                        mu=np.asarray(mu, dtype=float),
-                        tau=[np.zeros(2 ** lev) for lev in range(L_max + 1)])
-    if tau is not None:
-        if len(tau) != L_max + 1:
-            raise InvalidRangeError("tau table does not match level cap")
-        op.tau = [np.asarray(row, dtype=float) for row in tau]
-        for lev, row in enumerate(op.tau):
-            if row.shape != (2 ** lev,) or np.any(row < 0.0):
-                raise InvalidRangeError(f"bad tau table at level {lev}")
-        return op
-    lengths = 2.0 ** -np.arange(L_max + 1)
-    psi_vals = psi(lengths)
-    op.tau = [psi_vals[lev] * op.square_masses(lev) * 2.0 ** lev
-              for lev in range(L_max + 1)]
-    return op
-
-
-def apply_sparse(T: SparseOperator, f: Field) -> Field:
-    """Evaluate sum_S tau_S (E^mu_S f) 1_S; linear, positive on f >= 0."""
-    if not T.quad.same_as(f.quad):
-        from .errors import QuadratureMismatchError
-        raise QuadratureMismatchError("field on a different quadrature")
-    vals = np.asarray(f.values)
-    out = np.zeros(T.quad.size,
-                   dtype=complex if np.iscomplexobj(vals) else float)
-    for lev in range(T.L_max + 1):
-        members, idx, mu_s = T._levels[lev]
-        sums = np.bincount(idx, weights=vals[members] * T.mu[members],
-                           minlength=2 ** lev)
-        avg = np.divide(sums, mu_s, out=np.zeros_like(mu_s),
-                        where=mu_s > 0.0)
-        out[members] += (T.tau[lev] * avg)[idx]
-    return Field(T.quad, out)
-
-
-def sparse_kernel_matrix(T: SparseOperator) -> np.ndarray:
-    """Dense K with K_ij = sum_{S containing both} tau_S / mu(S), so
-    that T f = K (f mu) cellwise."""
-    n = T.quad.size
-    if n > MATRIX_THRESHOLD:
-        raise BudgetExceededError(
-            f"{n} cells exceeds the dense-matrix threshold")
-    out = np.zeros((n, n))
-    for lev in range(T.L_max + 1):
-        members, idx, mu_s = T._levels[lev]
-        weight = np.divide(T.tau[lev], mu_s,
-                           out=np.zeros_like(mu_s), where=mu_s > 0.0)
-        w = weight[idx]
-        eq = idx[:, None] == idx[None, :]
-        out[np.ix_(members, members)] += np.where(eq, w[:, None], 0.0)
-    return out
 
 
 # -- stopping squares ----------------------------------------------------------
@@ -166,7 +67,6 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval,
     """
     quad = f.quad
     if not quad.same_as(sigma.quad):
-        from .errors import QuadratureMismatchError
         raise QuadratureMismatchError("weight on a different quadrature")
     if s0.beta != 0.0:
         raise InvalidRangeError("stopping construction runs on the "
@@ -178,17 +78,12 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval,
 
     sm_cell = sigma.values * quad.masses
     f_abs = np.abs(np.asarray(f.values))
-    r, t = quad.nodes_r, quad.nodes_t
     sm, ex = [], []
-    for lev in range(level_cap + 1):
-        sel = r >= 1.0 - 2.0 ** -lev if lev else np.ones(r.size, bool)
-        idx = arc_index(0.0, lev, t[sel])
-        mass = np.bincount(idx, weights=sm_cell[sel], minlength=2 ** lev)
-        fsum = np.bincount(idx, weights=(f_abs * sm_cell)[sel],
-                           minlength=2 ** lev)
+    for lv in quad.levels(0.0, level_cap):
+        mass = lv.sums(sm_cell)
         sm.append(mass)
-        ex.append(np.divide(fsum, mass, out=np.zeros(2 ** lev),
-                            where=mass > 0.0))
+        ex.append(np.divide(lv.sums(f_abs * sm_cell), mass,
+                            out=np.zeros(lv.count), where=mass > 0.0))
 
     root = (s0.level, s0.index)
     if not ex[root[0]][root[1]] > 0.0:
@@ -232,12 +127,15 @@ def pointwise_linearization(family: StoppingFamily):
     lhs(z) = sum of E_L over stopping L containing z, rhs = (4/3) M f(z)
     with M the dyadic maximal function of |f| in sigma*mu."""
     quad = family.quad
-    r, t = quad.nodes_r, quad.nodes_t
-    lhs = np.zeros(quad.size)
+    levels = quad.levels(0.0, family.level_cap)
+    stopped = [np.zeros(lv.count) for lv in levels]
     for (lev, m), e_l in family.expectations.items():
-        sel = (r >= 1.0 - 2.0 ** -lev) if lev else np.ones(r.size, bool)
-        sub = sel & (arc_index(0.0, lev, t) == m)
-        lhs[sub] += e_l
+        stopped[lev][m] = e_l
+    # the stopping squares holding a node nest, one per generation, so
+    # adding them level by level keeps the order of the stopped sum
+    lhs = np.zeros(quad.size)
+    for lv, e_l in zip(levels, stopped):
+        lhs[lv.members] += e_l[lv.arcs]
     maximal = dyadic_maximal(quad, family.sigma_mu, 0.0, family.f_abs,
                              L_max=family.level_cap)
     return lhs, (4.0 / 3.0) * maximal
@@ -246,13 +144,11 @@ def pointwise_linearization(family: StoppingFamily):
 def carleson_embedding_sum(family: StoppingFamily, p) -> float:
     """sum_L (E^{sigma mu}_L |f|)^p (sigma mu)(L) over the stopping family."""
     _conjugate(p)
-    quad = family.quad
-    r, t = quad.nodes_r, quad.nodes_t
+    levels = family.quad.levels(0.0, family.level_cap)
     total = 0.0
     for (lev, m), e_l in family.expectations.items():
-        sel = (r >= 1.0 - 2.0 ** -lev) if lev else np.ones(r.size, bool)
-        sub = sel & (arc_index(0.0, lev, t) == m)
-        total += e_l ** p * float(family.sigma_mu[sub].sum())
+        cells = levels[lev].cells(m)
+        total += e_l ** p * float(family.sigma_mu[cells].sum())
     return total
 
 
@@ -279,21 +175,19 @@ def _testing_sup(T, source_vals, target_vals, denom_cell, p, depth):
     quad = T.quad
     best, witness = 0.0, (0, 0)
     tmu = target_vals * T.mu
-    for lev in range(min(T.L_max, depth) + 1):
-        members, idx, _ = T._levels[lev]
-        denom = np.bincount(idx, weights=denom_cell[members],
-                            minlength=2 ** lev)
-        for m in range(2 ** lev):
+    for lv in quad.levels(T.beta, min(T.L_max, depth)):
+        denom = lv.sums(denom_cell)
+        for m in range(lv.count):
             if denom[m] <= 0.0:
                 continue
             f_vals = np.zeros(quad.size)
-            cells = members[idx == m]
+            cells = lv.cells(m)
             f_vals[cells] = source_vals[cells]
             out = apply_sparse(T, Field(quad, f_vals)).values
             val = float(np.sum(np.abs(out) ** p * tmu))
             ratio = val / denom[m]
             if ratio > best:
-                best, witness = ratio, (lev, m)
+                best, witness = ratio, (lv.level, m)
     return best, witness
 
 
@@ -345,27 +239,20 @@ def split_by_criterion(f: Field, g: Field, sigma: WeightField,
         raise InvalidRangeError("the splitting criterion takes f, g >= 0")
     mu = quad.masses
     sig_mu, u_mu = sigma.values * mu, u.values * mu
-    r, t = quad.nodes_r, quad.nodes_t
     s1, s2 = [], []
-    for lev in range(depth + 1):
-        sel = r >= 1.0 - 2.0 ** -lev if lev else np.ones(r.size, bool)
-        idx = arc_index(beta, lev, t[sel])
-        count = 2 ** lev
-        msig = np.bincount(idx, weights=sig_mu[sel], minlength=count)
-        mu_tot = np.bincount(idx, weights=mu[sel], minlength=count)
-        m_u = np.bincount(idx, weights=u_mu[sel], minlength=count)
-        e_f = np.divide(np.bincount(idx, weights=(fv * sig_mu)[sel],
-                                    minlength=count), msig,
-                        out=np.zeros(count), where=msig > 0.0)
-        e_g = np.divide(np.bincount(idx, weights=(gv * u_mu)[sel],
-                                    minlength=count), m_u,
-                        out=np.zeros(count), where=m_u > 0.0)
+    for lv in quad.levels(beta, depth):
+        msig, m_u = lv.sums(sig_mu), lv.sums(u_mu)
+        e_f = np.divide(lv.sums(fv * sig_mu), msig,
+                        out=np.zeros(lv.count), where=msig > 0.0)
+        e_g = np.divide(lv.sums(gv * u_mu), m_u,
+                        out=np.zeros(lv.count), where=m_u > 0.0)
         lhs = e_f ** p * msig
         rhs = e_g ** q * m_u
-        for m in range(count):
+        mu_tot = lv.sums(mu)
+        for m in range(lv.count):
             if mu_tot[m] <= 0.0:
                 continue
-            (s1 if lhs[m] >= rhs[m] else s2).append((lev, m))
+            (s1 if lhs[m] >= rhs[m] else s2).append((lv.level, m))
     return s1, s2
 
 
@@ -404,18 +291,20 @@ def one_weight_norm_experiment(spec: KernelSpec, v: WeightField, p,
     ratio = norm / bp.value ** max(1.0, 1.0 / (p - 1.0))
 
     psi = PsiProfile(spec.gamma, spec.nu)
-    lengths = 2.0 ** -np.arange(depth + 1)
-    psi_vals = psi(lengths)
-    r = quad.nodes_r
+    psi_vals = psi(2.0 ** -np.arange(depth + 1))
+    levels = quad.levels(0.0, depth + 1)
     ratios, shares = [], []
     for lev in range(depth + 1):
-        tail = float(mu[r >= 1.0 - lengths[lev]].sum()) / 2 ** lev
+        square = levels[lev].members
+        tail = float(mu[square].sum()) / 2 ** lev
         if tail <= 0.0:
             ratios.append(0.0)
             continue
         ratios.append(psi_vals[lev] * tail * 2.0 ** lev)
-        band = (r >= 1.0 - lengths[lev]) & (r < 1.0 - lengths[lev] / 2.0)
-        top = float(mu[band].sum()) / 2 ** lev
+        # the next level's members are a suffix of these (cells are
+        # band-major); what precedes it is the top-half band
+        top_half = square[:square.size - levels[lev + 1].members.size]
+        top = float(mu[top_half].sum()) / 2 ** lev
         if top > 0.0:
             shares.append(tail / top)
     live = [x for x in ratios if x > 0.0]

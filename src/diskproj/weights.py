@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .disk import DiskQuadrature, Field, arc_index
+from .disk import GRID_SHIFTS, DiskQuadrature, Field
 from .errors import ConfigError, InvalidRangeError
 
 _CENTER_CAP = 4096
@@ -117,21 +117,19 @@ def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
     quad = v.quad
     pprime = p / (p - 1.0)
     dual_vals = np.power(v.values, -pprime / p)
-    r, t, mass = quad.nodes_r, quad.nodes_t, quad.masses
+    mass = quad.masses
+    grids = [(beta, quad.levels(beta, depth)) for beta in GRID_SHIFTS]
     best, witness, skipped = 0.0, None, 0
     per_depth = []
     for level in range(depth + 1):
         level_best = 0.0
-        for beta in (0.0, 0.5):
-            radial = r >= 1.0 - 2.0 ** -level
-            idx = arc_index(beta, level, t)
-            n = 1 << level
-            w = np.where(radial, mass, 0.0)
-            den = np.bincount(idx, weights=w, minlength=n)
-            num_v = np.bincount(idx, weights=w * v.values, minlength=n)
-            num_d = np.bincount(idx, weights=w * dual_vals, minlength=n)
+        for beta, levels in grids:
+            lv = levels[level]
+            den = lv.sums(mass)
+            num_v = lv.sums(mass * v.values)
+            num_d = lv.sums(mass * dual_vals)
             ok = den > 0.0
-            skipped += int(n - ok.sum())
+            skipped += int(lv.count - ok.sum())
             if not ok.any():
                 continue
             vals = (num_v[ok] / den[ok]) * (num_d[ok] / den[ok]) ** (p / pprime)
@@ -169,14 +167,12 @@ def disc_family(quad: DiskQuadrature):
     return discs
 
 
-def disc_maximal_field(quad: DiskQuadrature, values, family=None):
-    """M(v) at every node: max over family discs containing the node of
-    the omega x m average of |values| over the disc's cells."""
-    fam = disc_family(quad) if family is None else family
+def _disc_averages(quad: DiskQuadrature, values, family):
+    """(center, radius, node mask, omega x m average of |values|) for
+    each family disc that holds nodes of positive mass."""
     z = quad.nodes_z
     av = np.abs(np.asarray(values))
-    out = np.zeros(quad.size)
-    for a, rho in fam:
+    for a, rho in family:
         mask = np.abs(z - a) < rho
         if not mask.any():
             continue
@@ -184,27 +180,25 @@ def disc_maximal_field(quad: DiskQuadrature, values, family=None):
         total = m.sum()
         if total <= 0.0:
             continue
-        avg = float(np.sum(av[mask] * m) / total)
+        yield a, rho, mask, float(np.sum(av[mask] * m) / total)
+
+
+def disc_maximal_field(quad: DiskQuadrature, values, family=None):
+    """M(v) at every node: max over family discs containing the node of
+    the omega x m average of |values| over the disc's cells."""
+    fam = disc_family(quad) if family is None else family
+    out = np.zeros(quad.size)
+    for _, _, mask, avg in _disc_averages(quad, values, fam):
         out[mask] = np.maximum(out[mask], avg)
     return out
 
 
 def disc_maximal(quad: DiskQuadrature, values, z):
     """M at a single point: max over family discs containing z."""
-    best = 0.0
-    av = np.abs(np.asarray(values))
-    nodes = quad.nodes_z
-    for a, rho in disc_family(quad):
-        if abs(complex(z) - a) >= rho:
-            continue
-        mask = np.abs(nodes - a) < rho
-        if not mask.any():
-            continue
-        m = quad.masses[mask]
-        if m.sum() <= 0.0:
-            continue
-        best = max(best, float(np.sum(av[mask] * m) / m.sum()))
-    return best
+    z = complex(z)
+    return max((avg for a, rho, _, avg in
+                _disc_averages(quad, values, disc_family(quad))
+                if abs(z - a) < rho), default=0.0)
 
 
 def b1_characteristic(v: WeightField, family=None) -> CharacteristicReport:
@@ -222,22 +216,18 @@ def b1_characteristic(v: WeightField, family=None) -> CharacteristicReport:
 def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values,
                    L_max=None):
     """M f(z) = max over grid squares S containing z of the nu-average
-    of |f| over S; one pass per level."""
-    L_max = quad.J + 1 if L_max is None else L_max
+    of |f| over S, levels 0..L_max (default J; no cell lies deeper); one
+    pass per level."""
+    L_max = quad.J if L_max is None else L_max
     nu = np.asarray(nu_masses, dtype=float)
-    af = np.abs(np.asarray(f_values))
-    r, t = quad.nodes_r, quad.nodes_t
+    nu_f = nu * np.abs(np.asarray(f_values))
     out = np.zeros(quad.size)
-    for level in range(L_max + 1):
-        radial = r >= 1.0 - 2.0 ** -level
-        idx = arc_index(beta, level, t)
-        n = 1 << level
-        w = np.where(radial, nu, 0.0)
-        den = np.bincount(idx, weights=w, minlength=n)
-        num = np.bincount(idx, weights=w * af, minlength=n)
-        avg = np.divide(num, den, out=np.zeros(n), where=den > 0.0)
-        sel = radial & (den[idx] > 0.0)
-        out[sel] = np.maximum(out[sel], avg[idx[sel]])
+    for lv in quad.levels(beta, L_max):
+        den = lv.sums(nu)
+        avg = np.divide(lv.sums(nu_f), den, out=np.zeros(lv.count),
+                        where=den > 0.0)
+        # avg is 0 on massless squares, and out >= 0 already
+        out[lv.members] = np.maximum(out[lv.members], avg[lv.arcs])
     return out
 
 

@@ -138,6 +138,39 @@ def test_quadrature_masses_exact():
     assert quad1.total_mass() == pytest.approx(9.0 / 16.0, abs=1e-15)
 
 
+def test_dyadic_level_index():
+    """Level l holds the cells of annuli j >= l (every cell at l = 0),
+    which are the nodes with r >= 1 - 2^-l, each with the grid arc that
+    contains its angle; levels past J hold no cell, and the index is
+    built once per grid shift."""
+    for J, j0 in ((4, 0), (6, 1)):
+        quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+        annulus = np.array([b.j for b in quad.bands])[quad.cell_band]
+        for beta in dk.GRID_SHIFTS:
+            levels = quad.levels(beta, J + 2)
+            assert [lv.level for lv in levels] == list(range(J + 3))
+            for level, lv in enumerate(levels):
+                want = np.arange(quad.size) if level == 0 else \
+                    np.nonzero(annulus >= level)[0]
+                np.testing.assert_array_equal(lv.members, want)
+                np.testing.assert_array_equal(
+                    lv.members,
+                    np.nonzero(quad.nodes_r >= 1.0 - 2.0 ** -level)[0])
+                for cell, m in zip(lv.members, lv.arcs):
+                    arc = dk.DyadicInterval(beta, level, int(m)).arc
+                    assert arc.contains(quad.nodes_t[cell])
+                for m in range(lv.count):
+                    np.testing.assert_array_equal(lv.cells(m),
+                                                  lv.members[lv.arcs == m])
+            assert all(lv.members.size == 0 for lv in levels[J + 1:])
+            again = quad.levels(beta, 2)
+            assert all(a is b for a, b in zip(again, levels))
+    with pytest.raises(InvalidRangeError):
+        quad.levels(0.25, 2)
+    with pytest.raises(InvalidRangeError):
+        quad.levels(0.0, -1)
+
+
 def test_quadrature_band_structure(leb_quad6):
     quad = leb_quad6
     assert quad.bands[0].label == "core0"

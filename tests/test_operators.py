@@ -23,6 +23,8 @@ import pytest
 from diskproj import disk as dk
 from diskproj import measures as ms
 from diskproj import operators as op
+from diskproj import twoweight as tw
+from diskproj import weights as wt
 from diskproj.errors import (BudgetExceededError, InvalidRangeError,
                              NoAdmissiblePairError, QuadratureMismatchError,
                              SeparationError)
@@ -175,9 +177,10 @@ def test_dyadic_handle_fast_matches_matrix(leb_quad5):
     h0 = op.dyadic_handle(0.0, std_psi(), quad, L_max=0)
     want = float(np.sum(f * quad.masses))
     np.testing.assert_allclose(h0.apply(f), want, rtol=1e-13)
-    out = op.apply_dyadic(0.5, std_psi(), quad, dk.Field(quad, f))
     h_half = op.dyadic_handle(0.5, std_psi(), quad)
-    np.testing.assert_allclose(out.values, h_half.apply(f), rtol=1e-13)
+    np.testing.assert_allclose(h_half.apply(f),
+                               h_half.matrix() @ (f * quad.masses),
+                               rtol=1e-12)
 
 
 def test_dyadic_kernel_hand_value():
@@ -189,13 +192,50 @@ def test_dyadic_kernel_hand_value():
     # radius 0.9 misses the level-4 band even though the arcs agree
     assert op.dyadic_kernel(0.0, psi, z, zeta, L_max=6) == \
         pytest.approx(21.0 + 64.0)
+    # random pairs against a scan of every grid arc at every level
     rng = np.random.default_rng(2)
     zs = 0.97 * np.exp(2j * np.pi * rng.random(50))
     ws = 0.97 * np.exp(2j * np.pi * rng.random(50))
     for beta in (0.0, 0.5):
         vec = op._dyadic_kernel_pairs(beta, psi, zs, ws, 6)
-        one = [op.dyadic_kernel(beta, psi, a, b, 6) for a, b in zip(zs, ws)]
-        np.testing.assert_allclose(vec, one, rtol=1e-13)
+        want = np.zeros(zs.size)
+        for k, (a, b) in enumerate(zip(zs, ws)):
+            ta, tb = (np.angle([a, b]) / (2.0 * np.pi)) % 1.0
+            for level in range(7):
+                if min(abs(a), abs(b)) < 1.0 - 2.0 ** -level:
+                    continue
+                for m in range(2 ** level):
+                    arc = dk.DyadicInterval(beta, level, m).arc
+                    if arc.contains(ta) and arc.contains(tb):
+                        want[k] += 4.0 ** level
+        np.testing.assert_allclose(vec, want, rtol=1e-13)
+
+
+BAD_DYADIC_INPUTS = {
+    "mu-nan": lambda q: op.dyadic_handle(0.0, std_psi(), q, mu=np.nan),
+    "mu-negative": lambda q: op.dyadic_handle(0.0, std_psi(), q,
+                                              mu=-np.ones(q.size)),
+    "mu-short": lambda q: op.dyadic_handle(0.0, std_psi(), q,
+                                           mu=q.masses[:-1]),
+    "tau-nan": lambda q: tw.sparse_bergman_model(
+        std_psi(), q, L_max=1, tau=[np.ones(1), np.array([1.0, np.nan])]),
+    "bp-depth-negative": lambda q: wt.bp_characteristic(
+        wt.weight_field(q), 2.0, -1),
+    "maximal-cap-negative": lambda q: wt.dyadic_maximal(
+        q, q.masses, 0.0, np.ones(q.size), L_max=-2),
+    "handle-cap-negative": lambda q: op.dyadic_handle(0.0, std_psi(), q,
+                                                      L_max=-1),
+    "comparability-cap-negative": lambda q: op.comparability_constants(
+        std_psi(), 10, seed=0, L_max=-1),
+    "shift-off-grid": lambda q: op.dyadic_handle(0.3, std_psi(), q),
+}
+
+
+@pytest.mark.parametrize("call", BAD_DYADIC_INPUTS.values(),
+                         ids=list(BAD_DYADIC_INPUTS))
+def test_dyadic_inputs_out_of_range_raise(leb_quad5, call):
+    with pytest.raises(InvalidRangeError):
+        call(leb_quad5)
 
 
 def test_apply_bergman_dispatch(leb_quad5, leb_quad6):

@@ -24,7 +24,7 @@ from diskproj import weights as wt
 from diskproj.errors import (BudgetExceededError, InvalidRangeError,
                              QuadratureMismatchError)
 from diskproj.kernels import KernelSpec
-from diskproj.operators import PsiProfile
+from diskproj.operators import PsiProfile, dyadic_handle
 
 ATOM1 = ms.point_mass(1.0, 1.0)
 
@@ -105,6 +105,10 @@ def test_level_cap_past_the_depth(leb_quad5):
                                   tw.apply_sparse(flush, f).values)
     np.testing.assert_array_equal(tw.sparse_kernel_matrix(deep),
                                   tw.sparse_kernel_matrix(flush))
+    # the dyadic handle is the same operator, capped at J by default
+    np.testing.assert_array_equal(
+        dyadic_handle(0.0, std_psi(), quad).apply(f.values),
+        tw.apply_sparse(deep, f).values)
     s0 = dk.DyadicInterval(0.0, 0, 0)
     fam = tw.stopping_family(f, sigma, s0, level_cap=J + 1)
     assert fam.expectations == \

@@ -95,6 +95,17 @@ def test_disc_maximal_consistency(leb_quad5):
     for i in (0, 37, quad.size - 1):
         assert wt.disc_maximal(quad, f, quad.nodes_z[i]) == \
             pytest.approx(field[i], rel=1e-13)
+    # off the nodes, against a scan of the disc family
+    z = 0.55 + 0.3j
+    assert np.min(np.abs(quad.nodes_z - z)) > 0.0
+    want = 0.0
+    for a, rho in wt.disc_family(quad):
+        cells = np.abs(quad.nodes_z - a) < rho
+        if abs(z - a) < rho and quad.masses[cells].sum() > 0.0:
+            m = quad.masses[cells]
+            want = max(want, float(np.sum(f[cells] * m) / m.sum()))
+    assert want > 0.0
+    assert wt.disc_maximal(quad, f, z) == pytest.approx(want, rel=1e-13)
     np.testing.assert_allclose(wt.disc_maximal_field(quad, np.ones(quad.size)),
                                1.0, rtol=1e-14)
 

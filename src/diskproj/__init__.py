@@ -4,8 +4,9 @@ that exercise them at desk scale."""
 
 from .errors import (BudgetExceededError, ConfigError, DiskprojError,
                      InvalidRangeError, NoAdmissiblePairError,
-                     QuadratureMismatchError, SeparationError,
-                     TailVanishedError, TruncationInfeasibleError)
+                     NoConvergenceError, QuadratureMismatchError,
+                     SeparationError, TailVanishedError,
+                     TruncationInfeasibleError)
 from .measures import (RadialMeasure, catalog, expinv, half_atom_mix,
                        lebesgue, loginv, make_measure, point_mass,
                        power_measure)

@@ -73,6 +73,14 @@ def check_grid(beta, L_max):
         raise InvalidRangeError(f"level cap must be an integer >= 0: {L_max}")
 
 
+def nonnegative_table(values, shape, name):
+    """values as a float array of the given shape, finite and >= 0."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != shape or not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise InvalidRangeError(f"{name} must be finite, >= 0, shape {shape}")
+    return arr
+
+
 def arc_index(beta, level, t):
     """Index m of the grid arc at (beta, level) containing angle t.
 

@@ -36,3 +36,7 @@ class NoAdmissiblePairError(DiskprojError, ValueError):
 
 class TailVanishedError(DiskprojError, ValueError):
     """A tail value needed as a denominator is zero."""
+
+
+class NoConvergenceError(DiskprojError, RuntimeError):
+    """An iterative solver stopped before reaching its tolerance."""

@@ -13,40 +13,39 @@ number of equally spaced nodes, so between a row band and a column band
 w takes only max(n_a, n_b) distinct values: each band-pair block is
 circulant up to index striding. A handle evaluates its kernel once at
 those values, on first use, and applies it by one FFT correlation per
-band pair. Kernel rows (apply with matrix_free=True) and the dense
-matrix the norms need are gathered from the same table.
+band pair. Kernel rows (apply with matrix_free=True) use the same table.
 
 The dyadic operators are SparseOperator instances, T f = sum_S tau_S
 (E^mu_S f) 1_S over the squares of one grid, with tau_S = Psi(|I|)
 mu(S)/|I| by default. Apply and kernel rows (tau_S / mu(S) per square)
 reduce over the quadrature's per-level index, cost O(cells x levels).
 
-Norms: at p = 2 the operator norm between weighted L^2 spaces is the
-largest singular value of D(sqrt(u mu)) K D(sqrt(sigma mu)); at p != 2
-only a lower bound is computed (nonlinear power iteration from random
-starts) and is labeled as such.
+Norms run on fast_apply and form no dense matrix; every kernel here is
+Hermitian, so the adjoint is the same apply. At p = 2 the norm is the
+top singular value of D(sqrt(u mu)) K D(sqrt(sigma mu)), by Lanczos. At
+p != 2, for a nonnegative kernel, it is bracketed by Boyd's power
+iteration below and the Schur test above.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg import svdvals
 from scipy.optimize import bisect
+from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from . import weights as weights_mod
 from .disk import (Arc, DiskQuadrature, Field, arc_index, carleson_square,
-                   check_grid)
-from .errors import (BudgetExceededError, InvalidRangeError,
-                     NoAdmissiblePairError, QuadratureMismatchError,
+                   check_grid, nonnegative_table)
+from .errors import (InvalidRangeError, NoAdmissiblePairError,
+                     NoConvergenceError, QuadratureMismatchError,
                      SeparationError)
 from .kernels import KernelSpec, kernel_integral_grid, nu_cauchy_grid
 from .measures import RadialMeasure
 
-MATRIX_THRESHOLD = 4096
 _GATHER_ENTRIES = 2 ** 20   # kernel entries per gathered row block
 
 
@@ -103,7 +102,7 @@ class OperatorHandle:
     Application is out = K @ (f * mu). fast_apply computes it without
     forming K (FFT correlation or per-level sums); kernel_block(rows)
     returns the pure kernel submatrix K[rows, :] (no masses), which the
-    matrix-free route and the dense matrix are built from.
+    matrix-free route gathers block by block.
     """
 
     kind: str
@@ -112,23 +111,6 @@ class OperatorHandle:
     mu: np.ndarray
     positive: bool
     fast_apply: Callable
-    _matrix: Optional[np.ndarray] = None
-
-    def _row_blocks(self):
-        n = self.quad.size
-        step = max(1, _GATHER_ENTRIES // n)
-        for s in range(0, n, step):
-            yield self.kernel_block(np.arange(s, min(s + step, n)))
-
-    def matrix(self):
-        """Pure kernel matrix; cached. Only below the cell threshold."""
-        if self._matrix is None:
-            n = self.quad.size
-            if n > MATRIX_THRESHOLD:
-                raise BudgetExceededError(
-                    f"{n} cells exceed the matrix threshold {MATRIX_THRESHOLD}")
-            self._matrix = np.concatenate(list(self._row_blocks()), axis=0)
-        return self._matrix
 
     def apply(self, values, matrix_free=False):
         """K @ (values * mu) by fast_apply; with matrix_free=True, by
@@ -137,8 +119,11 @@ class OperatorHandle:
         if not matrix_free:
             return self.fast_apply(v)
         weighted = v * self.mu
-        return np.concatenate([block @ weighted
-                               for block in self._row_blocks()])
+        n = self.quad.size
+        step = max(1, _GATHER_ENTRIES // n)
+        return np.concatenate([
+            self.kernel_block(np.arange(s, min(s + step, n))) @ weighted
+            for s in range(0, n, step)])
 
 
 class _BandPairTable:
@@ -253,7 +238,8 @@ def positive_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
 def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature,
                         mu=None) -> OperatorHandle:
     """P+_{Psi,mu} with kernel K_Psi against the measure mu."""
-    mu = quad.masses.copy() if mu is None else np.asarray(mu, dtype=float)
+    mu = (quad.masses.copy() if mu is None
+          else nonnegative_table(mu, (quad.size,), "mu"))
     # K_Psi(z_i, z_j) depends only on |1 - conj(z_j) z_i| = |1 - w|,
     # which is also the separation K_Psi sees at the pair (w, 1)
     return _table_handle("psi-positive", quad, lambda w: psi.kernel(w, 1.0),
@@ -261,14 +247,6 @@ def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature,
 
 
 # -- the dyadic model operator -------------------------------------------------
-
-def _table(values, shape, name):
-    """values as a float array of the given shape, finite and >= 0."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != shape or not np.all(np.isfinite(arr) & (arr >= 0.0)):
-        raise InvalidRangeError(f"{name} must be finite, >= 0, shape {shape}")
-    return arr
-
 
 @dataclass(eq=False)
 class SparseOperator:
@@ -287,10 +265,11 @@ class SparseOperator:
 
     def __post_init__(self):
         self._levels = self.quad.levels(self.beta, self.L_max)
-        self.mu = _table(self.mu, (self.quad.size,), "mu")
+        self.mu = nonnegative_table(self.mu, (self.quad.size,), "mu")
         if len(self.tau) != self.L_max + 1:
             raise InvalidRangeError("need one tau array per level")
-        self.tau = [_table(row, (lv.count,), f"tau at level {lv.level}")
+        self.tau = [nonnegative_table(row, (lv.count,),
+                                      f"tau at level {lv.level}")
                     for row, lv in zip(self.tau, self._levels)]
         self._square_mass = [lv.sums(self.mu) for lv in self._levels]
 
@@ -300,7 +279,10 @@ class SparseOperator:
 
     def apply(self, values):
         """T f for the cell values of f."""
-        weighted = np.asarray(values) * self.mu
+        values = np.asarray(values)
+        if np.iscomplexobj(values):  # bincount takes no complex weights
+            return self.apply(values.real) + 1j * self.apply(values.imag)
+        weighted = values * self.mu
         out = np.zeros(self.quad.size)
         for lv, tau, mu_s in zip(self._levels, self.tau, self._square_mass):
             avg = np.divide(lv.sums(weighted), mu_s,
@@ -349,12 +331,6 @@ def apply_sparse(T: SparseOperator, f: Field) -> Field:
     if not T.quad.same_as(f.quad):
         raise QuadratureMismatchError("field on a different quadrature")
     return Field(T.quad, T.apply(f.values))
-
-
-def sparse_kernel_matrix(T: SparseOperator) -> np.ndarray:
-    """Dense K with K_ij = sum_{S containing both} tau_S / mu(S), so
-    that T f = K (f mu) cellwise; only below the matrix threshold."""
-    return T.handle().matrix()
 
 
 def dyadic_handle(beta, psi: PsiProfile, quad: DiskQuadrature, L_max=None,
@@ -542,47 +518,70 @@ def tail_difference_bound(spec: KernelSpec, quad: DiskQuadrature, v_values,
 
 # -- weighted operator norms ---------------------------------------------------
 
-def weighted_norm_p2(kernel_matrix, mu, u, sigma):
+NORM_RTOL = 1e-12        # a bracket is closed when its gap is this, relative
+NORM_MAX_STEPS = 500     # Boyd steps before an open bracket is returned
+
+
+def _weighted_operator(handle: OperatorHandle, u, sigma, p):
+    """(matvec, rmatvec) of A = D((u mu)^(1/p)) K D((sigma mu)^(1/p')), whose
+    l^p norm is the L^p(sigma mu) -> L^p(u mu) norm of f -> K (sigma mu f)."""
+    mu = handle.mu
+    left = (nonnegative_table(u, mu.shape, "u") * mu) ** (1.0 / p)
+    right = (nonnegative_table(sigma, mu.shape, "sigma") * mu) ** (1 - 1 / p)
+    # fast_apply multiplies by mu again; a massless cell drops out
+    inv_mu = np.divide(1.0, mu, out=np.zeros(mu.shape), where=mu > 0.0)
+    return (lambda x: left * handle.fast_apply(np.ravel(x) * right * inv_mu),
+            lambda y: right * handle.fast_apply(np.ravel(y) * left * inv_mu))
+
+
+def weighted_norm_p2(handle: OperatorHandle, u, sigma):
     """Exact L^2(sigma mu) -> L^2(u mu) norm of f -> K (sigma mu f):
-    the largest singular value of D(sqrt(u mu)) K D(sqrt(sigma mu))."""
-    left = np.sqrt(np.asarray(u) * mu)
-    right = np.sqrt(np.asarray(sigma) * mu)
-    m = left[:, None] * np.asarray(kernel_matrix) * right[None, :]
-    return float(svdvals(m)[0])
+    the largest singular value of D(sqrt(u mu)) K D(sqrt(sigma mu)), by
+    Lanczos from the constant vector, so that a result repeats exactly."""
+    matvec, rmatvec = _weighted_operator(handle, u, sigma, 2.0)
+    n = handle.mu.size
+    A = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec,
+                       dtype=float if handle.positive else complex)
+    try:
+        s = svds(A, k=1, tol=0, v0=np.ones(n), return_singular_vectors=False)
+    except ArpackError as exc:
+        if handle.positive and not np.any(matvec(np.ones(n))):
+            return 0.0  # A >= 0 with A 1 = 0 is zero; Lanczos breaks down
+        raise NoConvergenceError(f"Lanczos norm: {exc}") from None
+    return float(s[0])
 
 
-def weighted_norm_lp_lower(kernel_matrix, mu, u, sigma, p, starts=16,
-                           iters=60, seed=0):
-    """Lower bound for the L^p(sigma mu) -> L^p(u mu) norm of a
-    NONNEGATIVE kernel by nonlinear power iteration from random starts.
-    Reported as a lower bound only; p = 2 callers should use the exact
-    singular value instead."""
-    if p <= 1.0:
-        raise InvalidRangeError("p must be > 1")
-    K = np.asarray(kernel_matrix, dtype=float)
-    if K.min() < 0.0:
-        raise InvalidRangeError("power iteration needs a nonnegative kernel")
-    q = p / (p - 1.0)
-    left = (np.asarray(u) * mu) ** (1.0 / p)
-    right = (np.asarray(sigma) * mu) ** (1.0 / q)
-    A = left[:, None] * K * right[None, :]
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    n = A.shape[1]
-    for s in range(starts + 1):
-        x = np.ones(n) if s == 0 else rng.uniform(0.1, 1.0, size=n)
+def weighted_norm_bracket(handle: OperatorHandle, u, sigma, p):
+    """(lower, upper, closed) for the L^p(sigma mu) -> L^p(u mu) norm of
+    f -> K (sigma mu f); closed means a gap of at most NORM_RTOL relative.
+
+    At p = 2 the bracket is one point, by Lanczos. Otherwise, for a
+    nonnegative kernel, Boyd's iteration runs from the constant vector:
+    y = A x, z = A^T y^(p-1), x <- z^(p'-1) normalized in l^p, at most
+    NORM_MAX_STEPS times. ||y||_p bounds ||A|| below, and the Schur test
+    bounds it above by max_j (z_j / x_j^(p-1))^(1/p) over x_j > 0 (the
+    other cells are zero columns of A)."""
+    if p == 2.0:
+        s = weighted_norm_p2(handle, u, sigma)
+        return s, s, True
+    if not (1.0 < p < math.inf and handle.positive):
+        raise InvalidRangeError(f"Boyd's iteration needs p in (1, inf), not "
+                                f"{p}, and a nonnegative kernel")
+    matvec, rmatvec = _weighted_operator(handle, u, sigma, p)
+    n = handle.mu.size
+    x = np.full(n, n ** (-1.0 / p))
+    lower, upper = 0.0, math.inf
+    for _ in range(NORM_MAX_STEPS):
+        # clip FFT round-off below zero before the fractional powers
+        y = np.maximum(matvec(x), 0.0)
+        lower = max(lower, float(np.linalg.norm(y, ord=p)))
+        z = np.maximum(rmatvec(y ** (p - 1.0)), 0.0)
+        xp = x ** (p - 1.0)
+        ratio = np.divide(z, xp, out=np.where(z > 0.0, math.inf, 0.0),
+                          where=xp > 0.0)
+        upper = min(upper, float(np.max(ratio)) ** (1.0 / p))
+        if upper - lower <= NORM_RTOL * upper:
+            break
+        x = z ** (1.0 / (p - 1.0))
         x /= np.linalg.norm(x, ord=p)
-        for _ in range(iters):
-            y = A @ x
-            ny = np.linalg.norm(y, ord=p)
-            if ny == 0.0:
-                break
-            z = A.T @ (y / ny) ** (p - 1.0)
-            x = np.maximum(z, 0.0) ** (q - 1.0)
-            nx = np.linalg.norm(x, ord=p)
-            if nx == 0.0:
-                break
-            x /= nx
-        val = np.linalg.norm(A @ x, ord=p)
-        best = max(best, float(val))
-    return best
+    return lower, upper, upper - lower <= NORM_RTOL * upper

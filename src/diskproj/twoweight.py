@@ -1,11 +1,9 @@
 """Stopping squares, testing constants and the one-weight experiment.
 
 They run on the sparse dyadic operator T f = sum_S tau_S (E^mu_S f) 1_S
-of operators.py (re-exported here with sparse_bergman_model, apply_sparse
-and sparse_kernel_matrix). Every pass reduces level by level over the
-quadrature's dyadic-level index, so it is linear in cell count times
-levels; a dense kernel matrix is only assembled for norm computations on
-small quadratures.
+of operators.py. Every pass reduces level by level over the quadrature's
+dyadic-level index, linear in cell count times levels; the operator
+norms iterate on fast applies and form no dense matrix.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ from .errors import InvalidRangeError, QuadratureMismatchError
 from .kernels import KernelSpec
 from .operators import (PsiProfile, SparseOperator, apply_sparse,
                         positive_handle, sparse_bergman_model,
-                        sparse_kernel_matrix, weighted_norm_lp_lower,
-                        weighted_norm_p2)
+                        weighted_norm_bracket)
 from .weights import (WeightField, bp_characteristic, dual_weight,
                       dyadic_maximal)
 
@@ -164,10 +161,10 @@ class TestingReport:
     c0_star_root: float        # c0_star ** (1/p')
     witness_c0: Square
     witness_c0_star: Square
-    norm_lower: float
-    norm_exact: bool           # True at p = 2 (singular value), else lower bound
-    c1_measured: float         # norm / (c0_root + c0_star_root)
-    norm_upper_claimed: float  # c1_measured * (c0_root + c0_star_root)
+    norm_lower: float          # certified bracket [norm_lower, norm_upper]
+    norm_upper: float
+    norm_exact: bool           # the bracket is closed to operators.NORM_RTOL
+    c1_measured: float         # norm_lower / (c0_root + c0_star_root)
 
 
 def _testing_sup(T, source_vals, target_vals, denom_cell, p, depth):
@@ -196,10 +193,9 @@ def testing_constants(T: SparseOperator, sigma: WeightField, u: WeightField,
     """Sawyer testing constants on squares to the given depth, plus the
     operator norm from L^p(sigma mu) to L^p(u mu) acting as f -> T(sigma f).
 
-    The norm is the exact largest singular value of the weighted
-    similarity at p = 2 and a random-restart lower bound otherwise; the
-    necessity inequalities c0^(1/p) <= norm and c0*^(1/p') <= norm are
-    exact only against the exact norm.
+    The norm is the certified bracket of operators.weighted_norm_bracket;
+    the necessity inequalities c0^(1/p) <= norm and c0*^(1/p') <= norm
+    are exact only when it is closed.
     """
     q = _conjugate(p)
     if depth < 0:
@@ -209,13 +205,8 @@ def testing_constants(T: SparseOperator, sigma: WeightField, u: WeightField,
     c0, wit0 = _testing_sup(T, sigma.values, u.values, sig_mu, p, depth)
     c0s, wits = _testing_sup(T, u.values, sigma.values, u_mu, q, depth)
 
-    kernel = sparse_kernel_matrix(T)
-    if p == 2.0:
-        norm, exact = weighted_norm_p2(kernel, T.mu, u.values,
-                                       sigma.values), True
-    else:
-        norm, exact = weighted_norm_lp_lower(kernel, T.mu, u.values,
-                                             sigma.values, p), False
+    norm, upper, exact = weighted_norm_bracket(T.handle(), u.values,
+                                               sigma.values, p)
     c0_root = c0 ** (1.0 / p)
     c0s_root = c0s ** (1.0 / q)
     denom = c0_root + c0s_root
@@ -223,8 +214,8 @@ def testing_constants(T: SparseOperator, sigma: WeightField, u: WeightField,
     return TestingReport(p=p, depth=depth, c0=c0, c0_star=c0s,
                          c0_root=c0_root, c0_star_root=c0s_root,
                          witness_c0=wit0, witness_c0_star=wits,
-                         norm_lower=norm, norm_exact=exact, c1_measured=c1,
-                         norm_upper_claimed=c1 * denom)
+                         norm_lower=norm, norm_upper=upper, norm_exact=exact,
+                         c1_measured=c1)
 
 
 def split_by_criterion(f: Field, g: Field, sigma: WeightField,
@@ -263,8 +254,9 @@ class OneWeightReport:
     p: float
     depth: int
     bp_value: float
-    norm: float
-    norm_exact: bool
+    norm: float                # certified bracket [norm, norm_upper]
+    norm_upper: float
+    norm_exact: bool           # the bracket is closed to operators.NORM_RTOL
     ratio: float               # norm / bp ** max(1, 1/(p-1))
     psi_mu_ratios: tuple       # Psi(|I|) mu(S(I)) / |I| per level
     psi_mu_band: tuple         # (min, max) of the ratios over levels with mass
@@ -281,13 +273,8 @@ def one_weight_norm_experiment(spec: KernelSpec, v: WeightField, p,
     mu = quad.masses
     bp = bp_characteristic(v, p, depth)
     sigma = dual_weight(v, p)
-    kernel = positive_handle(spec, quad).matrix()
-    if p == 2.0:
-        norm, exact = weighted_norm_p2(kernel, mu, v.values,
-                                       sigma.values), True
-    else:
-        norm, exact = weighted_norm_lp_lower(kernel, mu, v.values,
-                                             sigma.values, p), False
+    norm, upper, exact = weighted_norm_bracket(positive_handle(spec, quad),
+                                               v.values, sigma.values, p)
     ratio = norm / bp.value ** max(1.0, 1.0 / (p - 1.0))
 
     psi = PsiProfile(spec.gamma, spec.nu)
@@ -310,7 +297,7 @@ def one_weight_norm_experiment(spec: KernelSpec, v: WeightField, p,
     live = [x for x in ratios if x > 0.0]
     band_lim = (min(live), max(live)) if live else (0.0, math.inf)
     return OneWeightReport(p=p, depth=depth, bp_value=bp.value, norm=norm,
-                           norm_exact=exact, ratio=ratio,
+                           norm_upper=upper, norm_exact=exact, ratio=ratio,
                            psi_mu_ratios=tuple(ratios), psi_mu_band=band_lim,
                            top_half_max_ratio=max(shares) if shares else
                            math.inf)

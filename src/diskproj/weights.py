@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .disk import GRID_SHIFTS, DiskQuadrature, Field
+from .disk import GRID_SHIFTS, DiskQuadrature, Field, nonnegative_table
 from .errors import ConfigError, InvalidRangeError
 
 _CENTER_CAP = 4096
@@ -219,7 +219,7 @@ def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values,
     of |f| over S, levels 0..L_max (default J; no cell lies deeper); one
     pass per level."""
     L_max = quad.J if L_max is None else L_max
-    nu = np.asarray(nu_masses, dtype=float)
+    nu = nonnegative_table(nu_masses, (quad.size,), "nu_masses")
     nu_f = nu * np.abs(np.asarray(f_values))
     out = np.zeros(quad.size)
     for lv in quad.levels(beta, L_max):

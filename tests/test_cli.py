@@ -170,3 +170,18 @@ def test_oneweight_single_run(tmp_path):
     assert "norm-vs-characteristic" in text
     assert "probe" in text
     assert ",fail" not in text
+
+
+def test_oneweight_single_run_at_depth_12(tmp_path):
+    """The norm needs no dense matrix, so single-run mode reaches the
+    deepest quadrature the CLI accepts (16,388 cells)."""
+    ini = tmp_path / "w.ini"
+    ini.write_text("[run]\nsuite = oneweight\ndyadic_depth = 6\n"
+                   "[weight]\neta = 0.25\nname = probe\n")
+    out = tmp_path / "out"
+    code = cli.main(["--config", str(ini), "--depth", "12", "--out", str(out),
+                     "--no-timestamp"])
+    assert code == 0
+    text = (out / "oneweight.csv").read_text()
+    assert "p=2, J=12" in text
+    assert ",fail" not in text

@@ -11,6 +11,9 @@ Oracles used here:
   * the kernel handles' band-pair tables are pinned against kernels
     evaluated directly at every node pair w = z_j conj(z_i), the dense
     route the tables replace.
+  * the matrix-free norms are pinned against dense oracles on the
+    gathered kernel: svdvals at p = 2, and at p != 2 a nonlinear power
+    iteration from random starts, which must land inside the bracket.
 Deterministic grid quantities (identity error, comparability range)
 were computed once and frozen.
 """
@@ -19,14 +22,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from diskproj import disk as dk
 from diskproj import measures as ms
 from diskproj import operators as op
 from diskproj import twoweight as tw
 from diskproj import weights as wt
-from diskproj.errors import (BudgetExceededError, InvalidRangeError,
-                             NoAdmissiblePairError, QuadratureMismatchError,
+from diskproj.errors import (InvalidRangeError, NoAdmissiblePairError,
+                             NoConvergenceError, QuadratureMismatchError,
                              SeparationError)
 from diskproj.kernels import KernelSpec, kernel_integral_grid
 
@@ -36,6 +41,11 @@ STD = KernelSpec(gamma=1.0, nu=ATOM1, name="std")
 
 def std_psi():
     return op.PsiProfile(1.0, ATOM1, name="std")
+
+
+def gather(h):
+    """The handle's full kernel matrix, gathered: a dense test oracle."""
+    return h.kernel_block(np.arange(h.mu.size))
 
 
 def test_psi_profile_closed_forms():
@@ -80,15 +90,16 @@ def test_handle_matrix_consistency(leb_quad5):
     rng = np.random.default_rng(5)
     f = rng.uniform(-1.0, 1.0, size=quad.size)
     h = op.bergman_handle(STD, quad)
-    via_matrix = h.matrix() @ (f * quad.masses)
+    K = gather(h)
+    via_matrix = K @ (f * quad.masses)
     np.testing.assert_allclose(h.apply(f), via_matrix, rtol=1e-12)
     np.testing.assert_allclose(h.apply(f, matrix_free=True), via_matrix,
                                rtol=1e-12)
     pos = op.positive_handle(STD, quad)
-    np.testing.assert_allclose(pos.matrix(), np.abs(h.matrix()), rtol=1e-13)
+    np.testing.assert_allclose(gather(pos), np.abs(K), rtol=1e-13)
     # the Psi handle is real symmetric by construction
     ph = op.psi_positive_handle(std_psi(), quad)
-    m = ph.matrix()
+    m = gather(ph)
     assert np.all(m > 0.0)
     np.testing.assert_allclose(m, m.T, rtol=1e-13)
 
@@ -100,7 +111,7 @@ NUS = {"atom": ATOM1, "lebesgue": ms.lebesgue(), "halfmix": ms.half_atom_mix()}
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 @pytest.mark.parametrize("nu_name", sorted(NUS))
 def test_table_route_matches_dense_oracle(nu_name, gamma, J, j0):
-    """FFT apply, gathered rows and matrix() of the three kernel handles
+    """FFT apply and gathered rows of the three kernel handles
     against kernels evaluated directly at every pair w = z_j conj(z_i)."""
     nu = NUS[nu_name]
     quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
@@ -119,7 +130,7 @@ def test_table_route_matches_dense_oracle(nu_name, gamma, J, j0):
         for matrix_free in (False, True):
             got = h.apply(f, matrix_free=matrix_free)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.max(np.abs(h.matrix() - K)) <= 1e-12 * np.max(np.abs(K))
+        assert np.max(np.abs(gather(h) - K)) <= 1e-12 * np.max(np.abs(K))
         if h.positive:
             assert np.isrealobj(h.apply(f.real))
 
@@ -142,7 +153,7 @@ def test_table_evaluates_each_band_pair_offset_once(monkeypatch):
     ones = np.ones(quad.size)
     h.apply(ones)
     h.apply(ones, matrix_free=True)
-    h.matrix()
+    gather(h)
     assert sizes == [distinct]
 
 
@@ -170,17 +181,34 @@ def test_dyadic_handle_fast_matches_matrix(leb_quad5):
     f = rng.uniform(0.0, 2.0, size=quad.size)
     h = op.dyadic_handle(0.0, std_psi(), quad)
     fast = h.apply(f)
-    slow = h.matrix() @ (f * quad.masses)
+    K = gather(h)
+    slow = K @ (f * quad.masses)
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
-    np.testing.assert_allclose(h.matrix(), h.matrix().T)
+    np.testing.assert_allclose(K, K.T)
     # L_max=0 keeps only the root square, which holds every node
     h0 = op.dyadic_handle(0.0, std_psi(), quad, L_max=0)
     want = float(np.sum(f * quad.masses))
     np.testing.assert_allclose(h0.apply(f), want, rtol=1e-13)
     h_half = op.dyadic_handle(0.5, std_psi(), quad)
     np.testing.assert_allclose(h_half.apply(f),
-                               h_half.matrix() @ (f * quad.masses),
+                               gather(h_half) @ (f * quad.masses),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("J", [3, 6])
+def test_sparse_apply_complex_field(beta, J):
+    """A complex field goes through the real and imaginary parts; a real
+    field stays real."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=J)
+    T = tw.sparse_bergman_model(std_psi(), quad, beta=beta)
+    rng = np.random.default_rng(J)
+    f = rng.standard_normal(quad.size) + 1j * rng.standard_normal(quad.size)
+    want = T.kernel_rows(np.arange(quad.size)) @ (f * quad.masses)
+    got = tw.apply_sparse(T, dk.Field(quad, f)).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    np.testing.assert_allclose(T.handle().apply(f), got, rtol=0.0, atol=0.0)
+    assert np.isrealobj(T.apply(f.real))
 
 
 def test_dyadic_kernel_hand_value():
@@ -228,6 +256,14 @@ BAD_DYADIC_INPUTS = {
     "comparability-cap-negative": lambda q: op.comparability_constants(
         std_psi(), 10, seed=0, L_max=-1),
     "shift-off-grid": lambda q: op.dyadic_handle(0.3, std_psi(), q),
+    "psi-handle-mu-negative": lambda q: op.psi_positive_handle(
+        std_psi(), q, mu=-q.masses),
+    "maximal-nu-nan": lambda q: wt.dyadic_maximal(
+        q, np.full(q.size, np.nan), 0.0, np.ones(q.size)),
+    "maximal-nu-negative": lambda q: wt.weak11_maximal_check(
+        q, -q.masses, 0.0, dk.Field.constant(q, 1.0)),
+    "maximal-nu-short": lambda q: wt.maximal_lp_ratio(
+        q, q.masses[:-1], 0.5, dk.Field.constant(q, 1.0), 2.0),
 }
 
 
@@ -246,14 +282,6 @@ def test_apply_bergman_dispatch(leb_quad5, leb_quad6):
     np.testing.assert_allclose(out.values, h.apply(f5.values), rtol=1e-13)
     with pytest.raises(QuadratureMismatchError):
         op.apply_bergman(h, dk.Field.constant(leb_quad6, 1.0))
-
-
-def test_matrix_budget_guard():
-    quad = dk.build_quadrature(ms.lebesgue(), J=10, j0=1)
-    assert quad.size == 4100
-    h = op.bergman_handle(STD, quad)
-    with pytest.raises(BudgetExceededError):
-        h.matrix()
 
 
 def test_comparability_constants():
@@ -331,29 +359,143 @@ def test_tail_difference_bound(leb_quad6):
         op.tail_difference_bound(STD, quad, v, 0.9 + 0j, 0.9 + 0.2j, c=1.0)
 
 
+def handle_kinds(quad):
+    """One handle of every kind: the Lanczos adjoint assumes each kernel
+    equals its conjugate transpose."""
+    spec = KernelSpec(gamma=2.0, nu=ms.half_atom_mix())
+    psi = op.PsiProfile(2.0, ms.half_atom_mix())
+    return {"bergman": op.bergman_handle(spec, quad),
+            "positive": op.positive_handle(spec, quad),
+            "psi-positive": op.psi_positive_handle(psi, quad),
+            "dyadic-0": op.dyadic_handle(0.0, psi, quad),
+            "dyadic-1/2": op.dyadic_handle(0.5, psi, quad)}
+
+
+@pytest.mark.parametrize("J", [4, 6])
+def test_handle_kernels_are_hermitian(J):
+    for kind, h in handle_kinds(dk.build_quadrature(ms.lebesgue(), J=J)
+                                ).items():
+        K = gather(h)
+        err = np.max(np.abs(K - K.conj().T)) / np.max(np.abs(K))
+        assert err <= 1e-13, kind
+        if h.positive:
+            assert np.isrealobj(K) and K.min() >= 0.0, kind
+
+
+def matrix_handle(K, mu):
+    """A handle that applies a given kernel matrix: K @ (x mu)."""
+    K = np.asarray(K)
+    return op.OperatorHandle("matrix", None, lambda rows: K[rows], mu,
+                             positive=bool(np.isrealobj(K) and K.min() >= 0.0),
+                             fast_apply=lambda x: K @ (x * mu))
+
+
+def weighted_matrix(K, mu, u, sigma, p):
+    q = p / (p - 1.0)
+    return ((u * mu) ** (1.0 / p))[:, None] * K * \
+        ((sigma * mu) ** (1.0 / q))[None, :]
+
+
+def random_start_lower(A, p, starts=16, iters=300, seed=0):
+    """Nonlinear power iteration from the constant vector and random
+    starts on a dense nonnegative matrix: a lower bound for its l^p norm."""
+    q = p / (p - 1.0)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    n = A.shape[1]
+    for s in range(starts + 1):
+        x = np.ones(n) if s == 0 else rng.uniform(0.1, 1.0, size=n)
+        x /= np.linalg.norm(x, ord=p)
+        for _ in range(iters):
+            y = A @ x
+            z = A.T @ (y / np.linalg.norm(y, ord=p)) ** (p - 1.0)
+            x = np.maximum(z, 0.0) ** (q - 1.0)
+            x /= np.linalg.norm(x, ord=p)
+        best = max(best, float(np.linalg.norm(A @ x, ord=p)))
+    return best
+
+
+@pytest.fixture(scope="module", params=[6, 8], ids=["J6", "J8"])
+def norm_instance(request):
+    quad = dk.build_quadrature(ms.lebesgue(), J=request.param)
+    sigma, u, _, _ = tw.random_instance(quad, request.param)
+    return quad, handle_kinds(quad), u.values, sigma.values
+
+
+@pytest.mark.parametrize("kind", ["bergman", "positive", "psi-positive",
+                                  "dyadic-0", "dyadic-1/2"])
+def test_weighted_norm_p2_matches_svdvals(norm_instance, kind):
+    quad, handles, u, sigma = norm_instance
+    h = handles[kind]
+    want = svdvals(weighted_matrix(gather(h), h.mu, u, sigma, 2.0))[0]
+    got = op.weighted_norm_p2(h, u, sigma)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert op.weighted_norm_bracket(h, u, sigma, 2.0) == (got, got, True)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("kind", ["positive", "psi-positive", "dyadic-0",
+                                  "dyadic-1/2"])
+def test_weighted_norm_lp_bracket_closes(norm_instance, kind, p):
+    quad, handles, u, sigma = norm_instance
+    h = handles[kind]
+    lower, upper, closed = op.weighted_norm_bracket(h, u, sigma, p)
+    assert closed and 0.0 < lower and upper - lower <= 1e-10 * upper
+    if quad.J <= 6:
+        old = random_start_lower(weighted_matrix(gather(h), h.mu, u, sigma,
+                                                 p), p)
+        assert lower * (1.0 - 1e-10) <= old <= upper * (1.0 + 1e-12)
+
+
 def test_weighted_norm_p2_hand_value():
     K = np.array([[2.0, 0.0], [0.0, 1.0]])
     mu = np.array([1.0, 2.0])
     u = np.array([3.0, 1.0])
     sigma = np.array([1.0, 4.0])
     # diag(sqrt(u mu)) K diag(sqrt(sigma mu)) = diag(2 sqrt 3, 4)
-    assert op.weighted_norm_p2(K, mu, u, sigma) == pytest.approx(4.0,
-                                                                 rel=1e-12)
+    assert op.weighted_norm_p2(matrix_handle(K, mu), u, sigma) == \
+        pytest.approx(4.0, rel=1e-12)
 
 
 def test_weighted_norm_lp_lower():
     rng = np.random.default_rng(7)
     K = rng.uniform(0.0, 1.0, size=(30, 30))
+    K = K + K.T
     mu = rng.uniform(0.5, 1.5, size=30)
     u = rng.uniform(0.5, 2.0, size=30)
     sigma = rng.uniform(0.5, 2.0, size=30)
-    exact = op.weighted_norm_p2(K, mu, u, sigma)
-    lower = op.weighted_norm_lp_lower(K, mu, u, sigma, p=2.0, seed=3)
-    assert lower <= exact * (1.0 + 1e-10)
-    assert lower >= 0.999 * exact  # power iteration converges at p=2
-    lower3 = op.weighted_norm_lp_lower(K, mu, u, sigma, p=3.0, seed=3)
-    assert 0.0 < lower3 < math.inf
+    h = matrix_handle(K, mu)
+    exact = op.weighted_norm_p2(h, u, sigma)
+    assert exact == pytest.approx(
+        svdvals(weighted_matrix(K, mu, u, sigma, 2.0))[0], rel=1e-12)
+    # just off p = 2, Boyd's bracket closes near the singular value
+    lower, upper, closed = op.weighted_norm_bracket(h, u, sigma, 2.0 + 1e-9)
+    assert closed and upper - lower <= 1e-12 * upper
+    assert lower == pytest.approx(exact, rel=1e-7)
+    lower3, upper3, closed3 = op.weighted_norm_bracket(h, u, sigma, 3.0)
+    old = random_start_lower(weighted_matrix(K, mu, u, sigma, 3.0), 3.0)
+    assert closed3 and lower3 * (1.0 - 1e-10) <= old <= upper3 * (1.0 + 1e-12)
+    # a zero column (a massless cell) drops out of the Schur bound
+    mu0 = mu.copy()
+    mu0[3] = 0.0
+    lo0, up0, closed0 = op.weighted_norm_bracket(matrix_handle(K, mu0), u,
+                                                 sigma, 3.0)
+    assert closed0 and 0.0 < lo0 < lower3
     with pytest.raises(InvalidRangeError):
-        op.weighted_norm_lp_lower(K, mu, u, sigma, p=1.0)
+        op.weighted_norm_bracket(h, u, sigma, p=1.0)
     with pytest.raises(InvalidRangeError):
-        op.weighted_norm_lp_lower(-K, mu, u, sigma, p=2.0)
+        op.weighted_norm_bracket(matrix_handle(K - 0.5, mu), u, sigma, 3.0)
+    with pytest.raises(InvalidRangeError):
+        op.weighted_norm_p2(h, u[:-1], sigma)
+    with pytest.raises(InvalidRangeError):
+        op.weighted_norm_bracket(h, u, np.full(30, np.nan), 3.0)
+
+
+def test_lanczos_failure_is_a_diskproj_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(op, "svds", no_convergence)
+    h = matrix_handle(np.eye(3), np.ones(3))
+    with pytest.raises(NoConvergenceError):
+        op.weighted_norm_p2(h, np.ones(3), np.ones(3))

@@ -21,8 +21,7 @@ from diskproj import disk as dk
 from diskproj import measures as ms
 from diskproj import twoweight as tw
 from diskproj import weights as wt
-from diskproj.errors import (BudgetExceededError, InvalidRangeError,
-                             QuadratureMismatchError)
+from diskproj.errors import InvalidRangeError, QuadratureMismatchError
 from diskproj.kernels import KernelSpec
 from diskproj.operators import PsiProfile, dyadic_handle
 
@@ -62,7 +61,7 @@ def test_single_square_apply(quad3):
 def test_matrix_matches_apply(leb_quad5):
     quad = leb_quad5
     T = tw.sparse_bergman_model(std_psi(), quad, beta=0.5)
-    K = tw.sparse_kernel_matrix(T)
+    K = T.kernel_rows(np.arange(quad.size))
     assert np.array_equal(K, K.T)
     rng = np.random.default_rng(17)
     f = rng.uniform(0.0, 2.0, size=quad.size)
@@ -87,9 +86,6 @@ def test_sparse_validation(quad3, leb_quad5):
     T = tw.sparse_bergman_model(psi, quad3)
     with pytest.raises(QuadratureMismatchError):
         tw.apply_sparse(T, dk.Field.constant(leb_quad5, 1.0))
-    big = dk.build_quadrature(ms.lebesgue(), J=10, j0=1)
-    with pytest.raises(BudgetExceededError):
-        tw.sparse_kernel_matrix(tw.sparse_bergman_model(psi, big))
 
 
 def test_level_cap_past_the_depth(leb_quad5):
@@ -103,8 +99,9 @@ def test_level_cap_past_the_depth(leb_quad5):
     flush = tw.sparse_bergman_model(std_psi(), quad, L_max=J)
     np.testing.assert_array_equal(tw.apply_sparse(deep, f).values,
                                   tw.apply_sparse(flush, f).values)
-    np.testing.assert_array_equal(tw.sparse_kernel_matrix(deep),
-                                  tw.sparse_kernel_matrix(flush))
+    cells = np.arange(quad.size)
+    np.testing.assert_array_equal(deep.kernel_rows(cells),
+                                  flush.kernel_rows(cells))
     # the dyadic handle is the same operator, capped at J by default
     np.testing.assert_array_equal(
         dyadic_handle(0.0, std_psi(), quad).apply(f.values),
@@ -218,10 +215,23 @@ def test_testing_root_only_oracle(quad3):
     assert rep.c0_root == pytest.approx(want, rel=1e-12)
     assert rep.c0_star_root == pytest.approx(want, rel=1e-12)
     assert rep.norm_lower == pytest.approx(want, rel=1e-12)
-    assert rep.norm_exact
+    assert rep.norm_upper == rep.norm_lower and rep.norm_exact
     assert rep.c1_measured == pytest.approx(0.5, rel=1e-12)
     assert rep.witness_c0 == (0, 0)
     assert rep.witness_c0_star == (0, 0)
+
+
+def test_testing_zero_operator(quad3):
+    """tau = 0 is accepted and gives the zero operator, where Lanczos
+    breaks down: the norm is 0 at p = 2 and p != 2."""
+    sigma = wt.weight_field(quad3, eta=-0.25)
+    u = wt.weight_field(quad3, eta=0.25)
+    tau = [np.zeros(2 ** lev) for lev in range(4)]
+    T = tw.sparse_bergman_model(std_psi(), quad3, tau=tau)
+    for p in (2.0, 3.0):
+        rep = tw.testing_constants(T, sigma, u, p, depth=3)
+        assert rep.norm_lower == rep.norm_upper == 0.0 and rep.norm_exact
+        assert rep.c0 == rep.c0_star == 0.0
 
 
 def test_testing_necessity_random(leb_quad5):
@@ -235,7 +245,7 @@ def test_testing_necessity_random(leb_quad5):
         assert rep.c0_root <= rep.norm_lower * (1.0 + 1e-8)
         assert rep.c0_star_root <= rep.norm_lower * (1.0 + 1e-8)
         assert rep.c1_measured >= 0.5 - 1e-9
-        assert rep.norm_upper_claimed == pytest.approx(
+        assert rep.norm_upper == rep.norm_lower == pytest.approx(
             rep.c1_measured * (rep.c0_root + rep.c0_star_root), rel=1e-12)
 
 
@@ -244,7 +254,11 @@ def test_testing_other_exponent(quad3):
     u = wt.weight_field(quad3, eta=0.2)
     T = tw.sparse_bergman_model(std_psi(), quad3)
     rep = tw.testing_constants(T, sigma, u, p=2.5, depth=3)
-    assert not rep.norm_exact
+    # Boyd's lower bound and the Schur upper bound meet
+    assert rep.norm_exact and rep.norm_lower > 0.0
+    assert rep.norm_upper - rep.norm_lower <= 1e-12 * rep.norm_upper
+    assert rep.c0_root <= rep.norm_upper * (1.0 + 1e-12)
+    assert rep.c0_star_root <= rep.norm_upper * (1.0 + 1e-12)
     assert rep.c0 > 0.0 and rep.c0_star > 0.0
     assert rep.p == 2.5
     with pytest.raises(InvalidRangeError):
@@ -283,6 +297,26 @@ def test_one_weight_report(leb_quad5):
     lo, hi = rep.psi_mu_band
     assert 0.0 < lo <= hi < math.inf
     assert rep.top_half_max_ratio >= 1.0
+
+
+def test_norm_brackets_at_depth_ten():
+    """Past the 4096 cells where a dense norm stopped: both reports give
+    finite, closed brackets at J=10 (4100 cells), at p = 2 and p = 3."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=10)
+    sigma, u, _, _ = tw.random_instance(quad, 10)
+    T = tw.sparse_bergman_model(std_psi(), quad)
+    spec = KernelSpec(gamma=1.0, nu=ATOM1, name="std")
+    v = wt.weight_field(quad, eta=0.25)
+    for p in (2.0, 3.0):
+        rep = tw.testing_constants(T, sigma, u, p, depth=3)
+        one = tw.one_weight_norm_experiment(spec, v, p, depth=3)
+        for lower, upper, closed in ((rep.norm_lower, rep.norm_upper,
+                                      rep.norm_exact),
+                                     (one.norm, one.norm_upper,
+                                      one.norm_exact)):
+            assert closed and 0.0 < lower <= upper * (1.0 + 1e-15)
+            assert math.isfinite(upper) and upper - lower <= 1e-12 * upper
+        assert rep.c0_root <= rep.norm_upper * (1.0 + 1e-12)
 
 
 def test_random_instance_reproducible(quad3):

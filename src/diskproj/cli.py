@@ -660,9 +660,13 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
+    except (ConfigError, InvalidRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DiskprojError as exc:
+        print(f"computation failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 4
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = cfg.out_dir / f"{cfg.suite}.csv"

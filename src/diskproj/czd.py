@@ -1,12 +1,30 @@
 """Calderon-Zygmund decomposition on dyadic Carleson squares.
 
 Selection is greedy and top-down: a polar rectangle Q is selected as
-soon as int_Q |f| >= lambda * omega(Q); otherwise it is subdivided
-(Carleson squares into two child squares plus two top rectangles,
-single-band rectangles by angular halving, which keeps every region a
-union of whole quadrature cells) until the cell floor. All region
-masses are node-membership sums of cell masses, so the decomposition's
-set identities are exact at quadrature level, not approximate.
+soon as int_Q |f| >= lambda * omega(Q); otherwise it is subdivided,
+down to single quadrature cells. A Carleson square splits into its two
+child squares and the two top rectangles over its arc halves
+(disk.cz_children); a top rectangle, which spans one annulus, splits by
+angular halving. All masses are sums of cell masses, so the set
+identities are exact at quadrature level, not approximate.
+
+The region must be the Carleson square S(I) of a grid arc I = [(m +
+beta) 2^-l, (m + 1 + beta) 2^-l), beta in GRID_SHIFTS, at a level l in
+1..J of the quadrature; any other region raises InvalidRangeError.
+
+The subdivision runs as one array pass per dyadic level t = l + 1, ...,
+on the integer keys of the active cells. A cell of annulus j with arc
+index k (at level j + j0) lies, at level t, in the rectangle
+(min(j, t), arc index at level t): the Carleson square over that arc
+when j >= t, else annulus j's top rectangle over it. The halves of a
+shifted grid arc are unshifted arcs, so below the root every arc is an
+unshifted grid arc and these integer keys are exactly the float
+membership of the cell nodes. Per-rectangle masses and integrals of |f|
+are bincount sums; a rectangle leaves the pass when it is selected, has
+no mass, or is one cell (the cell's own arc, or at j0 = 0 the right
+half of it, where its node sits). So the selected rectangles come level
+by level, the region first if it is selected; f_cells and each entry of
+selected_cells are sorted.
 
 The good part g equals f off the selected squares and the signed
 average of f on each; b = f - g is supported on the selection and has
@@ -21,8 +39,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .disk import (Arc, DiskQuadrature, Field, PolarRectangle,
-                   carleson_square, cz_children)
+from .disk import (GRID_SHIFTS, Arc, Field, PolarRectangle,
+                   carleson_square)
 from .errors import InvalidRangeError
 from .kernels import KernelSpec
 from .weights import WeightField, b1_characteristic
@@ -42,30 +60,45 @@ class CZDecomposition:
     root_selected: bool
 
 
-def _is_single_cell(quad: DiskQuadrature, q: PolarRectangle, cells):
-    if cells.size != 1:
-        return False
-    b = quad.bands[quad.cell_band[cells[0]]]
-    return q.arc.length <= b.arc_length * (1.0 + 1e-12) and \
-        q.r_hi - q.r_lo <= (b.r_hi - b.r_lo) * (1.0 + 1e-12)
+def _grid_square(quad, region: PolarRectangle):
+    """(beta, level, m) of the region as the Carleson square over the grid
+    arc [(m + beta) 2^-level, (m + 1 + beta) 2^-level), 1 <= level <= J."""
+    length = region.arc.length
+    mantissa, exponent = math.frexp(length)
+    level = 1 - exponent
+    if mantissa == 0.5 and 1 <= level <= quad.J and region.h == length \
+            and region.h_prime == 0.0:
+        for beta in GRID_SHIFTS:
+            m = region.arc.start / length - beta
+            if m.is_integer():
+                return beta, level, int(m)
+    raise InvalidRangeError(
+        f"region {region} is not the Carleson square of a grid arc at a "
+        f"level in 1..{quad.J}")
 
 
-def _subdivide(q: PolarRectangle):
-    if q.h_prime == 0.0:
-        return cz_children(q)
-    left, right = q.arc.halves()
-    return [PolarRectangle(left, q.h, q.h_prime),
-            PolarRectangle(right, q.h, q.h_prime)]
+def _rectangle(t, band, index):
+    """The Carleson square (band == t) or annulus band's top rectangle
+    over the level-t arc of the given index."""
+    arc = Arc(index * 2.0 ** -t, 2.0 ** -t)
+    if band == t:
+        return carleson_square(arc)
+    return PolarRectangle(arc, 2.0 ** -band, 2.0 ** -(band + 1))
 
 
 def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
     """Decompose f restricted to the region at height lambda.
 
-    Requires lambda > ||f||_{L^1_omega} (the lemma hypothesis). The
-    region itself may be selected when its average already exceeds
+    Requires lambda > ||f||_{L^1_omega} (the lemma hypothesis) and a
+    region that is a grid Carleson square (see the module docstring).
+    The region itself may be selected when its average already exceeds
     lambda (possible here because omega x m is not normalized to give
     the region mass >= 1); that case is flagged and contributes no
     parent ratio.
+
+    `selected` comes in level order (within a level: Carleson squares,
+    then top rectangles from the newest annulus down, each by arc
+    index); each entry of `selected_cells` and `f_cells` is sorted.
     """
     quad = f.quad
     vals = np.asarray(f.values)
@@ -73,45 +106,64 @@ def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
     if not lam > norm1:
         raise InvalidRangeError(
             f"threshold {lam} must exceed ||f||_1 = {norm1}")
+    beta, level, m = _grid_square(quad, region)
 
-    region_mask = quad.node_mask(region)
     selected, selected_cells = [], []
-    f_cells = []
+    f_parts = []
     unresolved = 0
     parent_ratio = 1.0
     root_selected = False
 
-    # stack entries: (rectangle, its cell indices, parent mass or None)
-    root_cells = np.nonzero(region_mask)[0]
-    stack = [(region, root_cells, None)]
-    while stack:
-        q, cells, parent_mass = stack.pop()
-        if cells.size == 0:
-            continue
-        mass = float(quad.masses[cells].sum())
-        if mass <= 0.0:
-            f_cells.append(cells)
-            continue
-        integral = float(np.sum(np.abs(vals[cells]) * quad.masses[cells]))
-        if integral >= lam * mass:
-            selected.append(q)
-            selected_cells.append(cells)
-            if parent_mass is None:
-                root_selected = True
-            else:
-                parent_ratio = max(parent_ratio, parent_mass / mass)
-            continue
-        if _is_single_cell(quad, q, cells):
-            f_cells.append(cells)
-            if abs(vals[cells[0]]) > lam:
-                unresolved += 1
-            continue
-        for child in _subdivide(q):
-            child_mask = child.contains(quad.nodes_r[cells],
-                                        quad.nodes_t[cells])
-            stack.append((child, cells[child_mask], mass))
+    cells = quad.levels(beta, level)[level].cells(m).copy()
+    mass = float(quad.masses[cells].sum())
+    if mass <= 0.0:
+        f_parts.append(cells)
+        cells = cells[:0]
+    elif float(np.sum(np.abs(vals[cells]) * quad.masses[cells])) >= lam * mass:
+        selected.append(region)
+        selected_cells.append(cells)
+        root_selected = True
+        cells = cells[:0]
 
-    f_idx = (np.concatenate(f_cells) if f_cells
+    j0 = quad.j0
+    j = quad.cell_band[cells] - 1          # annulus of each active cell
+    node = 2 * quad.cell_arc[cells] + 1    # node's arc index at level j + j0 + 1
+    cell_mass = quad.masses[cells]
+    cell_int = np.abs(vals[cells]) * cell_mass
+    parent = np.full(cells.size, mass)
+    # annulus J's cells are single at level J + j0, or at J + 1 when j0 = 0
+    for t in range(level + 1, quad.J + max(j0, 1) + 1):
+        if not cells.size:
+            break
+        # rectangle key (J - band) << t | arc index, band = min(j, t)
+        shift = j + j0 + 1 - t
+        key = ((quad.J - np.minimum(j, t)) << t) | (node >> shift)
+        rect_mass = np.bincount(key, weights=cell_mass)
+        rect_int = np.bincount(key, weights=cell_int)
+        rect_sel = (rect_mass > 0.0) & (rect_int >= lam * rect_mass)
+        mass, sel = rect_mass[key], rect_sel[key]
+        single = (j < t) & (shift <= 1) & ~sel
+        done = sel | single | (mass <= 0.0)
+        if sel.any():
+            parent_ratio = max(parent_ratio,
+                               float(np.max(parent[sel] / mass[sel])))
+            order = np.argsort(key[sel], kind="stable")
+            sel_keys, sel_cells = key[sel][order], cells[sel][order]
+            rect_keys, starts = np.unique(sel_keys, return_index=True)
+            for k, group in zip(rect_keys.tolist(),
+                                np.split(sel_cells, starts[1:])):
+                offset, index = divmod(k, 1 << t)
+                selected.append(_rectangle(t, quad.J - offset, index))
+                selected_cells.append(group)
+        unresolved += int(np.count_nonzero(
+            single & (mass > 0.0) & (np.abs(vals[cells]) > lam)))
+        f_parts.append(cells[done & ~sel])
+        keep = ~done
+        cells, j, node = cells[keep], j[keep], node[keep]
+        cell_mass, cell_int, parent = (cell_mass[keep], cell_int[keep],
+                                       mass[keep])
+
+    f_idx = (np.sort(np.concatenate(f_parts)) if f_parts
              else np.array([], dtype=np.int64))
     g_vals = np.zeros(quad.size, dtype=vals.dtype)
     b_vals = np.zeros(quad.size, dtype=vals.dtype)

@@ -346,9 +346,6 @@ def apply_bergman(handle: OperatorHandle, f: Field) -> Field:
     return Field(f.quad, handle.apply(f.values))
 
 
-apply_positive = apply_bergman  # same dispatch; the handle fixes the kernel
-
-
 def projection_identity_error(spec: KernelSpec, quad: DiskQuadrature,
                               handle=None):
     """max |P 1 - 1| over the core nodes: the truncation-error monitor
@@ -539,7 +536,10 @@ def weighted_norm_p2(handle: OperatorHandle, u, sigma):
     the largest singular value of D(sqrt(u mu)) K D(sqrt(sigma mu)), by
     Lanczos from the constant vector, so that a result repeats exactly."""
     matvec, rmatvec = _weighted_operator(handle, u, sigma, 2.0)
-    n = handle.mu.size
+    mu = handle.mu
+    if not (np.any(np.asarray(u) * mu) and np.any(np.asarray(sigma) * mu)):
+        return 0.0  # a zero weighted diagonal: the operator is zero
+    n = mu.size
     A = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec,
                        dtype=float if handle.positive else complex)
     try:

@@ -1,8 +1,9 @@
 """Driver behavior: exit codes, CSV schema, determinism, SVG output.
 
 Exit code contract: 0 all checks pass, 1 a contract check failed,
-2 configuration problem, 3 budget exceeded. The budget path is forced
-with j0=15 (4M+ cells); the failure path substitutes a stub suite.
+2 configuration problem, 3 budget exceeded, 4 any other computation
+error. The budget path is forced with j0=15 (4M+ cells); the failure
+paths substitute a stub suite.
 """
 
 import argparse
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from diskproj import cli
-from diskproj.errors import ConfigError
+from diskproj.errors import ConfigError, NoConvergenceError
 
 
 def test_fmt():
@@ -96,6 +97,24 @@ def test_budget_exit(tmp_path, capsys):
     ini.write_text("[run]\nsuite = czd\nj0 = 15\n")
     assert cli.main(["--config", str(ini), "--out", str(tmp_path)]) == 3
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_suite_error_exits(tmp_path, monkeypatch, capsys):
+    # a weight the config parser accepts and the weight layer rejects
+    ini = tmp_path / "bump.ini"
+    ini.write_text("[run]\nsuite = oneweight\n\n"
+                   "[weight]\nbump_center = 0.5\nbump_width = -1\n")
+    assert cli.main(["--config", str(ini), "--out", str(tmp_path)]) == 2
+    assert "config error: bump width" in capsys.readouterr().err
+
+    def stalled(cfg):
+        raise NoConvergenceError("Lanczos norm: stalled")
+    monkeypatch.setitem(cli.SUITES, "czd", stalled)
+    code, out = run_main(tmp_path, "--suite", "czd")
+    assert code == 4 and not (out / "czd.csv").exists()
+    err = capsys.readouterr().err
+    assert err == "computation failed: NoConvergenceError: " \
+        "Lanczos norm: stalled\n"
 
 
 def test_contract_failure_exit(tmp_path, monkeypatch, capsys):

@@ -15,10 +15,18 @@ threshold sweep crosses it between 3 and 4 spike masses:
 
 Every run ends with unresolved == 0: a floor cell with |f| > lam is
 always selected outright because its average equals its value.
+
+The level pass is pinned against walk_decompose, the stack walk it
+replaced: one PolarRectangle per visited region, float node membership
+per child. The pass is checked on every grid square of depths J = 1..7,
+angular refinements j0 = 0..2 and both grid shifts.
 """
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diskproj import czd
 from diskproj import disk as dk
@@ -38,6 +46,70 @@ def spike():
 
 def region_one():
     return czd.level_one_regions()[0]
+
+
+def walk_decompose(f, lam, region):
+    """The stack walk: (selected, selected_cells, f_cells, g, b,
+    parent_constant, unresolved, root_selected), with the f_cells sorted
+    and g, b as value arrays."""
+    quad = f.quad
+    vals = np.asarray(f.values)
+
+    def single_cell(q, cells):
+        if cells.size != 1:
+            return False
+        b = quad.bands[quad.cell_band[cells[0]]]
+        return q.arc.length <= b.arc_length * (1.0 + 1e-12) and \
+            q.r_hi - q.r_lo <= (b.r_hi - b.r_lo) * (1.0 + 1e-12)
+
+    def subdivide(q):
+        if q.h_prime == 0.0:
+            return dk.cz_children(q)
+        left, right = q.arc.halves()
+        return [dk.PolarRectangle(left, q.h, q.h_prime),
+                dk.PolarRectangle(right, q.h, q.h_prime)]
+
+    selected, selected_cells, f_cells = [], [], []
+    unresolved, parent_ratio, root_selected = 0, 1.0, False
+    stack = [(region, np.nonzero(quad.node_mask(region))[0], None)]
+    while stack:
+        q, cells, parent_mass = stack.pop()
+        if cells.size == 0:
+            continue
+        mass = float(quad.masses[cells].sum())
+        if mass <= 0.0:
+            f_cells.append(cells)
+            continue
+        integral = float(np.sum(np.abs(vals[cells]) * quad.masses[cells]))
+        if integral >= lam * mass:
+            selected.append(q)
+            selected_cells.append(cells)
+            if parent_mass is None:
+                root_selected = True
+            else:
+                parent_ratio = max(parent_ratio, parent_mass / mass)
+            continue
+        if single_cell(q, cells):
+            f_cells.append(cells)
+            if abs(vals[cells[0]]) > lam:
+                unresolved += 1
+            continue
+        for child in subdivide(q):
+            inside = child.contains(quad.nodes_r[cells], quad.nodes_t[cells])
+            stack.append((child, cells[inside], mass))
+
+    f_idx = np.sort(np.concatenate(f_cells)) if f_cells \
+        else np.array([], dtype=np.int64)
+    g = np.zeros(quad.size, dtype=vals.dtype)
+    b = np.zeros(quad.size, dtype=vals.dtype)
+    g[f_idx] = vals[f_idx]
+    for cells in selected_cells:
+        m = quad.masses[cells]
+        avg = np.sum(vals[cells] * m) / m.sum()
+        g[cells] = avg
+        b[cells] = vals[cells] - avg
+    return (selected, selected_cells, f_idx, g, b, parent_ratio, unresolved,
+            root_selected)
 
 
 def test_spike_root_selection(spike):
@@ -165,3 +237,69 @@ def test_reconstruct_weak11_report(leb_quad5):
     with pytest.raises(InvalidRangeError):
         czd.cz_reconstruct_weak11_bound(
             spec, v, dk.Field(quad, off), 2.0 * float(np.sum(off * quad.masses)))
+
+
+@functools.lru_cache(maxsize=None)
+def quadrature(omega, J, j0):
+    measure = ms.lebesgue() if omega == "lebesgue" else ms.power_measure(0.5)
+    return dk.build_quadrature(measure, J=J, j0=j0)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(J=st.integers(1, 7), j0=st.sampled_from([0, 1, 2]),
+       beta=st.sampled_from(dk.GRID_SHIFTS),
+       omega=st.sampled_from(["lebesgue", "power(0.5)"]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_level_pass_matches_stack_walk(J, j0, beta, omega, seed, data):
+    quad = quadrature(omega, J, j0)
+    level = data.draw(st.integers(1, J), label="level")
+    m = data.draw(st.integers(0, 2 ** level - 1), label="m")
+    region = dk.carleson_square(dk.DyadicInterval(beta, level, m))
+    rng = np.random.default_rng(seed)
+    vals = rng.pareto(1.5, quad.size) * rng.choice([-1.0, 1.0], quad.size)
+    lam = float(np.sum(np.abs(vals) * quad.masses)) * rng.uniform(1.05, 6.0)
+    f = dk.Field(quad, vals)
+
+    dec = czd.cz_decompose(f, lam, region)
+    (selected, selected_cells, f_cells, g, b, parent_constant, unresolved,
+     root_selected) = walk_decompose(f, lam, region)
+
+    def by_rectangle(rects, cell_lists):
+        return {q: tuple(c.tolist()) for q, c in zip(rects, cell_lists)}
+
+    assert len(dec.selected) == len(selected)
+    assert by_rectangle(dec.selected, dec.selected_cells) == \
+        by_rectangle(selected, selected_cells)
+    np.testing.assert_array_equal(dec.f_cells, f_cells)
+    assert (dec.unresolved, dec.root_selected) == (unresolved, root_selected)
+    assert np.array_equal(dec.g.values, g) and np.array_equal(dec.b.values, b)
+    if omega == "lebesgue":
+        assert dec.parent_constant == parent_constant
+    else:
+        assert dec.parent_constant == pytest.approx(parent_constant,
+                                                    rel=1e-13)
+
+
+def test_cz_region_must_be_a_grid_square():
+    quad = quadrature("lebesgue", 6, 1)
+    rng = np.random.default_rng(5)
+    f = dk.Field(quad, rng.pareto(1.5, quad.size))
+    lam = 2.0 * float(np.sum(f.values * quad.masses))
+    # these duplicated cells, lost cells, or halved arcs to length 0
+    for region in (dk.PolarRectangle(dk.Arc(0.0, 0.5), h=0.25),
+                   dk.PolarRectangle(dk.Arc(0.0, 0.25), h=0.5),
+                   dk.carleson_square(dk.Arc(0.0, 1.0)),
+                   dk.PolarRectangle(dk.Arc(0.1, 0.3), h=0.3),
+                   dk.carleson_square(dk.DyadicInterval(0.0, 7, 0))):
+        with pytest.raises(InvalidRangeError):
+            czd.cz_decompose(f, lam, region)
+    for interval in (dk.DyadicInterval(0.5, 2, 1),
+                     dk.DyadicInterval(0.0, 3, 5)):
+        region = dk.carleson_square(interval)
+        rmask = quad.node_mask(region)
+        dec = czd.cz_decompose(f, lam, region)
+        parts = np.concatenate([dec.f_cells, *dec.selected_cells])
+        np.testing.assert_array_equal(np.sort(parts), np.flatnonzero(rmask))
+        np.testing.assert_allclose(dec.g.values + dec.b.values,
+                                   f.values * rmask, rtol=0,
+                                   atol=1e-15 * np.max(f.values))

@@ -23,7 +23,8 @@ from diskproj import twoweight as tw
 from diskproj import weights as wt
 from diskproj.errors import InvalidRangeError, QuadratureMismatchError
 from diskproj.kernels import KernelSpec
-from diskproj.operators import PsiProfile, dyadic_handle
+from diskproj.operators import (PsiProfile, bergman_handle, dyadic_handle,
+                                weighted_norm_bracket, weighted_norm_p2)
 
 ATOM1 = ms.point_mass(1.0, 1.0)
 
@@ -232,6 +233,16 @@ def test_testing_zero_operator(quad3):
         rep = tw.testing_constants(T, sigma, u, p, depth=3)
         assert rep.norm_lower == rep.norm_upper == 0.0 and rep.norm_exact
         assert rep.c0 == rep.c0_star == 0.0
+
+
+def test_bergman_norm_with_a_zero_weight(quad3):
+    """A zero u or sigma zeroes the weighted Bergman operator; Lanczos
+    would start from the zero vector, so the norm is 0 without it."""
+    h = bergman_handle(KernelSpec(gamma=1.0, nu=ATOM1), quad3)
+    zero, one = np.zeros(quad3.size), np.ones(quad3.size)
+    for u, sigma in ((zero, one), (one, zero)):
+        assert weighted_norm_p2(h, u, sigma) == 0.0
+        assert weighted_norm_bracket(h, u, sigma, 2.0) == (0.0, 0.0, True)
 
 
 def test_testing_necessity_random(leb_quad5):

@@ -11,21 +11,20 @@ from .measures import (RadialMeasure, catalog, expinv, half_atom_mix,
                        lebesgue, loginv, make_measure, point_mass,
                        power_measure)
 from .kernels import (KernelSpec, MomentConstruction, check_completely_monotone,
-                      construct_omega_from_nu, difference_bound_check,
-                      difference_constant, kernel_integral, kernel_series,
-                      lower_bound_eq4, moments_from_phi, shi_ratio)
+                      construct_omega_from_nu, difference_constant,
+                      kernel_integral, kernel_series, moments_from_phi,
+                      shi_ratio)
 from .disk import (Arc, DiskQuadrature, DyadicInterval, Field,
                    PolarRectangle, build_quadrature, carleson_square,
-                   containing_dyadic, cz_children, minimal_common_square,
-                   top_half)
-from .operators import (OperatorHandle, PsiProfile, apply_bergman,
-                        bergman_handle, comparability_constants,
-                        dyadic_handle, positive_handle,
-                        projection_identity_error, separation_thresholds)
+                   containing_dyadic)
+from .operators import (OperatorHandle, PsiProfile, bergman_handle,
+                        comparability_constants, dyadic_handle,
+                        positive_handle, projection_identity_error,
+                        separation_thresholds)
 from .weights import (CharacteristicReport, WeightField, b1_characteristic,
                       bp_characteristic, dual_weight, dyadic_maximal,
-                      disc_maximal, weak11_maximal_check,
-                      weak11_projection_check, weight_field)
+                      weak11_maximal_check, weak11_projection_check,
+                      weight_field)
 from .czd import (CZDecomposition, cz_decompose, cz_reconstruct_weak11_bound,
                   level_one_regions)
 from .twoweight import (SparseOperator, StoppingFamily, TestingReport,

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -197,8 +197,8 @@ def run_kernel_identities(cfg: ExperimentConfig):
         ok &= _row(rows, suite, "tail-transform-band", tag, band, 10.0,
                    band < 10.0)
         ok &= _row(rows, suite, "tail-transform-band-stability", tag,
-                   drift, 0.1, drift < 0.1)
-    return rows, ok
+                   drift, 1e-10, drift < 1e-10)
+    return rows, ok, {}
 
 
 # -- comparability -------------------------------------------------------------
@@ -231,7 +231,7 @@ def run_comparability(cfg: ExperimentConfig):
         drift = max(abs(lo2 / lo1 - 1.0), abs(hi2 / hi1 - 1.0))
         ok &= _row(rows, suite, "kernel-comparability-stability",
                    f"psi={tag}, J 8->10", drift, 0.2, drift <= 0.2)
-    return rows, ok
+    return rows, ok, {}
 
 
 # -- weak11 --------------------------------------------------------------------
@@ -354,7 +354,7 @@ def run_czd(cfg: ExperimentConfig):
                                   rep.omega_prime_ratio)))
     ok &= _row(rows, suite, "reconstruction-ratios",
                f"lam=3|f|, eta=-0.25", rep.good_part_ratio, "finite", fin)
-    return rows, ok
+    return rows, ok, {}
 
 
 # -- twoweight -----------------------------------------------------------------
@@ -427,7 +427,7 @@ def run_twoweight(cfg: ExperimentConfig):
                str(necessity_ok), "True", necessity_ok)
     ok &= _row(rows, suite, "testing-sufficiency-C1",
                "single C1 vs 10x median", c1, 10.0 * med, c1 < 10.0 * med)
-    return rows, ok
+    return rows, ok, {}
 
 
 # -- oneweight -----------------------------------------------------------------
@@ -618,13 +618,7 @@ def load_config(args) -> ExperimentConfig:
 
 def run_suite(cfg: ExperimentConfig):
     """Run one suite; returns (rows, all_pass, plot series or {})."""
-    result = SUITES[cfg.suite](cfg)
-    if len(result) == 2:
-        rows, ok = result
-        series = {}
-    else:
-        rows, ok, series = result
-    return rows, ok, series
+    return SUITES[cfg.suite](cfg)
 
 
 def main(argv=None) -> int:

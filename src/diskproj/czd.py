@@ -3,10 +3,10 @@
 Selection is greedy and top-down: a polar rectangle Q is selected as
 soon as int_Q |f| >= lambda * omega(Q); otherwise it is subdivided,
 down to single quadrature cells. A Carleson square splits into its two
-child squares and the two top rectangles over its arc halves
-(disk.cz_children); a top rectangle, which spans one annulus, splits by
-angular halving. All masses are sums of cell masses, so the set
-identities are exact at quadrature level, not approximate.
+child squares and the two top rectangles over its arc halves; a top
+rectangle, which spans one annulus, splits by angular halving. All
+masses are sums of cell masses, so the set identities are exact at
+quadrature level, not approximate.
 
 The region must be the Carleson square S(I) of a grid arc I = [(m +
 beta) 2^-l, (m + 1 + beta) 2^-l), beta in GRID_SHIFTS, at a level l in
@@ -40,7 +40,7 @@ from typing import List, Optional
 import numpy as np
 
 from .disk import (GRID_SHIFTS, Arc, Field, PolarRectangle,
-                   carleson_square)
+                   carleson_square, require_same_quadrature)
 from .errors import InvalidRangeError
 from .kernels import KernelSpec
 from .weights import WeightField, b1_characteristic
@@ -218,6 +218,7 @@ def cz_reconstruct_weak11_bound(spec: KernelSpec, v: WeightField, f: Field,
     from .operators import bergman_handle  # local: czd -> operators only here
 
     quad = f.quad
+    require_same_quadrature(quad, v)
     if region is None:
         region = level_one_regions()[0]
     dec = cz_decompose(f, lam, region)

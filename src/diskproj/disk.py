@@ -56,10 +56,6 @@ class Arc:
     def contains(self, t):
         return (np.asarray(t) - self.start) % 1.0 < self.length
 
-    def halves(self):
-        h = self.length / 2.0
-        return Arc(self.start, h), Arc(self.start + h, h)
-
     @property
     def midpoint(self):
         return (self.start + self.length / 2.0) % 1.0
@@ -145,26 +141,6 @@ def containing_dyadic(arc: Arc) -> DyadicInterval:
     raise InvalidRangeError("no containing arc found (unreachable)")
 
 
-def minimal_common_square(z, zeta, beta=0.0) -> DyadicInterval:
-    """Smallest grid arc I0 with both angles inside and |I0| >= 1 - min(|z|,|zeta|).
-
-    Both z and zeta then lie in the Carleson square over I0. z = 0 or
-    zeta = 0 returns the full circle.
-    """
-    z, zeta = complex(z), complex(zeta)
-    if z == 0 or zeta == 0:
-        return DyadicInterval(beta, 0, 0)
-    d = max(1.0 - abs(z), 1.0 - abs(zeta))
-    top = 0 if d >= 1.0 else int(math.floor(-math.log2(d)))
-    t1 = (np.angle(z) / (2.0 * np.pi)) % 1.0
-    t2 = (np.angle(zeta) / (2.0 * np.pi)) % 1.0
-    for level in range(top, -1, -1):
-        m1 = int(arc_index(beta, level, t1))
-        if m1 == int(arc_index(beta, level, t2)):
-            return DyadicInterval(beta, level, m1)
-    return DyadicInterval(beta, 0, 0)
-
-
 # -- polar regions ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -188,10 +164,6 @@ class PolarRectangle:
     def r_hi(self):
         return 1.0 - self.h_prime
 
-    @property
-    def is_carleson(self):
-        return self.h_prime == 0.0 and self.h == min(self.arc.length, 1.0)
-
     def contains(self, r, t):
         r = np.asarray(r)
         return (r >= self.r_lo) & (r < self.r_hi) & self.arc.contains(t)
@@ -201,28 +173,6 @@ def carleson_square(interval) -> PolarRectangle:
     """S(I): the square over an Arc or DyadicInterval."""
     arc = interval.arc if isinstance(interval, DyadicInterval) else interval
     return PolarRectangle(arc=arc, h=min(arc.length, 1.0))
-
-
-def top_half(square: PolarRectangle) -> PolarRectangle:
-    """T(I) = S(I) minus its two child squares: band [1-h, 1-h/2) over I."""
-    if square.h_prime != 0.0:
-        raise InvalidRangeError("top half is defined for Carleson squares")
-    return PolarRectangle(arc=square.arc, h=square.h, h_prime=square.h / 2.0)
-
-
-def cz_children(q: PolarRectangle):
-    """Four disjoint children covering q: arc halves x radial halves.
-
-    For a Carleson square (h' = 0) the upper band children are the two
-    child Carleson squares and the lower band children are the two top
-    rectangles over the arc halves.
-    """
-    mid = (q.h + q.h_prime) / 2.0
-    left, right = q.arc.halves()
-    upper = [PolarRectangle(a, mid, q.h_prime) if q.h_prime > 0.0
-             else carleson_square(a) for a in (left, right)]
-    lower = [PolarRectangle(a, q.h, mid) for a in (left, right)]
-    return upper + lower
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -298,10 +248,6 @@ class DiskQuadrature:
         return self.nodes_r.size
 
     @property
-    def truncation_radius(self):
-        return 1.0 - 2.0 ** -(self.J + 1)
-
-    @property
     def nodes_z(self):
         return self.nodes_r * np.exp(2j * np.pi * self.nodes_t)
 
@@ -316,15 +262,6 @@ class DiskQuadrature:
 
     def node_mask(self, region: PolarRectangle):
         return region.contains(self.nodes_r, self.nodes_t)
-
-    def region_mass(self, region: PolarRectangle):
-        return float(self.masses[self.node_mask(region)].sum())
-
-    def cell_rect(self, i):
-        b = self.bands[self.cell_band[i]]
-        t0 = self.cell_arc[i] * b.arc_length
-        return PolarRectangle(Arc(t0, b.arc_length),
-                              h=1.0 - b.r_lo, h_prime=1.0 - b.r_hi)
 
     def levels(self, beta, L_max):
         """The DyadicLevel of grid beta at each level 0..L_max: every cell
@@ -344,6 +281,15 @@ class DiskQuadrature:
     def same_as(self, other):
         return self is other or (self.omega is other.omega and
                                  self.J == other.J and self.j0 == other.j0)
+
+
+def require_same_quadrature(quad: DiskQuadrature, *items):
+    """Raise QuadratureMismatchError unless every item (a Field, a weight
+    or an operator) is bound to quad."""
+    for item in items:
+        if not quad.same_as(item.quad):
+            raise QuadratureMismatchError(
+                f"{type(item).__name__} on a different quadrature")
 
 
 def build_quadrature(omega: RadialMeasure, J, j0=1) -> DiskQuadrature:
@@ -387,13 +333,6 @@ def build_quadrature(omega: RadialMeasure, J, j0=1) -> DiskQuadrature:
                           cell_arc=np.concatenate(cell_arc))
 
 
-def disc_cells(quad: DiskQuadrature, a, radius):
-    """Indices of cells whose nodes lie in the disc D(a, radius)."""
-    if radius <= 0.0:
-        raise InvalidRangeError("disc radius must be positive")
-    return np.nonzero(np.abs(quad.nodes_z - complex(a)) < radius)[0]
-
-
 # -- fields -------------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -410,17 +349,8 @@ class Field:
                 f"field length {self.values.shape} != cell count {self.quad.size}")
 
     @classmethod
-    def from_function(cls, quad, fn):
-        return cls(quad, np.asarray(fn(quad.nodes_z)))
-
-    @classmethod
     def constant(cls, quad, value=1.0):
         return cls(quad, np.full(quad.size, value))
-
-    def _check(self, other):
-        if not self.quad.same_as(other.quad):
-            raise QuadratureMismatchError(
-                "fields live on different quadratures")
 
     def integral(self, weight=None):
         w = self.quad.masses if weight is None else self.quad.masses * weight

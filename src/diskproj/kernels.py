@@ -15,27 +15,25 @@ via
 
 Also here: small analytic verifiers used throughout the test batteries
 (complete monotonicity of sequences, the 1/sqrt(2) Cauchy-transform
-lower bound, the kernel/tail ratio, the kernel difference bound with its
-explicit constant, and the |1-rz| two-sided equivalence).
+lower bound, the kernel/tail ratio, and the kernel difference bound with
+its explicit constant).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .errors import (ConfigError, InvalidRangeError, QuadratureMismatchError,
+from .errors import (InvalidRangeError, QuadratureMismatchError,
                      SeparationError, TailVanishedError,
                      TruncationInfeasibleError)
-from .measures import DEFAULT_TOL, RadialMeasure, make_measure
+from .measures import DEFAULT_TOL, RadialMeasure
 
 MAX_SERIES_ARG = 1.0 - 2.0 ** -20
 _IDENTITY_TOL = 1e-10
-_IDENTITY_CHECK_LIMIT = 48
 # node x argument products per grid block: cache-sized blocks run about
 # three times faster than 2^22-entry ones
 _GRID_BLOCK_ENTRIES = 2 ** 16
@@ -69,18 +67,10 @@ def nu_moment_table(nu: RadialMeasure, n_max):
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Kernel data: exponent gamma >= 1 and the representing measure nu.
-
-    omega_moments, when supplied, caches omega_{2k+1} for the series
-    route; entries are validated against the convolution identity
-    1/(2 omega_{2n+1}) = sum_k C(k+gamma-1,k) nu_{n-k} on a desk-scale
-    index set.
-    """
+    """Kernel data: exponent gamma >= 1 and the representing measure nu."""
 
     gamma: float
     nu: RadialMeasure
-    omega_moments: Optional[tuple] = None
-    series_tolerance: float = 1e-12
     name: str = "kernel"
 
     def __post_init__(self):
@@ -90,53 +80,18 @@ class KernelSpec:
         mass = self.nu.total_mass()
         if not (0.0 < mass < math.inf):
             raise InvalidRangeError("nu must have finite positive mass")
-        if self.omega_moments is not None:
-            m = np.asarray(self.omega_moments, dtype=float)
-            if m.size and m.min() <= 0.0:
-                raise InvalidRangeError("cached omega moments must be positive")
-            self._validate_moment_identity(m)
 
-    def _validate_moment_identity(self, m):
-        n = m.size
-        if n == 0:
-            return
-        if n <= _IDENTITY_CHECK_LIMIT:
-            check = np.arange(n)
-        else:
-            head = np.arange(_IDENTITY_CHECK_LIMIT // 2)
-            geo = np.unique(np.geomspace(_IDENTITY_CHECK_LIMIT // 2, n - 1,
-                                         _IDENTITY_CHECK_LIMIT // 2).astype(int))
-            check = np.union1d(head, geo)
-        top = int(check.max())
-        coeffs = self._coefficients_from_nu(top)
-        lhs = 1.0 / (2.0 * m[check])
-        rhs = coeffs[check]
-        scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        bad = np.abs(lhs - rhs) > _IDENTITY_TOL * np.maximum(scale, 1.0)
-        if bad.any():
-            i = int(check[bad][0])
-            raise QuadratureMismatchError(
-                f"moment cache disagrees with nu at index {i}: "
-                f"1/(2 m) = {lhs[bad][0]:.15g}, convolution = {rhs[bad][0]:.15g}")
-
-    def _coefficients_from_nu(self, n_max):
+    def coefficients(self, n_max):
+        """c_n with kernel B(w) = sum c_n w^n, for n = 0..n_max."""
         table = nu_moment_table(self.nu, n_max)
         if self.gamma == 1.0:
             return np.cumsum(table)
         b = binomial_weights(self.gamma, n_max)
         return np.convolve(b, table)[:n_max + 1]
 
-    def coefficients(self, n_max):
-        """c_n with kernel B(w) = sum c_n w^n, for n = 0..n_max."""
-        if self.omega_moments is not None and len(self.omega_moments) > n_max:
-            return 1.0 / (2.0 * np.asarray(self.omega_moments[:n_max + 1]))
-        return self._coefficients_from_nu(n_max)
-
     def moments(self, n_max):
-        """omega_{2n+1} for n = 0..n_max (from cache or from nu)."""
-        if self.omega_moments is not None and len(self.omega_moments) > n_max:
-            return np.asarray(self.omega_moments[:n_max + 1], dtype=float)
-        return 1.0 / (2.0 * self._coefficients_from_nu(n_max))
+        """omega_{2n+1} for n = 0..n_max."""
+        return 1.0 / (2.0 * self.coefficients(n_max))
 
 
 # -- series route -------------------------------------------------------------
@@ -203,11 +158,10 @@ def nu_cauchy_transform(nu: RadialMeasure, w, tol=DEFAULT_TOL):
 
 
 def kernel_integral_grid(spec: KernelSpec, w_values):
-    """(1-w)^(-gamma) * int dnu/(1-rw), principal branch, over an array;
-    the rule order follows spec.series_tolerance."""
+    """(1-w)^(-gamma) * int dnu/(1-rw), principal branch, over an array."""
     w = np.asarray(w_values, dtype=complex)
     pref = (1.0 - w) ** (-spec.gamma)
-    return pref * nu_cauchy_grid(spec.nu, w, tol=spec.series_tolerance)
+    return pref * nu_cauchy_grid(spec.nu, w)
 
 
 def kernel_integral(spec: KernelSpec, w):
@@ -250,11 +204,6 @@ class MomentConstruction:
         if not 0.0 <= x < 1.0:
             raise InvalidRangeError("tail surrogate needs x in [0, 1)")
         return self.moment_at(1.0 / (1.0 - x))
-
-    def kernel_coefficients(self):
-        """1/(2 omega_{2n+1}) = F(a + 2n + 1) for the stored odd orders."""
-        return self.F_values[1::2].copy()
-
 
 def _stable_power_quotient(u, s):
     """(1 - (1-u)^s) / u for an array of orders s, evaluated without
@@ -352,16 +301,6 @@ def moments_from_phi(phi_values):
     return 1.0 / (2.0 * np.cumsum(phi))
 
 
-def nu_moments_from_coefficients(coeffs, gamma):
-    """Invert c_n = sum_k C(k+gamma-1,k) nu_{n-k} for the nu moments."""
-    c = np.asarray(coeffs, dtype=float)
-    b = binomial_weights(gamma, c.size - 1)
-    nu = np.empty_like(c)
-    for n in range(c.size):
-        nu[n] = c[n] - np.dot(b[1:n + 1], nu[:n][::-1])
-    return nu
-
-
 # -- analytic verifiers -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -401,12 +340,6 @@ def lower_bound_eq4_grid(nu: RadialMeasure, z_values):
         rhs += mass / np.abs(1.0 - loc * flat)
     rhs = rhs.reshape(z.shape) / math.sqrt(2.0)
     return lhs, rhs, lhs / rhs
-
-
-def lower_bound_eq4(nu: RadialMeasure, z):
-    """lower_bound_eq4_grid at one argument: (lhs, rhs, ratio)."""
-    lhs, rhs, ratio = lower_bound_eq4_grid(nu, complex(z))
-    return float(lhs), float(rhs), float(ratio)
 
 
 def difference_bound_grid(spec: KernelSpec, z0, z, zeta, c):
@@ -454,62 +387,3 @@ def difference_constant(c, gamma):
         raise InvalidRangeError("separation parameter c must be > 1")
     return math.sqrt(2.0) * (2.0 + gamma) * c ** (gamma + 1.0) * \
         (3.0 * c + 1.0) / (c - 1.0) ** (gamma + 2.0)
-
-
-def difference_bound_check(spec: KernelSpec, z0, z, zeta, c):
-    """difference_bound_grid at one triple: (lhs, bound)."""
-    lhs, bound = difference_bound_grid(spec, [z0], [z], [zeta], c)
-    return float(lhs[0]), float(bound[0])
-
-
-def one_minus_rz_equivalence(z, r):
-    """|1-rz| against (1-r) + r|1-z| and 1 - r(1-|1-z|).
-
-    The first ratio is <= 1, the second lies in [1/6, 2]; the two
-    denominators are the same quantity written two ways, so the ratios
-    agree to rounding.
-    """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise InvalidRangeError("need |z| < 1")
-    if not 0.0 <= r <= 1.0:
-        raise InvalidRangeError("need r in [0, 1]")
-    num = abs(1.0 - r * z)
-    d1 = (1.0 - r) + r * abs(1.0 - z)
-    d2 = 1.0 - r * (1.0 - abs(1.0 - z))
-    return num / d1, num / d2
-
-
-# -- moment inversion sanity oracle -------------------------------------------
-
-def fit_discrete_measure(target_moments, grid_size=256):
-    """Nonnegative least-squares fit of a discrete measure to moments.
-
-    Grid clusters dyadically toward r = 1 (and includes 1 itself); this
-    is a sanity oracle for the Hausdorff direction, not a solver: the
-    inverse problem is ill-posed and only the residual is meaningful.
-    """
-    m = np.asarray(target_moments, dtype=float)
-    u = np.linspace(0.0, 1.0, grid_size - 1, endpoint=False)
-    grid = np.concatenate([1.0 - np.power(2.0, -12.0 * u), [1.0]])
-    design = np.power(grid[None, :], np.arange(m.size, dtype=float)[:, None])
-    masses, residual = nnls(design, m)
-    return grid, masses, residual
-
-
-# -- config -------------------------------------------------------------------
-
-def kernel_from_config(section) -> KernelSpec:
-    """Build a KernelSpec from a config section (gamma, nu, alpha, tolerance)."""
-    try:
-        gamma = float(section.get("gamma", "1"))
-    except ValueError:
-        raise ConfigError(f"bad gamma {section['gamma']!r}") from None
-    nu_kind = section.get("nu", "point1").strip()
-    params = {}
-    if "alpha" in section:
-        params["alpha"] = float(section["alpha"])
-    nu = make_measure(nu_kind, **params)
-    tol = float(section.get("tolerance", "1e-12"))
-    return KernelSpec(gamma=gamma, nu=nu, series_tolerance=tol,
-                      name=section.get("name", f"gamma{gamma:g}-{nu.name}"))

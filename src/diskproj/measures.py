@@ -8,16 +8,16 @@ masses. Atom sums are exact. Integrals of the density part take one of
 two engines: moments, and every integral of the kernel layer, run on
 the graded Gauss-Legendre rule that density_rule maps onto an interval;
 interval masses and tails run on adaptive composite Simpson quadrature
-(absolute tolerance 1e-12 by default), which gives polynomial-density
-cell masses exactly. Both apply the same endpoint substitution to
-densities singular at r = 1.
+(absolute tolerance 1e-12), which gives polynomial-density cell masses
+exactly. Both apply the same endpoint substitution to densities
+singular at r = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class RadialMeasure:
             nodes, weights = a + (b - a) * x, (b - a) * w
         return nodes, weights * np.asarray(self.density(nodes), dtype=float)
 
-    def _density_integral(self, fn, a, b, tol):
+    def _density_integral(self, fn, a, b):
         """Integrate fn(r) * density(r) over [a, b] by adaptive Simpson."""
         if self.density is None or a >= b:
             return 0.0
@@ -121,10 +121,10 @@ class RadialMeasure:
                 r, jac = _endpoint_substitution(q, u)
                 return integrand(r) * jac
 
-            return adaptive_simpson(integrand, a, cut, tol=tol) + \
+            return adaptive_simpson(integrand, a, cut, tol=DEFAULT_TOL) + \
                 adaptive_simpson(transformed, (1.0 - b) ** q,
-                                 (1.0 - cut) ** q, tol=tol)
-        return adaptive_simpson(integrand, a, b, tol=tol)
+                                 (1.0 - cut) ** q, tol=DEFAULT_TOL)
+        return adaptive_simpson(integrand, a, b, tol=DEFAULT_TOL)
 
     def _atom_sum(self, fn, a, b, include_right):
         total = 0.0
@@ -138,24 +138,24 @@ class RadialMeasure:
 
     # -- public primitives ---------------------------------------------------
 
-    def interval_mass(self, a, b, tol=DEFAULT_TOL):
+    def interval_mass(self, a, b):
         """omega([a, b]), atoms on [a, b) except b = 1 (and a = b) closed."""
         if not (0.0 <= a <= b <= 1.0):
             raise InvalidRangeError(f"bad interval [{a}, {b}]")
         include_right = (b == 1.0) or (a == b)
-        return self._density_integral(lambda r: 1.0, a, b, tol) + \
+        return self._density_integral(lambda r: 1.0, a, b) + \
             self._atom_sum(lambda r: 1.0, a, b, include_right)
 
-    def tail(self, r, tol=DEFAULT_TOL):
+    def tail(self, r):
         """omega-hat(r) = omega([r, 1])."""
         if not 0.0 <= r <= 1.0:
             raise InvalidRangeError(f"tail argument {r} outside [0, 1]")
-        return self.interval_mass(r, 1.0, tol=tol)
+        return self.interval_mass(r, 1.0)
 
-    def total_mass(self, tol=DEFAULT_TOL):
-        return self.tail(0.0, tol=tol)
+    def total_mass(self):
+        return self.tail(0.0)
 
-    def moment(self, x, tol=DEFAULT_TOL):
+    def moment(self, x):
         """omega_x = int r^x domega(r), x >= 0, on the density rule.
 
         The rule's panels refine toward r = 1, where high moments
@@ -163,98 +163,21 @@ class RadialMeasure:
         """
         if x < 0.0:
             raise InvalidRangeError("moment order must be >= 0")
-        nodes, weights = self.density_rule(tol=tol)
+        nodes, weights = self.density_rule()
         dens_part = float(weights @ nodes ** x)
         atom_part = sum(mass * loc ** x for loc, mass in self.atoms)
         return dens_part + atom_part
 
-    def weighted_interval_mass(self, a, b, exponent=1, tol=DEFAULT_TOL):
+    def weighted_interval_mass(self, a, b, exponent=1):
         """int_{[a,b)} r^exponent domega with the interval_mass atom rule."""
         if not (0.0 <= a <= b <= 1.0):
             raise InvalidRangeError(f"bad interval [{a}, {b}]")
         include_right = (b == 1.0) or (a == b)
-        return self._density_integral(lambda r: r ** exponent, a, b, tol) + \
+        return self._density_integral(lambda r: r ** exponent, a, b) + \
             self._atom_sum(lambda r: r ** exponent, a, b, include_right)
 
-    def doubling_report(self, depth, tol=DEFAULT_TOL):
-        return _doubling_report(self, depth, tol)
 
-
-@dataclass(frozen=True)
-class RegularFit:
-    """Envelope of log omega-hat against log(1-r): slopes and constant."""
-
-    gamma: float   # smallest local slope
-    beta: float    # largest local slope
-    constant: float  # exp(max |residual|) of the least-squares line
-
-
-@dataclass(frozen=True)
-class DoublingReport:
-    constant_hat: float
-    regular_fit: RegularFit
-    interval_doubling: float
-    probe_radii: tuple
-    tail_values: tuple
-    supported_near_one: bool
-    zero_tail_at: Optional[float] = None
-
-
-def _doubling_report(omega, depth, tol):
-    if depth < 1:
-        raise InvalidRangeError("doubling depth must be >= 1")
-    radii = [1.0 - 0.5 ** k for k in range(depth + 1)]
-    tails = [omega.tail(r, tol=tol) for r in radii]
-
-    zero_at = None
-    for r, t in zip(radii, tails):
-        if t <= 0.0:
-            zero_at = r
-            break
-    supported = zero_at is None
-
-    ratios = [tails[k] / tails[k + 1]
-              for k in range(depth) if tails[k + 1] > 0.0]
-    constant_hat = max(ratios) if ratios else math.inf
-
-    # envelope fit on nodes with positive tail
-    xs = [math.log(1.0 - r) for r, t in zip(radii, tails) if t > 0.0]
-    ys = [math.log(t) for t in tails if t > 0.0]
-    if len(xs) >= 2:
-        slope, intercept = np.polyfit(xs, ys, 1)
-        resid = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
-        local = [(ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]) for k in range(len(xs) - 1)]
-        fit = RegularFit(gamma=min(local), beta=max(local),
-                         constant=math.exp(max(abs(r) for r in resid)))
-    else:
-        fit = RegularFit(gamma=0.0, beta=0.0, constant=1.0)
-
-    # dyadic interval doubling on [0, 1], built from exact leaf sums
-    leaves = []
-    n = 2 ** depth
-    for i in range(n):
-        a, b = i / n, (i + 1) / n
-        leaves.append(omega.interval_mass(a, b, tol=tol) if b < 1.0
-                      else omega.interval_mass(a, 1.0, tol=tol))
-    level = leaves
-    worst = 1.0
-    while len(level) > 1:
-        parents = []
-        for i in range(0, len(level), 2):
-            left, right = level[i], level[i + 1]
-            parent = left + right
-            parents.append(parent)
-            if parent > 0.0:
-                for child in (left, right):
-                    worst = max(worst, parent / child if child > 0.0 else math.inf)
-        level = parents
-    return DoublingReport(constant_hat=constant_hat, regular_fit=fit,
-                          interval_doubling=worst,
-                          probe_radii=tuple(radii), tail_values=tuple(tails),
-                          supported_near_one=supported, zero_tail_at=zero_at)
-
-
-# -- catalog and config ------------------------------------------------------
+# -- catalog ------------------------------------------------------------------
 
 def lebesgue():
     return RadialMeasure(name="lebesgue", density=lambda r: np.ones_like(np.asarray(r, dtype=float)))
@@ -351,34 +274,3 @@ def make_measure(kind, **params):
                              atoms=base.atoms + tuple(extra),
                              endpoint_power=base.endpoint_power)
     return base
-
-
-def _parse_atoms(text):
-    atoms = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            loc, mass = chunk.split(":")
-            atoms.append((float(loc), float(mass)))
-        except ValueError:
-            raise ConfigError(f"bad atom entry {chunk!r}; expected loc:mass") from None
-    return atoms
-
-
-def measure_from_config(section: Mapping[str, str]):
-    """Build a measure from a config section (kind, alpha, atoms, name)."""
-    if "kind" not in section:
-        raise ConfigError("measure section needs a 'kind' key")
-    params = {}
-    if "alpha" in section:
-        try:
-            params["alpha"] = float(section["alpha"])
-        except ValueError:
-            raise ConfigError(f"bad alpha {section['alpha']!r}") from None
-    if "atoms" in section:
-        params["atoms"] = _parse_atoms(section["atoms"])
-    if "name" in section:
-        params["name"] = section["name"]
-    return make_measure(section["kind"].strip(), **params)

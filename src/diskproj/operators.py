@@ -37,12 +37,10 @@ import numpy as np
 from scipy.optimize import bisect
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
-from . import weights as weights_mod
 from .disk import (Arc, DiskQuadrature, Field, arc_index, carleson_square,
-                   check_grid, nonnegative_table)
+                   check_grid, nonnegative_table, require_same_quadrature)
 from .errors import (InvalidRangeError, NoAdmissiblePairError,
-                     NoConvergenceError, QuadratureMismatchError,
-                     SeparationError)
+                     NoConvergenceError)
 from .kernels import KernelSpec, kernel_integral_grid, nu_cauchy_grid
 from .measures import RadialMeasure
 
@@ -78,21 +76,6 @@ class PsiProfile:
         return self(t) / t
 
 
-def psi_diagnostics(psi: PsiProfile, probe_count=120):
-    """Measured essential-decrease and doubling constants on a dyadic
-    probe grid: sup_{t1<=t2} Psi(t2)/Psi(t1) and sup_t Psi(t)/Psi(2t)."""
-    k = np.arange(probe_count)
-    t = 2.0 * np.power(2.0, -k / 8.0)[::-1]  # ascending
-    vals = psi(t)
-    if np.any(vals <= 0.0):
-        raise InvalidRangeError("profile is not positive on the probe grid")
-    prefix_min = np.minimum.accumulate(vals)
-    decreasing = float(np.max(vals / prefix_min))
-    mask = 2.0 * t <= 2.0
-    doubling = float(np.max(vals[mask] / psi(2.0 * t[mask])))
-    return decreasing, doubling
-
-
 # -- operator handles ---------------------------------------------------------
 
 @dataclass(eq=False)
@@ -105,7 +88,6 @@ class OperatorHandle:
     matrix-free route gathers block by block.
     """
 
-    kind: str
     quad: DiskQuadrature
     kernel_block: Callable
     mu: np.ndarray
@@ -116,6 +98,9 @@ class OperatorHandle:
         """K @ (values * mu) by fast_apply; with matrix_free=True, by
         kernel rows gathered block by block instead."""
         v = np.asarray(values)
+        if v.shape != self.mu.shape:
+            raise InvalidRangeError(f"values of shape {v.shape} for an "
+                                    f"operator on {self.mu.size} cells")
         if not matrix_free:
             return self.fast_apply(v)
         weighted = v * self.mu
@@ -210,28 +195,27 @@ class _BandPairTable:
         return out
 
 
-def _table_handle(kind, quad, kernel_of_w, mu, positive):
+def _table_handle(quad, kernel_of_w, mu, positive):
     table = _BandPairTable(quad, kernel_of_w)
 
     def fast(values):
         out = table.correlate(values * mu)
         return out.real if positive and not np.iscomplexobj(values) else out
 
-    return OperatorHandle(kind, quad, table.rows, mu, positive,
-                          fast_apply=fast)
+    return OperatorHandle(quad, table.rows, mu, positive, fast_apply=fast)
 
 
 def bergman_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P_omega: out(z_i) = sum_j f(z_j) conj(B_{z_i}(z_j)) mass_j."""
     return _table_handle(
-        "bergman", quad, lambda w: np.conj(kernel_integral_grid(spec, w)),
+        quad, lambda w: np.conj(kernel_integral_grid(spec, w)),
         quad.masses.copy(), positive=False)
 
 
 def positive_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P+_omega: absolute kernel |B_{z_i}(z_j)|."""
     return _table_handle(
-        "positive", quad, lambda w: np.abs(kernel_integral_grid(spec, w)),
+        quad, lambda w: np.abs(kernel_integral_grid(spec, w)),
         quad.masses.copy(), positive=True)
 
 
@@ -242,8 +226,8 @@ def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature,
           else nonnegative_table(mu, (quad.size,), "mu"))
     # K_Psi(z_i, z_j) depends only on |1 - conj(z_j) z_i| = |1 - w|,
     # which is also the separation K_Psi sees at the pair (w, 1)
-    return _table_handle("psi-positive", quad, lambda w: psi.kernel(w, 1.0),
-                         mu, positive=True)
+    return _table_handle(quad, lambda w: psi.kernel(w, 1.0), mu,
+                         positive=True)
 
 
 # -- the dyadic model operator -------------------------------------------------
@@ -304,7 +288,7 @@ class SparseOperator:
         return out
 
     def handle(self) -> OperatorHandle:
-        return OperatorHandle("dyadic", self.quad, self.kernel_rows, self.mu,
+        return OperatorHandle(self.quad, self.kernel_rows, self.mu,
                               positive=True, fast_apply=self.apply)
 
 
@@ -328,8 +312,7 @@ def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
 
 def apply_sparse(T: SparseOperator, f: Field) -> Field:
     """Evaluate sum_S tau_S (E^mu_S f) 1_S; linear, positive on f >= 0."""
-    if not T.quad.same_as(f.quad):
-        raise QuadratureMismatchError("field on a different quadrature")
+    require_same_quadrature(T.quad, f)
     return Field(T.quad, T.apply(f.values))
 
 
@@ -338,12 +321,6 @@ def dyadic_handle(beta, psi: PsiProfile, quad: DiskQuadrature, L_max=None,
     """P^beta_{Psi,mu} = sum over grid squares of (Psi(|I|)/|I|) <f,1_S>_mu 1_S:
     the handle of sparse_bergman_model's operator."""
     return sparse_bergman_model(psi, quad, beta, L_max, mu).handle()
-
-
-def apply_bergman(handle: OperatorHandle, f: Field) -> Field:
-    if not handle.quad.same_as(f.quad):
-        raise QuadratureMismatchError("operator and field quadratures differ")
-    return Field(f.quad, handle.apply(f.values))
 
 
 def projection_identity_error(spec: KernelSpec, quad: DiskQuadrature,
@@ -379,12 +356,6 @@ def _dyadic_kernel_pairs(beta, psi, z, zeta, L_max):
             (arc_index(beta, l, tz) == arc_index(beta, l, tw))
         out[both] += float(psi(2.0 ** -l)) * 2.0 ** l
     return out
-
-
-def dyadic_kernel(beta, psi: PsiProfile, z, zeta, L_max):
-    """The dyadic kernel at one pair of points."""
-    return float(_dyadic_kernel_pairs(beta, psi, complex(z), complex(zeta),
-                                      L_max))
 
 
 def comparability_constants(psi: PsiProfile, sample_count, seed, J=8,
@@ -486,31 +457,6 @@ def separated_square_lower_bound(spec: KernelSpec, quad: DiskQuadrature,
     mass1 = quad.masses[m1].sum()
     avg = float((vals[m1] * quad.masses[m1]).sum() / mass1)
     return float(np.min(np.abs(out))), avg
-
-
-def tail_difference_bound(spec: KernelSpec, quad: DiskQuadrature, v_values,
-                          z0, z, c):
-    """lhs: integral of |B_{z0} - B_z| v d(omega x m) outside
-    D(z0, 2|z-z0|); rhs: inf of the disc maximal function of v over
-    nodes in D(z0, sqrt(2) (1-|z0|))."""
-    z0, z = complex(z0), complex(z)
-    step = abs(z - z0)
-    if abs(z0) < 0.5:
-        raise SeparationError("need |z0| >= 1/2")
-    if step > c * (1.0 - abs(z0)):
-        raise SeparationError("need |z - z0| <= c (1 - |z0|)")
-    nodes = quad.nodes_z
-    outside = np.abs(nodes - z0) >= 2.0 * step
-    v = np.asarray(v_values, dtype=float)
-    b0 = kernel_integral_grid(spec, nodes[outside] * np.conj(z0))
-    b1 = kernel_integral_grid(spec, nodes[outside] * np.conj(z))
-    lhs = float(np.sum(np.abs(b0 - b1) * v[outside] * quad.masses[outside]))
-    m_field = weights_mod.disc_maximal_field(quad, v)
-    near = np.abs(nodes - z0) < math.sqrt(2.0) * (1.0 - abs(z0))
-    if not near.any():
-        raise SeparationError("no nodes in the reference disc of z0")
-    rhs = float(np.min(m_field[near]))
-    return lhs, rhs
 
 
 # -- weighted operator norms ---------------------------------------------------

@@ -14,8 +14,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .disk import DiskQuadrature, DyadicInterval, Field
-from .errors import InvalidRangeError, QuadratureMismatchError
+from .disk import (DiskQuadrature, DyadicInterval, Field,
+                   require_same_quadrature)
+from .errors import InvalidRangeError
 from .kernels import KernelSpec
 from .operators import (PsiProfile, SparseOperator, apply_sparse,
                         positive_handle, sparse_bergman_model,
@@ -63,8 +64,7 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval,
     under S0 to its minimal stopping ancestor.
     """
     quad = f.quad
-    if not quad.same_as(sigma.quad):
-        raise QuadratureMismatchError("weight on a different quadrature")
+    require_same_quadrature(quad, sigma)
     if s0.beta != 0.0:
         raise InvalidRangeError("stopping construction runs on the "
                                 "unshifted grid (its squares nest)")
@@ -200,6 +200,7 @@ def testing_constants(T: SparseOperator, sigma: WeightField, u: WeightField,
     q = _conjugate(p)
     if depth < 0:
         raise InvalidRangeError("depth must be nonnegative")
+    require_same_quadrature(T.quad, sigma, u)
     sig_mu = sigma.values * T.mu
     u_mu = u.values * T.mu
     c0, wit0 = _testing_sup(T, sigma.values, u.values, sig_mu, p, depth)
@@ -225,6 +226,7 @@ def split_by_criterion(f: Field, g: Field, sigma: WeightField,
     to S2 otherwise. Ties go to S1; massless squares are skipped."""
     q = _conjugate(p)
     quad = f.quad
+    require_same_quadrature(quad, g, sigma, u)
     fv, gv = np.asarray(f.values), np.asarray(g.values)
     if np.any(fv < 0.0) or np.any(gv < 0.0):
         raise InvalidRangeError("the splitting criterion takes f, g >= 0")

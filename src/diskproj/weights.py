@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .disk import GRID_SHIFTS, DiskQuadrature, Field, nonnegative_table
+from .disk import (GRID_SHIFTS, DiskQuadrature, Field, nonnegative_table,
+                   require_same_quadrature)
 from .errors import ConfigError, InvalidRangeError
 
 _CENTER_CAP = 4096
@@ -167,44 +168,27 @@ def disc_family(quad: DiskQuadrature):
     return discs
 
 
-def _disc_averages(quad: DiskQuadrature, values, family):
-    """(center, radius, node mask, omega x m average of |values|) for
-    each family disc that holds nodes of positive mass."""
+def disc_maximal_field(quad: DiskQuadrature, values):
+    """M(v) at every node: max over family discs containing the node of
+    the omega x m average of |values| over the disc's cells; discs
+    without positive mass are skipped."""
     z = quad.nodes_z
     av = np.abs(np.asarray(values))
-    for a, rho in family:
+    out = np.zeros(quad.size)
+    for a, rho in disc_family(quad):
         mask = np.abs(z - a) < rho
-        if not mask.any():
-            continue
         m = quad.masses[mask]
         total = m.sum()
         if total <= 0.0:
             continue
-        yield a, rho, mask, float(np.sum(av[mask] * m) / total)
-
-
-def disc_maximal_field(quad: DiskQuadrature, values, family=None):
-    """M(v) at every node: max over family discs containing the node of
-    the omega x m average of |values| over the disc's cells."""
-    fam = disc_family(quad) if family is None else family
-    out = np.zeros(quad.size)
-    for _, _, mask, avg in _disc_averages(quad, values, fam):
-        out[mask] = np.maximum(out[mask], avg)
+        out[mask] = np.maximum(out[mask], float(np.sum(av[mask] * m) / total))
     return out
 
 
-def disc_maximal(quad: DiskQuadrature, values, z):
-    """M at a single point: max over family discs containing z."""
-    z = complex(z)
-    return max((avg for a, rho, _, avg in
-                _disc_averages(quad, values, disc_family(quad))
-                if abs(z - a) < rho), default=0.0)
-
-
-def b1_characteristic(v: WeightField, family=None) -> CharacteristicReport:
+def b1_characteristic(v: WeightField) -> CharacteristicReport:
     """max over nodes of M(v)/v; >= 1 because some family disc covers
     the whole disk, so at the argmin of v the average beats the value."""
-    m = disc_maximal_field(v.quad, v.values, family=family)
+    m = disc_maximal_field(v.quad, v.values)
     ratio = m / v.values
     k = int(np.argmax(ratio))
     return CharacteristicReport(value=float(ratio[k]), witness=k,
@@ -244,45 +228,23 @@ def _exact_weak_sup(values, measure_weights):
     return float(np.max(vs[pos] * ws[pos]))
 
 
-def weak11_maximal_check(quad: DiskQuadrature, nu_masses, beta, f: Field,
-                         lambda_grid=None):
+def weak11_maximal_check(quad: DiskQuadrature, nu_masses, beta, f: Field):
     """sup_lambda lambda nu({M f > lambda}) / ||f||_{L^1_nu}."""
+    require_same_quadrature(quad, f)
     nu = np.asarray(nu_masses, dtype=float)
     m = dyadic_maximal(quad, nu, beta, f.values)
     norm1 = float(np.sum(np.abs(f.values) * nu))
     if norm1 <= 0.0:
         return 0.0
-    if lambda_grid is None:
-        return _exact_weak_sup(m, nu) / norm1
-    best = 0.0
-    for lam in lambda_grid:
-        best = max(best, lam * float(nu[m > lam].sum()))
-    return best / norm1
+    return _exact_weak_sup(m, nu) / norm1
 
 
-def weak11_projection_check(v: WeightField, f: Field, projected: Field,
-                            lambda_grid=None):
+def weak11_projection_check(v: WeightField, f: Field, projected: Field):
     """sup_lambda lambda (v omega x m)({|Pf| > lambda}) / ||f||_{L^1(v)}
     for a precomputed projection output (P_omega f or P+_omega f)."""
+    require_same_quadrature(v.quad, f, projected)
     meas = v.values * v.quad.masses
     norm1 = float(np.sum(np.abs(f.values) * meas))
     if norm1 <= 0.0:
         return 0.0
-    pv = np.abs(projected.values)
-    if lambda_grid is None:
-        return _exact_weak_sup(pv, meas) / norm1
-    best = 0.0
-    for lam in lambda_grid:
-        best = max(best, lam * float(meas[pv > lam].sum()))
-    return best / norm1
-
-
-def maximal_lp_ratio(quad: DiskQuadrature, nu_masses, beta, f: Field, p):
-    """||M f||_{L^p_nu} / ||f||_{L^p_nu}: the measured strong-type bound."""
-    nu = np.asarray(nu_masses, dtype=float)
-    m = dyadic_maximal(quad, nu, beta, f.values)
-    num = float(np.sum(m ** p * nu) ** (1.0 / p))
-    den = float(np.sum(np.abs(f.values) ** p * nu) ** (1.0 / p))
-    if den == 0.0:
-        raise InvalidRangeError("zero field in maximal ratio")
-    return num / den
+    return _exact_weak_sup(np.abs(projected.values), meas) / norm1

@@ -99,7 +99,7 @@ def test_07_tail_transform_band(results):
     assert all(v < 10.0 for v in values(rows))  # c_high/c_low per instance
     stab = assert_passes(rows_for(results, "kernel-identities",
                                   "tail-transform-band-stability"), count=3)
-    assert all(v < 0.1 for v in values(stab))  # 10x tighter quadrature
+    assert all(v < 1e-10 for v in values(stab))  # 10x tighter quadrature
 
 
 def test_08_dyadic_containment(results):

@@ -61,7 +61,7 @@ def test_csv_determinism(tmp_path):
 def test_timestamp_comment(tmp_path, monkeypatch):
     def stub(cfg):
         return [{"suite": "czd", "check": "c", "inputs": "i",
-                 "value": "1", "bound": "1", "status": "pass"}], True
+                 "value": "1", "bound": "1", "status": "pass"}], True, {}
     monkeypatch.setitem(cli.SUITES, "czd", stub)
     out = tmp_path / "out"
     assert cli.main(["--suite", "czd", "--out", str(out)]) == 0
@@ -122,7 +122,7 @@ def test_contract_failure_exit(tmp_path, monkeypatch, capsys):
         rows = []
         cli._row(rows, "czd", "always-fails", "stub", 2.0, 1.0, False)
         cli._row(rows, "czd", "fine", "stub", 1.0, 1.0, True)
-        return rows, False
+        return rows, False, {}
     monkeypatch.setitem(cli.SUITES, "czd", failing)
     code, out = run_main(tmp_path, "--suite", "czd")
     assert code == 1

@@ -17,8 +17,8 @@ Every run ends with unresolved == 0: a floor cell with |f| > lam is
 always selected outright because its average equals its value.
 
 The level pass is pinned against walk_decompose, the stack walk it
-replaced: one PolarRectangle per visited region, float node membership
-per child. The pass is checked on every grid square of depths J = 1..7,
+replaced: one PolarRectangle per visited region, split by cz_children
+below, and float node membership per child. The pass is checked on every grid square of depths J = 1..7,
 angular refinements j0 = 0..2 and both grid shifts.
 """
 
@@ -48,6 +48,26 @@ def region_one():
     return czd.level_one_regions()[0]
 
 
+def arc_halves(arc):
+    h = arc.length / 2.0
+    return dk.Arc(arc.start, h), dk.Arc(arc.start + h, h)
+
+
+def cz_children(q):
+    """Four disjoint children covering q: arc halves x radial halves.
+
+    For a Carleson square (h' = 0) the upper band children are the two
+    child Carleson squares and the lower band children are the two top
+    rectangles over the arc halves.
+    """
+    mid = (q.h + q.h_prime) / 2.0
+    left, right = arc_halves(q.arc)
+    upper = [dk.PolarRectangle(a, mid, q.h_prime) if q.h_prime > 0.0
+             else dk.carleson_square(a) for a in (left, right)]
+    lower = [dk.PolarRectangle(a, q.h, mid) for a in (left, right)]
+    return upper + lower
+
+
 def walk_decompose(f, lam, region):
     """The stack walk: (selected, selected_cells, f_cells, g, b,
     parent_constant, unresolved, root_selected), with the f_cells sorted
@@ -64,8 +84,8 @@ def walk_decompose(f, lam, region):
 
     def subdivide(q):
         if q.h_prime == 0.0:
-            return dk.cz_children(q)
-        left, right = q.arc.halves()
+            return cz_children(q)
+        left, right = arc_halves(q.arc)
         return [dk.PolarRectangle(left, q.h, q.h_prime),
                 dk.PolarRectangle(right, q.h, q.h_prime)]
 
@@ -110,6 +130,27 @@ def walk_decompose(f, lam, region):
         b[cells] = vals[cells] - avg
     return (selected, selected_cells, f_idx, g, b, parent_ratio, unresolved,
             root_selected)
+
+
+def test_cz_children_partition():
+    left, right = arc_halves(dk.Arc(0.9, 0.2))
+    assert left.start == pytest.approx(0.9)
+    assert right.start == pytest.approx(0.0, abs=1e-15)
+    rng = np.random.default_rng(1)
+    for q in (dk.carleson_square(dk.Arc(0.0, 0.25)),
+              dk.PolarRectangle(dk.Arc(0.5, 0.25), h=0.25, h_prime=0.125)):
+        kids = cz_children(q)
+        assert len(kids) == 4
+        for _ in range(300):
+            r = float(rng.uniform(q.r_lo, q.r_hi - 1e-12))
+            t = float((q.arc.start + rng.random() * q.arc.length) % 1.0)
+            assert q.contains(r, t)
+            hits = sum(bool(k.contains(r, t)) for k in kids)
+            assert hits == 1
+    # Carleson-square children: two child squares plus two top halves
+    sq = dk.carleson_square(dk.Arc(0.0, 0.25))
+    kinds = sorted((k.h, k.h_prime) for k in cz_children(sq))
+    assert kinds == [(0.125, 0.0), (0.125, 0.0), (0.25, 0.125), (0.25, 0.125)]
 
 
 def test_spike_root_selection(spike):

@@ -10,7 +10,6 @@ Oracle values used below:
 
 import math
 
-import numpy as np
 import pytest
 
 from diskproj import measures as ms
@@ -93,28 +92,6 @@ def test_expinv_tail_closed_form():
     assert ex.tail(0.9) == pytest.approx(math.exp(-10.0), rel=1e-6)
 
 
-def test_doubling_report_lebesgue():
-    rep = ms.lebesgue().doubling_report(depth=6)
-    assert rep.supported_near_one
-    assert rep.zero_tail_at is None
-    assert rep.constant_hat == pytest.approx(2.0, rel=1e-9)
-    assert rep.interval_doubling == pytest.approx(2.0, rel=1e-9)
-    # tail (1-r) gives a log-log line of slope 1
-    assert rep.regular_fit.gamma == pytest.approx(1.0, rel=1e-8)
-    assert rep.regular_fit.beta == pytest.approx(1.0, rel=1e-8)
-    assert rep.regular_fit.constant == pytest.approx(1.0, rel=1e-8)
-
-
-def test_doubling_report_detects_dead_tail():
-    dead = ms.RadialMeasure(
-        name="inner",
-        density=lambda r: (np.asarray(r) < 0.5).astype(float))
-    rep = dead.doubling_report(depth=4)
-    assert not rep.supported_near_one
-    assert rep.zero_tail_at == 0.5
-    assert rep.constant_hat == math.inf
-
-
 def test_catalog_factories_and_config():
     names = ms.catalog()
     for key in ("lebesgue", "power", "point1", "loginv", "expinv",
@@ -124,19 +101,14 @@ def test_catalog_factories_and_config():
     p = ms.make_measure("power", alpha=1)
     assert p.moment(1.0) == pytest.approx(power_moment_oracle(1.0, 1),
                                           rel=1e-10)
-    atoms = ms.measure_from_config({"kind": "atoms",
-                                    "atoms": "0.5:1, 1:2"})
+    atoms = ms.make_measure("atoms", atoms=[(0.5, 1.0), (1.0, 2.0)])
     assert atoms.atoms == ((0.5, 1.0), (1.0, 2.0))
     assert atoms.total_mass() == 3.0
 
     with pytest.raises(ConfigError):
         ms.make_measure("no-such-measure")
     with pytest.raises(ConfigError):
-        ms.measure_from_config({"kind": "atoms", "atoms": "0.5"})
-    with pytest.raises(ConfigError):
-        ms.measure_from_config({"atoms": "0.5:1"})
-    with pytest.raises(ConfigError):
-        ms.measure_from_config({"kind": "power", "alpha": "abc"})
+        ms.make_measure("atoms")
 
 
 def test_invalid_ranges():

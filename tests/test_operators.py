@@ -25,14 +25,14 @@ import pytest
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from diskproj import czd
 from diskproj import disk as dk
 from diskproj import measures as ms
 from diskproj import operators as op
 from diskproj import twoweight as tw
 from diskproj import weights as wt
 from diskproj.errors import (InvalidRangeError, NoAdmissiblePairError,
-                             NoConvergenceError, QuadratureMismatchError,
-                             SeparationError)
+                             NoConvergenceError, QuadratureMismatchError)
 from diskproj.kernels import KernelSpec, kernel_integral_grid
 
 ATOM1 = ms.point_mass(1.0, 1.0)
@@ -69,12 +69,6 @@ def test_psi_profile_closed_forms():
         psi(0.0)
     with pytest.raises(InvalidRangeError):
         psi(2.5)
-
-
-def test_psi_diagnostics_frozen():
-    dec, dbl = op.psi_diagnostics(std_psi())
-    assert dec == 1.0  # 1/t is strictly decreasing
-    assert dbl == pytest.approx(2.0, rel=1e-10)
 
 
 def test_projection_identity_error_frozen(leb_quad5, leb_quad6):
@@ -216,9 +210,9 @@ def test_dyadic_kernel_hand_value():
     z = 0.9 * np.exp(2j * np.pi * 0.01)
     zeta = 0.9 * np.exp(2j * np.pi * 0.02)
     # shared squares at levels 0, 1, 2 with coefficients 4^l
-    assert op.dyadic_kernel(0.0, psi, z, zeta, L_max=2) == 21.0
+    assert float(op._dyadic_kernel_pairs(0.0, psi, z, zeta, 2)) == 21.0
     # radius 0.9 misses the level-4 band even though the arcs agree
-    assert op.dyadic_kernel(0.0, psi, z, zeta, L_max=6) == \
+    assert float(op._dyadic_kernel_pairs(0.0, psi, z, zeta, 6)) == \
         pytest.approx(21.0 + 64.0)
     # random pairs against a scan of every grid arc at every level
     rng = np.random.default_rng(2)
@@ -262,8 +256,8 @@ BAD_DYADIC_INPUTS = {
         q, np.full(q.size, np.nan), 0.0, np.ones(q.size)),
     "maximal-nu-negative": lambda q: wt.weak11_maximal_check(
         q, -q.masses, 0.0, dk.Field.constant(q, 1.0)),
-    "maximal-nu-short": lambda q: wt.maximal_lp_ratio(
-        q, q.masses[:-1], 0.5, dk.Field.constant(q, 1.0), 2.0),
+    "maximal-nu-short": lambda q: wt.weak11_maximal_check(
+        q, q.masses[:-1], 0.5, dk.Field.constant(q, 1.0)),
 }
 
 
@@ -274,14 +268,38 @@ def test_dyadic_inputs_out_of_range_raise(leb_quad5, call):
         call(leb_quad5)
 
 
-def test_apply_bergman_dispatch(leb_quad5, leb_quad6):
-    h = op.bergman_handle(STD, leb_quad5)
-    f5 = dk.Field.constant(leb_quad5, 1.0)
-    out = op.apply_bergman(h, f5)
-    assert isinstance(out, dk.Field)
-    np.testing.assert_allclose(out.values, h.apply(f5.values), rtol=1e-13)
-    with pytest.raises(QuadratureMismatchError):
-        op.apply_bergman(h, dk.Field.constant(leb_quad6, 1.0))
+MISMATCHED_QUADRATURE = {
+    "weak11-projection": lambda q, o: wt.weak11_projection_check(
+        wt.weight_field(q), dk.Field.constant(o, 1.0),
+        dk.Field.constant(q, 1.0)),
+    "weak11-maximal": lambda q, o: wt.weak11_maximal_check(
+        q, q.masses, 0.0, dk.Field.constant(o, 1.0)),
+    "split": lambda q, o: tw.split_by_criterion(
+        dk.Field.constant(q, 1.0), dk.Field.constant(q, 1.0),
+        wt.weight_field(o), wt.weight_field(q), 2.0, 2),
+    "testing": lambda q, o: tw.testing_constants(
+        tw.sparse_bergman_model(std_psi(), q), wt.weight_field(o),
+        wt.weight_field(q), 2.0, 2),
+    "cz-weak11": lambda q, o: czd.cz_reconstruct_weak11_bound(
+        STD, wt.weight_field(o), dk.Field.constant(q, 1.0), 2.0),
+}
+
+
+@pytest.mark.parametrize("call, other, error", [
+    *(pytest.param(call, other, QuadratureMismatchError, id=f"{name}-{other}")
+      for name, call in MISMATCHED_QUADRATURE.items()
+      for other in ("J6", "power1")),
+    pytest.param(lambda q, o: op.bergman_handle(STD, q).apply(np.ones(o.size)),
+                 "J6", InvalidRangeError, id="apply-J6")])
+def test_mismatched_quadratures_raise(leb_quad5, leb_quad6, call, other,
+                                      error):
+    """An item on a deeper quadrature, or on a same-size one over another
+    measure, raises instead of crashing in numpy or returning a number;
+    a handle rejects a value array of the wrong length."""
+    o = leb_quad6 if other == "J6" else \
+        dk.build_quadrature(ms.power_measure(1.0), J=5)
+    with pytest.raises(error):
+        call(leb_quad5, o)
 
 
 def test_comparability_constants():
@@ -345,20 +363,6 @@ def test_separated_square_lower_bound():
     assert both == (0.0, 0.0)
 
 
-def test_tail_difference_bound(leb_quad6):
-    quad = leb_quad6
-    v = np.ones(quad.size)
-    lhs, rhs = op.tail_difference_bound(STD, quad, v, 0.9 + 0j, 0.93 + 0j,
-                                        c=1.0)
-    assert rhs == pytest.approx(1.0, rel=1e-12)
-    assert lhs == pytest.approx(0.272169, rel=1e-4)
-    assert lhs < 10.0 * rhs
-    with pytest.raises(SeparationError):
-        op.tail_difference_bound(STD, quad, v, 0.3 + 0j, 0.33 + 0j, c=1.0)
-    with pytest.raises(SeparationError):
-        op.tail_difference_bound(STD, quad, v, 0.9 + 0j, 0.9 + 0.2j, c=1.0)
-
-
 def handle_kinds(quad):
     """One handle of every kind: the Lanczos adjoint assumes each kernel
     equals its conjugate transpose."""
@@ -385,7 +389,7 @@ def test_handle_kernels_are_hermitian(J):
 def matrix_handle(K, mu):
     """A handle that applies a given kernel matrix: K @ (x mu)."""
     K = np.asarray(K)
-    return op.OperatorHandle("matrix", None, lambda rows: K[rows], mu,
+    return op.OperatorHandle(None, lambda rows: K[rows], mu,
                              positive=bool(np.isrealobj(K) and K.min() >= 0.0),
                              fast_apply=lambda x: K @ (x * mu))
 

@@ -63,7 +63,7 @@ def test_kernel_layer_is_finite_or_raises(name, gamma, radius, angle):
     spec = kn.KernelSpec(gamma=gamma, nu=nu)
     assert_finite_or_raises(lambda: kn.nu_cauchy_transform(nu, w))
     assert_finite_or_raises(lambda: kn.kernel_integral(spec, w))
-    assert_finite_or_raises(lambda: kn.lower_bound_eq4(nu, w))
+    assert_finite_or_raises(lambda: kn.lower_bound_eq4_grid(nu, w))
     assert_finite_or_raises(lambda: construction(name).tail(radius))
     assert_finite_or_raises(
         lambda: kn.shi_ratio(spec, construction(name), radius))

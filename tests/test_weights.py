@@ -92,20 +92,17 @@ def test_disc_maximal_consistency(leb_quad5):
     f = rng.uniform(0.5, 2.0, size=quad.size)
     field = wt.disc_maximal_field(quad, f)
     assert np.all(field <= f.max() + 1e-12)
+    # at sample nodes, against a scan of the disc family
     for i in (0, 37, quad.size - 1):
-        assert wt.disc_maximal(quad, f, quad.nodes_z[i]) == \
-            pytest.approx(field[i], rel=1e-13)
-    # off the nodes, against a scan of the disc family
-    z = 0.55 + 0.3j
-    assert np.min(np.abs(quad.nodes_z - z)) > 0.0
-    want = 0.0
-    for a, rho in wt.disc_family(quad):
-        cells = np.abs(quad.nodes_z - a) < rho
-        if abs(z - a) < rho and quad.masses[cells].sum() > 0.0:
-            m = quad.masses[cells]
-            want = max(want, float(np.sum(f[cells] * m) / m.sum()))
-    assert want > 0.0
-    assert wt.disc_maximal(quad, f, z) == pytest.approx(want, rel=1e-13)
+        z = quad.nodes_z[i]
+        want = 0.0
+        for a, rho in wt.disc_family(quad):
+            cells = np.abs(quad.nodes_z - a) < rho
+            if abs(z - a) < rho and quad.masses[cells].sum() > 0.0:
+                m = quad.masses[cells]
+                want = max(want, float(np.sum(f[cells] * m) / m.sum()))
+        assert want > 0.0
+        assert field[i] == pytest.approx(want, rel=1e-13)
     np.testing.assert_allclose(wt.disc_maximal_field(quad, np.ones(quad.size)),
                                1.0, rtol=1e-14)
 
@@ -160,9 +157,11 @@ def test_weak11_maximal_bounds(leb_quad5):
         for beta in (0.0, 0.5):
             ratio = wt.weak11_maximal_check(quad, quad.masses, beta, f)
             assert 0.0 < ratio <= 2.0 + 1e-10
-            gridded = wt.weak11_maximal_check(
-                quad, quad.masses, beta, f,
-                lambda_grid=np.linspace(1e-3, 2.0, 50))
+            # a lambda grid scan can only undershoot the exact supremum
+            m = wt.dyadic_maximal(quad, quad.masses, beta, f.values)
+            norm1 = float(np.sum(np.abs(f.values) * quad.masses))
+            gridded = max(lam * float(quad.masses[m > lam].sum())
+                          for lam in np.linspace(1e-3, 2.0, 50)) / norm1
             assert gridded <= ratio + 1e-12
     zero = wt.weak11_maximal_check(quad, quad.masses, 0.0,
                                    dk.Field.constant(quad, 0.0))
@@ -176,24 +175,7 @@ def test_weak11_projection_check(leb_quad5):
     # with projected = f the check reduces to the layer-cake identity
     ratio = wt.weak11_projection_check(v, f, f)
     assert ratio == pytest.approx(1.0, rel=1e-12)
-    grid_ratio = wt.weak11_projection_check(
-        v, f, f, lambda_grid=np.linspace(0.1, 1.0, 20))
-    assert grid_ratio <= ratio + 1e-12
     assert wt.weak11_projection_check(v, dk.Field.constant(quad, 0.0), f) == 0.0
-
-
-def test_maximal_lp_ratio(leb_quad5):
-    quad = leb_quad5
-    ones = dk.Field.constant(quad, 1.0)
-    assert wt.maximal_lp_ratio(quad, quad.masses, 0.0, ones, 2.0) == \
-        pytest.approx(1.0, rel=1e-13)
-    rng = np.random.default_rng(8)
-    f = dk.Field(quad, rng.uniform(-1.0, 1.0, size=quad.size))
-    ratio = wt.maximal_lp_ratio(quad, quad.masses, 0.0, f, 2.0)
-    assert 0.0 < ratio < np.inf
-    with pytest.raises(InvalidRangeError):
-        wt.maximal_lp_ratio(quad, quad.masses, 0.0,
-                            dk.Field.constant(quad, 0.0), 2.0)
 
 
 def test_weight_from_config(leb_quad5):

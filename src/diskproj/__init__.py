@@ -8,8 +8,7 @@ from .errors import (BudgetExceededError, ConfigError, DiskprojError,
                      SeparationError, TailVanishedError,
                      TruncationInfeasibleError)
 from .measures import (RadialMeasure, catalog, expinv, half_atom_mix,
-                       lebesgue, loginv, make_measure, point_mass,
-                       power_measure)
+                       lebesgue, loginv, point_mass, power_measure)
 from .kernels import (KernelSpec, MomentConstruction, check_completely_monotone,
                       construct_omega_from_nu, difference_constant,
                       kernel_integral, kernel_series, moments_from_phi,

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._integrate import adaptive_simpson, graded_gl_rule
-from .errors import ConfigError, InvalidRangeError
+from .errors import InvalidRangeError
 
 DEFAULT_TOL = 1e-12
 # Densities with endpoint_power p < 0 are integrated above this radius in
@@ -31,12 +31,16 @@ _SUBSTITUTION_CUT = 0.875
 
 
 def _endpoint_substitution(q, u):
-    """r = 1 - u^(1/q) and the Jacobian |dr/du| = u^(1/q - 1) / q.
+    """The node r and the exact gap s = u^(1/q) = 1 - r.
 
-    u is clamped at (2^-50)^q, which keeps r representably below 1.
+    dr = -(s^(1-q) / q) du, and s^(1-q) cancels the density's (1-r)^p
+    (p = q - 1), so int g(r) (1-r)^p h(1-r) dr becomes
+    int g(1 - s) h(s) / q du: bounded, with no floor on u. r stays at
+    or below the last double under 1, so a g that divides by 1 - r
+    stays finite.
     """
-    u = np.maximum(u, (2.0 ** -50) ** q)
-    return 1.0 - u ** (1.0 / q), u ** (1.0 / q - 1.0) / q
+    s = u ** (1.0 / q)
+    return np.minimum(1.0 - s, 1.0 - 2.0 ** -53), s
 
 
 # Interval convention: interval_mass(a, b) covers [a, b] with atoms
@@ -62,12 +66,18 @@ class RadialMeasure:
         C (1-r)^p). Only matters for p < 0, where integrals over
         intervals touching 1 use the substitution u = (1-r)^(1+p)
         to keep the integrand bounded.
+    endpoint_factor : callable or None
+        For p < 0, the bounded factor h with density(r) = (1-r)^p h(1-r),
+        a vectorized function of the gap s = 1 - r on [0, 1/8]. The
+        substitution hands it s exactly, never s re-derived from a
+        rounded r.
     """
 
     name: str
     density: Optional[Callable] = None
     atoms: tuple = ()
     endpoint_power: float = 0.0
+    endpoint_factor: Optional[Callable] = None
 
     def __post_init__(self):
         for loc, mass in self.atoms:
@@ -77,6 +87,9 @@ class RadialMeasure:
                 raise InvalidRangeError(f"atom mass {mass} negative")
         if self.endpoint_power <= -1.0:
             raise InvalidRangeError("endpoint_power must be > -1 for integrability")
+        if self.endpoint_power < 0.0 and self.density is not None and \
+                self.endpoint_factor is None:
+            raise InvalidRangeError("endpoint_power < 0 needs endpoint_factor")
 
     # -- density integration -------------------------------------------------
 
@@ -86,7 +99,8 @@ class RadialMeasure:
         onto [a, b], its weights multiplied by the density.
 
         For endpoint_power < 0 the part of [a, b] above 7/8 is mapped in
-        u = (1-r)^(1+p) instead, and the weights carry the Jacobian. A tol
+        u = (1-r)^(1+p) instead, where the weights are endpoint_factor
+        at the exact gap 1 - r over 1 + p. A tol
         below DEFAULT_TOL selects order 24 instead of 16 per panel. A
         purely atomic measure gives empty arrays.
         """
@@ -97,11 +111,14 @@ class RadialMeasure:
             cut = max(a, _SUBSTITUTION_CUT)
             q = 1.0 + self.endpoint_power
             u_lo, u_hi = (1.0 - b) ** q, (1.0 - cut) ** q
-            r_sub, jac = _endpoint_substitution(q, u_lo + (u_hi - u_lo) * x)
-            nodes = np.concatenate((a + (cut - a) * x, r_sub))
-            weights = np.concatenate(((cut - a) * w, (u_hi - u_lo) * w * jac))
-        else:
-            nodes, weights = a + (b - a) * x, (b - a) * w
+            r_sub, gap = _endpoint_substitution(q, u_lo + (u_hi - u_lo) * x)
+            nodes = a + (cut - a) * x
+            dens = np.asarray(self.density(nodes), dtype=float)
+            factor = np.asarray(self.endpoint_factor(gap), dtype=float)
+            return (np.concatenate((nodes, r_sub)),
+                    np.concatenate(((cut - a) * w * dens,
+                                    (u_hi - u_lo) / q * w * factor)))
+        nodes, weights = a + (b - a) * x, (b - a) * w
         return nodes, weights * np.asarray(self.density(nodes), dtype=float)
 
     def _density_integral(self, fn, a, b):
@@ -116,10 +133,11 @@ class RadialMeasure:
         if self.endpoint_power < 0.0 and b > _SUBSTITUTION_CUT:
             cut = max(a, _SUBSTITUTION_CUT)
             q = 1.0 + self.endpoint_power
+            factor = self.endpoint_factor
 
             def transformed(u):
-                r, jac = _endpoint_substitution(q, u)
-                return integrand(r) * jac
+                r, gap = _endpoint_substitution(q, u)
+                return fn(r) * factor(gap) / q
 
             return adaptive_simpson(integrand, a, cut, tol=DEFAULT_TOL) + \
                 adaptive_simpson(transformed, (1.0 - b) ** q,
@@ -192,7 +210,13 @@ def power_measure(alpha):
         r = np.asarray(r, dtype=float)
         return (alpha + 1.0) * np.power(np.maximum(1.0 - r * r, 0.0), alpha)
 
-    return RadialMeasure(name=f"power({alpha:g})", density=dens, endpoint_power=alpha)
+    def factor(s):
+        # (1 - r^2)^alpha = (1-r)^alpha (1+r)^alpha, with 1 + r = 2 - s
+        s = np.asarray(s, dtype=float)
+        return (alpha + 1.0) * np.power(2.0 - s, alpha)
+
+    return RadialMeasure(name=f"power({alpha:g})", density=dens,
+                         endpoint_power=alpha, endpoint_factor=factor)
 
 
 def point_mass(location=1.0, mass=1.0, name=None):
@@ -238,39 +262,15 @@ def half_atom_mix():
 
 
 _CATALOG = {
-    "lebesgue": ("uniform density on [0, 1)", lambda **kw: lebesgue()),
-    "power": ("(alpha+1)(1-r^2)^alpha dr, alpha > -1",
-              lambda alpha=0.0, **kw: power_measure(float(alpha))),
-    "point1": ("unit atom at r = 1", lambda **kw: point_mass(1.0, 1.0, name="point1")),
-    "loginv": ("atomized log-tail measure, tail 1/(1 - log(1-r))",
-               lambda **kw: loginv()),
-    "expinv": ("tail exp(-1/(1-r)); decays faster than any power",
-               lambda **kw: expinv()),
-    "halfmix": ("Lebesgue plus a unit atom at 1/2", lambda **kw: half_atom_mix()),
-    "atoms": ("finite atom list from the 'atoms' key", None),
+    "lebesgue": "uniform density on [0, 1)",
+    "power": "(alpha+1)(1-r^2)^alpha dr, alpha > -1",
+    "point1": "unit atom at r = 1",
+    "loginv": "atomized log-tail measure, tail 1/(1 - log(1-r))",
+    "expinv": "tail exp(-1/(1-r)); decays faster than any power",
+    "halfmix": "Lebesgue plus a unit atom at 1/2",
 }
 
 
 def catalog():
     """Names and one-line descriptions of built-in measures."""
-    return {name: desc for name, (desc, _) in _CATALOG.items()}
-
-
-def make_measure(kind, **params):
-    if kind == "atoms":
-        atoms = params.get("atoms")
-        if not atoms:
-            raise ConfigError("atom-list measure needs a nonempty 'atoms' key")
-        return RadialMeasure(name=params.get("name", "atoms"), atoms=tuple(atoms))
-    try:
-        _, factory = _CATALOG[kind]
-    except KeyError:
-        raise ConfigError(f"unknown measure kind {kind!r}; see catalog()") from None
-    base = factory(**params)
-    extra = params.get("atoms")
-    if extra:
-        return RadialMeasure(name=params.get("name", base.name),
-                             density=base.density,
-                             atoms=base.atoms + tuple(extra),
-                             endpoint_power=base.endpoint_power)
-    return base
+    return dict(_CATALOG)

@@ -62,11 +62,11 @@ def test_binomial_weights_match_comb():
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, -0.7, -0.9])
 def test_moment_table_matches_beta_oracle(alpha):
     # alpha < 0 has a density singular at r = 1: the rule runs in the
-    # endpoint variable u = (1-r)^(1+alpha) there, and the density's own
-    # 1 - r^2 near r = 1 limits it to about 1e-10
+    # endpoint variable u = (1-r)^(1+alpha) there, where the density's
+    # bounded factor gets the gap 1 - r exactly
     rtol = 1e-9 if alpha < 0.0 else 1e-12
     meas = ms.power_measure(alpha)
     table = kn.nu_moment_table(meas, 16)

@@ -13,7 +13,7 @@ import math
 import pytest
 
 from diskproj import measures as ms
-from diskproj.errors import ConfigError, InvalidRangeError
+from diskproj.errors import InvalidRangeError
 
 
 def power_moment_oracle(alpha, j):
@@ -57,9 +57,9 @@ def test_atom_boundary_conventions():
     assert half.moment(2.0) == 0.5
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5, -0.5])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5, -0.5, -0.7, -0.9])
 def test_power_measure_moments_match_beta_oracle(alpha):
-    # alpha = -1/2 runs in the endpoint variable near r = 1
+    # alpha < 0 runs in the endpoint variable near r = 1
     rel = 1e-9 if alpha < 0.0 else 1e-10
     meas = ms.power_measure(alpha)
     for j in range(9):
@@ -72,6 +72,10 @@ def test_power_measure_endpoint_singularity():
     # endpoint substitution; total mass is pi/4 exactly.
     meas = ms.power_measure(-0.5)
     assert meas.total_mass() == pytest.approx(math.pi / 4.0, rel=1e-9)
+    # adaptive Simpson in u reaches u = 0, where the bounded factor is
+    # finite, and converges at alpha near -1 as well
+    assert ms.power_measure(-0.9).total_mass() == \
+        pytest.approx(power_moment_oracle(-0.9, 0), rel=1e-9)
     assert meas.tail(0.99) > 0.0
     with pytest.raises(InvalidRangeError):
         ms.power_measure(-1.0)
@@ -95,23 +99,15 @@ def test_expinv_tail_closed_form():
 def test_catalog_factories_and_config():
     names = ms.catalog()
     for key in ("lebesgue", "power", "point1", "loginv", "expinv",
-                "halfmix", "atoms"):
+                "halfmix"):
         assert key in names
-
-    p = ms.make_measure("power", alpha=1)
-    assert p.moment(1.0) == pytest.approx(power_moment_oracle(1.0, 1),
-                                          rel=1e-10)
-    atoms = ms.make_measure("atoms", atoms=[(0.5, 1.0), (1.0, 2.0)])
-    assert atoms.atoms == ((0.5, 1.0), (1.0, 2.0))
-    assert atoms.total_mass() == 3.0
-
-    with pytest.raises(ConfigError):
-        ms.make_measure("no-such-measure")
-    with pytest.raises(ConfigError):
-        ms.make_measure("atoms")
+    assert "atoms" not in names
 
 
 def test_invalid_ranges():
+    with pytest.raises(InvalidRangeError):
+        ms.RadialMeasure(name="bad", density=lambda r: (1.0 - r) ** -0.5,
+                         endpoint_power=-0.5)   # no endpoint_factor
     with pytest.raises(InvalidRangeError):
         ms.RadialMeasure(name="bad", atoms=((1.5, 1.0),))
     with pytest.raises(InvalidRangeError):

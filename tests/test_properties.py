@@ -32,7 +32,7 @@ MEASURES = {
     "power(-0.5)": ms.power_measure(-0.5),
     "power(0)": ms.power_measure(0.0),
     "power(1)": ms.power_measure(1.0),
-    "point1": ms.make_measure("point1"),
+    "point1": ms.point_mass(1.0, 1.0, name="point1"),
     "loginv": ms.loginv(),
     "expinv": ms.expinv(),
     "halfmix": ms.half_atom_mix(),

@@ -1,19 +1,65 @@
 """Weights, characteristics, and maximal operators.
 
 The dyadic maximal function is checked against a per-node brute-force
-loop on a J=3 grid (36 cells). The exact weak-type supremum has a
+loop on a J=3 grid (36 cells). The disc maximal function runs on band
+windows; its oracle is the documented disc family listed disc by disc
+(disc_family) and a scan of every node for each disc: member sets must
+agree exactly and M to 1e-13, at J = 1..7, j0 = 0..2 and four measures,
+and at sampled nodes at J=10. The exact weak-type supremum has a
 three-point hand oracle: values (3, 2, 1) with measures accumulating
 (0.5, 0.75, 1.75) give sup lambda mu({v > lambda}) = 1.75, attained
 just below the smallest positive value.
 """
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diskproj import disk as dk
 from diskproj import measures as ms
 from diskproj import weights as wt
 from diskproj.errors import ConfigError, InvalidRangeError
+
+
+def disc_family(quad):
+    """The documented B_1 family, disc by disc: node-centered discs
+    D(a, k(1-|a|)) for k in {1, sqrt(2), 2, 4}, plus boundary-touching
+    discs of dyadic radius 2^-k centered at (1-2^-k) e^(2 pi i m 2^-k)."""
+    centers = quad.nodes_z
+    discs = []
+    for k in (1.0, math.sqrt(2.0), 2.0, 4.0):
+        radii = k * (1.0 - np.abs(centers))
+        discs.extend(zip(centers.tolist(), radii.tolist()))
+    for k in range(1, quad.J + 1):
+        rho = 2.0 ** -k
+        for m in range(1 << k):
+            a = (1.0 - rho) * np.exp(2j * np.pi * m * rho)
+            discs.append((complex(a), rho))
+    return discs
+
+
+def scan_disc_maximal(quad, values, discs, nodes=None):
+    """M(values) at the given nodes (default all): each disc's cells by a
+    scan of every node, its omega x m average, the max over the discs
+    that contain the node and have positive mass."""
+    z = quad.nodes_z
+    nodes = np.arange(quad.size) if nodes is None else np.asarray(nodes)
+    av = np.abs(values)
+    out = np.zeros(nodes.size)
+    for a, rho in discs:
+        hit = np.abs(z[nodes] - a) < rho
+        if not hit.any():
+            continue
+        mask = np.abs(z - a) < rho
+        m = quad.masses[mask]
+        total = m.sum()
+        if total > 0.0:
+            out[hit] = np.maximum(out[hit],
+                                  float(np.sum(av[mask] * m) / total))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -93,18 +139,113 @@ def test_disc_maximal_consistency(leb_quad5):
     field = wt.disc_maximal_field(quad, f)
     assert np.all(field <= f.max() + 1e-12)
     # at sample nodes, against a scan of the disc family
-    for i in (0, 37, quad.size - 1):
-        z = quad.nodes_z[i]
-        want = 0.0
-        for a, rho in wt.disc_family(quad):
-            cells = np.abs(quad.nodes_z - a) < rho
-            if abs(z - a) < rho and quad.masses[cells].sum() > 0.0:
-                m = quad.masses[cells]
-                want = max(want, float(np.sum(f[cells] * m) / m.sum()))
-        assert want > 0.0
-        assert field[i] == pytest.approx(want, rel=1e-13)
+    nodes = [0, 37, quad.size - 1]
+    want = scan_disc_maximal(quad, f, disc_family(quad), nodes)
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(field[nodes], want, rtol=1e-13)
     np.testing.assert_allclose(wt.disc_maximal_field(quad, np.ones(quad.size)),
                                1.0, rtol=1e-14)
+
+
+DISC_MEASURES = {"lebesgue": ms.lebesgue(), "power(1)": ms.power_measure(1.0),
+                 "halfmix": ms.half_atom_mix(),
+                 "point(0.75)": ms.point_mass(0.75)}
+
+
+@functools.lru_cache(maxsize=None)
+def disc_quadrature(name, J, j0):
+    return dk.build_quadrature(DISC_MEASURES[name], J=J, j0=j0)
+
+
+def window_members(quad, centers, radii):
+    """Each disc's cells by the band windows, as a (discs, cells) mask."""
+    got = np.zeros((centers.size, quad.size), dtype=bool)
+    index = np.arange(centers.size)[:, None]
+    for rows, windows in wt._group_windows(quad, quad.nodes_z, centers, radii):
+        for _, cells, inside in windows:
+            got[np.broadcast_to(index[rows], cells.shape)[inside],
+                cells[inside]] = True
+    return got
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(DISC_MEASURES)), J=st.integers(1, 7),
+       j0=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2 ** 32 - 1),
+       tail=st.sampled_from([0.5, 1.0, 3.0]),
+       zeros=st.sampled_from([0.0, 0.5, 0.95]))
+def test_disc_windows_match_brute_force(name, J, j0, seed, tail, zeros):
+    """Band windows give each disc exactly the cells of the float test
+    |z - a| < rho over every node, and M matches the family scan, on
+    fields with zeros and Pareto tails; point(0.75) leaves most bands
+    massless, so most discs are skipped."""
+    quad = disc_quadrature(name, J, j0)
+    z = quad.nodes_z
+    for centers, radii in wt._disc_groups(quad, z):
+        want = np.abs(z - centers[:, None]) < radii[:, None]
+        np.testing.assert_array_equal(window_members(quad, centers, radii),
+                                      want)
+    rng = np.random.default_rng(seed)
+    f = rng.pareto(tail, quad.size) * (rng.random(quad.size) >= zeros)
+    f *= rng.choice([-1.0, 1.0], quad.size)
+    np.testing.assert_allclose(wt.disc_maximal_field(quad, f),
+                               scan_disc_maximal(quad, f, disc_family(quad)),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("J, j0", [(3, 0), (6, 1), (6, 2)])
+def test_disc_windows_hold_nodes_one_ulp_inside(J, j0):
+    """Discs whose edge passes one ulp beyond a node: the law-of-cosines
+    run can round past that node, and the widened window still holds
+    it. Centers are arbitrary, 0.1 <= |a| < 0.95."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+    z = quad.nodes_z
+    rng = np.random.default_rng(J + 10 * j0)
+    for _ in range(50):
+        centers = np.sqrt(rng.uniform(0.01, 0.9, 64)) * \
+            np.exp(2j * np.pi * rng.random(64))
+        radii = np.nextafter(np.abs(z[rng.integers(quad.size, size=64)]
+                                    - centers), np.inf)
+        want = np.abs(z - centers[:, None]) < radii[:, None]
+        np.testing.assert_array_equal(window_members(quad, centers, radii),
+                                      want)
+
+
+def test_disc_blocks_split_groups(monkeypatch):
+    """Groups larger than one block run in slices of discs: the same
+    member sets, and the same M bit for bit."""
+    quad = dk.build_quadrature(ms.half_atom_mix(), J=6, j0=1)
+    f = np.random.default_rng(6).pareto(1.0, quad.size)
+    whole = wt.disc_maximal_field(quad, f)
+    monkeypatch.setattr(wt, "_BLOCK", 40)
+    for centers, radii in wt._disc_groups(quad, quad.nodes_z):
+        slices = list(wt._group_windows(quad, quad.nodes_z, centers, radii))
+        assert len(slices) > 1 or centers.size == 1
+        np.testing.assert_array_equal(
+            window_members(quad, centers, radii),
+            np.abs(quad.nodes_z - centers[:, None]) < radii[:, None])
+    np.testing.assert_array_equal(wt.disc_maximal_field(quad, f), whole)
+
+
+def test_disc_groups_cover_the_family():
+    """The rotation groups are the documented family, every disc once:
+    73,742 discs at J=12, j0=1, with no stride."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=12, j0=1)
+    family = disc_family(quad)
+    assert len(family) == 4 * quad.size + 2 ** 13 - 2 == 73742
+    got = sorted((a.real, a.imag, rho)
+                 for centers, radii in wt._disc_groups(quad, quad.nodes_z)
+                 for a, rho in zip(centers.tolist(), radii.tolist()))
+    assert got == sorted((a.real, a.imag, rho) for a, rho in family)
+
+
+def test_disc_maximal_at_depth_10_sampled_nodes():
+    quad = dk.build_quadrature(ms.lebesgue(), J=10, j0=1)
+    rng = np.random.default_rng(10)
+    f = rng.pareto(1.0, quad.size)
+    nodes = rng.choice(quad.size, 6, replace=False)
+    got = wt.disc_maximal_field(quad, f)[nodes]
+    np.testing.assert_allclose(
+        got, scan_disc_maximal(quad, f, disc_family(quad), nodes), rtol=1e-13)
 
 
 def test_dyadic_maximal_brute_force(quad3):

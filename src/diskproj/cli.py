@@ -55,8 +55,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 1 <= self.depth <= 12:
             raise ConfigError(f"depth J = {self.depth} outside [1, 12]")
-        if not self.p > 1.0:
-            raise ConfigError(f"p = {self.p:g} must exceed 1 "
+        if not 1.0 < self.p < math.inf:
+            raise ConfigError(f"p = {self.p:g} must be finite and exceed 1 "
                               "(weighted theory needs p in (1, inf))")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")

@@ -12,14 +12,16 @@ Grid convention: the arcs of grid beta in {0, 1/2} at level l are
 [(m + beta) 2^-l, (m + 1 + beta) 2^-l) mod 1. At each fixed level both
 families partition the circle; the beta = 0 family is nested across
 levels, the beta = 1/2 family is not (its shift halves with the level),
-so every cross-level algorithm here works per level by index arithmetic
-instead of by tree descent.
+so the cross-level algorithms work per level by index arithmetic. On
+the nested grid, arc m at level l has the children 2m and 2m + 1, and
+the stopping and testing passes carry arrays from one level to the next.
 
 That arithmetic lives in one cached index per quadrature and grid shift,
-DiskQuadrature.levels: the cells in some Carleson square of each level
-and their arc indices. Every per-level reduction (B_p, the dyadic
-maximal function, the dyadic operator, stopping and testing) runs on it,
-and it is the one place that checks a grid shift and a level cap.
+DiskQuadrature.levels: the cells in some Carleson square of each level,
+a suffix of the band-major cell order, and their arc indices. Every
+per-level reduction (B_p, the dyadic maximal function, the dyadic
+operator, stopping and testing) runs on it, and it is the one place that
+checks a grid shift and a level cap.
 """
 
 from __future__ import annotations
@@ -180,11 +182,12 @@ def carleson_square(interval) -> PolarRectangle:
 @dataclass(frozen=True, eq=False)
 class DyadicLevel:
     """The member cells of one grid level, those whose nodes lie in a
-    Carleson square of side 2^-level, and the arc index of each, both in
-    cell order."""
+    Carleson square of side 2^-level, and the arc index of each. Cells
+    are band-major, so the members are the suffix start..size-1 and arcs
+    lists their arc indices in cell order."""
 
     level: int
-    members: np.ndarray
+    start: int
     arcs: np.ndarray
 
     @property
@@ -194,7 +197,7 @@ class DyadicLevel:
     def sums(self, cell_values):
         """Per-arc sums of cell_values over the members, in cell order."""
         # float also on an empty level, where bincount gives int64 zeros
-        return np.bincount(self.arcs, weights=cell_values[self.members],
+        return np.bincount(self.arcs, weights=cell_values[self.start:],
                            minlength=self.count).astype(float, copy=False)
 
     def cells(self, m):
@@ -206,7 +209,7 @@ class DyadicLevel:
     def _grouped(self):
         order = np.argsort(self.arcs, kind="stable")
         bounds = np.searchsorted(self.arcs[order], np.arange(self.count + 1))
-        return self.members[order], bounds
+        return self.start + order, bounds
 
 
 @dataclass(eq=False)
@@ -272,10 +275,10 @@ class DiskQuadrature:
         index = self._level_index.setdefault(beta, [])
         for level in range(len(index), L_max + 1):
             # band b >= 2 is annulus b - 1, after the two core rings
-            members = (np.flatnonzero(self.cell_band > level) if level
-                       else np.arange(self.size))
+            start = (int(np.searchsorted(self.cell_band, level, side="right"))
+                     if level else 0)
             index.append(DyadicLevel(
-                level, members, arc_index(beta, level, self.nodes_t[members])))
+                level, start, arc_index(beta, level, self.nodes_t[start:])))
         return tuple(index[:L_max + 1])
 
     def same_as(self, other):

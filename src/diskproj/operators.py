@@ -271,7 +271,7 @@ class SparseOperator:
         for lv, tau, mu_s in zip(self._levels, self.tau, self._square_mass):
             avg = np.divide(lv.sums(weighted), mu_s,
                             out=np.zeros_like(mu_s), where=mu_s > 0.0)
-            out[lv.members] += (tau * avg)[lv.arcs]
+            out[lv.start:] += (tau * avg)[lv.arcs]
         return out
 
     def kernel_rows(self, rows):
@@ -282,9 +282,9 @@ class SparseOperator:
             weight = np.divide(tau, mu_s, out=np.zeros_like(mu_s),
                                where=mu_s > 0.0)
             arc_of = np.full(self.quad.size, -1)
-            arc_of[lv.members] = lv.arcs
+            arc_of[lv.start:] = lv.arcs
             same = arc_of[rows][:, None] == lv.arcs[None, :]
-            out[:, lv.members] += np.where(same, weight[lv.arcs], 0.0)
+            out[:, lv.start:] += np.where(same, weight[lv.arcs], 0.0)
         return out
 
     def handle(self) -> OperatorHandle:

@@ -1,13 +1,19 @@
 """Stopping squares, testing constants and the one-weight experiment.
 
 They run on the sparse dyadic operator T f = sum_S tau_S (E^mu_S f) 1_S
-of operators.py. Every pass reduces level by level over the quadrature's
-dyadic-level index, linear in cell count times levels; the operator
+of operators.py, level by level over the quadrature's dyadic-level
+index. On the nested beta = 0 grid, where arc m at level l has the
+children 2m and 2m + 1, the stopping squares take one top-down array
+pass, and the Sawyer testing constants one tree pass per side with no
+apply of T (see _testing_sup); each costs O(cells x levels). The
+half-shifted grid does not nest, so there the testing constants apply T
+once per square: 2^(d+1) - 1 applies per side at depth d. The operator
 norms iterate on fast applies and form no dense matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -28,8 +34,8 @@ Square = Tuple[int, int]          # (level, arc index) on a fixed grid
 
 
 def _conjugate(p):
-    if not p > 1.0:
-        raise InvalidRangeError(f"exponent p={p} must exceed 1")
+    if not 1.0 < p < math.inf:
+        raise InvalidRangeError(f"exponent p={p} must lie in (1, inf)")
     return p / (p - 1.0)
 
 
@@ -44,7 +50,6 @@ class StoppingFamily:
     expectations: Dict[Square, float]       # stopped E^{sigma mu}_L |f|
     assignment: Dict[Square, Square]        # lambda(S): minimal stopping
     #                                         ancestor, over positive-mass S
-    collections: Dict[Square, List[Square]]  # D(L) = {S: lambda(S) = L}
     quad: DiskQuadrature
     sigma_mu: np.ndarray
     f_abs: np.ndarray
@@ -62,6 +67,11 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval,
     L's. Zero-mass squares are skipped (all their descendants are
     massless too). The assignment map sends every positive-mass square
     under S0 to its minimal stopping ancestor.
+
+    One top-down pass over the levels: the squares under S0 at a level
+    are one index range, and each carries the (level, index), average
+    and generation of its minimal stopping ancestor. Each generation
+    lists its squares in level-then-index order.
     """
     quad = f.quad
     require_same_quadrature(quad, sigma)
@@ -86,36 +96,38 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval,
     if not ex[root[0]][root[1]] > 0.0:
         raise InvalidRangeError("root average of |f| must be positive")
 
-    expectations = {root: float(ex[root[0]][root[1]])}
-    assignment = {root: root}
-    collections = {root: [root]}
-    generations = [[root]]
-    current = [root]
-    while current:
-        nxt = []
-        for L in current:
-            e_l = expectations[L]
-            stack = [(L[0] + 1, 2 * L[1]), (L[0] + 1, 2 * L[1] + 1)]
-            while stack:
-                lev, m = stack.pop()
-                if lev > level_cap or sm[lev][m] <= 0.0:
-                    continue
-                e_s = float(ex[lev][m])
-                if e_s > 4.0 * e_l:
-                    expectations[(lev, m)] = e_s
-                    assignment[(lev, m)] = (lev, m)
-                    collections[(lev, m)] = [(lev, m)]
-                    nxt.append((lev, m))
-                else:
-                    assignment[(lev, m)] = L
-                    collections[L].append((lev, m))
-                    stack.extend([(lev + 1, 2 * m), (lev + 1, 2 * m + 1)])
-        if nxt:
-            generations.append(nxt)
-        current = nxt
+    squares, owners = [root], [root]                # assignment items
+    stopped, averages, gens = [root], [float(ex[root[0]][root[1]])], [0]
+    # the stopping ancestor of each square at the current level under S0
+    anc_lev, anc_idx = np.array([root[0]]), np.array([root[1]])
+    anc_e, gen = ex[root[0]][root[1]:root[1] + 1], np.zeros(1, np.int64)
+    for lev in range(root[0] + 1, level_cap + 1):
+        shift = lev - root[0]
+        idx = np.arange(root[1] << shift, (root[1] + 1) << shift)
+        live = sm[lev][idx] > 0.0
+        if not live.any():
+            break                        # every deeper square is massless
+        e_here = ex[lev][idx]
+        anc_lev, anc_idx, anc_e, gen = (np.repeat(a, 2) for a in
+                                        (anc_lev, anc_idx, anc_e, gen))
+        stop = live & (e_here > 4.0 * anc_e)
+        gen = gen + stop
+        anc_lev = np.where(stop, lev, anc_lev)
+        anc_idx = np.where(stop, idx, anc_idx)
+        anc_e = np.where(stop, e_here, anc_e)
+        squares += zip(itertools.repeat(lev), idx[live].tolist())
+        owners += zip(anc_lev[live].tolist(), anc_idx[live].tolist())
+        stopped += zip(itertools.repeat(lev), idx[stop].tolist())
+        averages += e_here[stop].tolist()
+        gens += gen[stop].tolist()
+
+    generations = [[] for _ in range(max(gens) + 1)]
+    for L, g in zip(stopped, gens):
+        generations[g].append(L)
     return StoppingFamily(root=root, beta=0.0, level_cap=level_cap,
-                          generations=generations, expectations=expectations,
-                          assignment=assignment, collections=collections,
+                          generations=generations,
+                          expectations=dict(zip(stopped, averages)),
+                          assignment=dict(zip(squares, owners)),
                           quad=quad, sigma_mu=sm_cell, f_abs=f_abs)
 
 
@@ -132,7 +144,7 @@ def pointwise_linearization(family: StoppingFamily):
     # adding them level by level keeps the order of the stopped sum
     lhs = np.zeros(quad.size)
     for lv, e_l in zip(levels, stopped):
-        lhs[lv.members] += e_l[lv.arcs]
+        lhs[lv.start:] += e_l[lv.arcs]
     maximal = dyadic_maximal(quad, family.sigma_mu, 0.0, family.f_abs,
                              L_max=family.level_cap)
     return lhs, (4.0 / 3.0) * maximal
@@ -167,11 +179,67 @@ class TestingReport:
     c1_measured: float         # norm_lower / (c0_root + c0_star_root)
 
 
-def _testing_sup(T, source_vals, target_vals, denom_cell, p, depth):
-    """sup over squares of ||T(source 1_S)||^p_{L^p_mu(target)} / denom(S)."""
+def _testing_sup(T, source_vals, target_vals, p, depth):
+    """sup over squares Q to the given depth of
+    ||T(s 1_Q)||^p_{L^p(t mu)} / (s mu)(Q), for source s and target t,
+    with its first witness in level-then-index order. Massless squares
+    count as 0.
+
+    On the nested grid, for Q at level l, T(s 1_Q) = D_l + (s mu)(Q) A(Q)
+    on Q, where D_l(z) sums tau_S <s>_S over the squares S at levels
+    >= l holding z, and A(Q) sums tau_S / mu(S) over the strict
+    ancestors of Q. Off Q it is (s mu)(Q) A(C) on C's parent minus C,
+    for each ancestor-or-self C of Q below the root, so the norm off Q
+    is (s mu)(Q)^p W(Q), W(C) = W(parent) + A(C)^p (t mu)(parent minus C).
+    """
+    if T.beta != 0.0:
+        return _square_by_square_sup(T, source_vals, target_vals, p, depth)
+    top = min(T.L_max, depth)
+    levels = T.quad.levels(0.0, T.L_max)
+    s_mu, t_mu = source_vals * T.mu, target_vals * T.mu
+    # top-down: A and W at every level to the depth
+    t_mass = [lv.sums(t_mu) for lv in levels[:top + 1]]
+    A, W = [np.zeros(1)], [np.zeros(1)]
+    for lev in range(top):
+        mu_q = T.square_masses(lev)
+        a_child = np.repeat(A[lev] + np.divide(
+            T.tau[lev], mu_q, out=np.zeros_like(mu_q), where=mu_q > 0.0), 2)
+        A.append(a_child)
+        W.append(np.repeat(W[lev], 2) + a_child ** p * (
+            np.repeat(t_mass[lev], 2) - t_mass[lev + 1]))
+    # bottom-up: D_l on the level's members, then each level's best square
+    D = np.zeros(T.quad.size)
+    level_best = []
+    for lev in range(T.L_max, -1, -1):
+        lv = levels[lev]
+        mu_s = T.square_masses(lev)
+        s_mass = lv.sums(s_mu)
+        avg = np.divide(s_mass, mu_s, out=np.zeros_like(mu_s),
+                        where=mu_s > 0.0)
+        D[lv.start:] += (T.tau[lev] * avg)[lv.arcs]
+        if lev > top:
+            continue
+        on_q = np.abs(D[lv.start:] + (s_mass * A[lev])[lv.arcs]) ** p
+        norm = np.bincount(lv.arcs, weights=on_q * t_mu[lv.start:],
+                           minlength=lv.count) + s_mass ** p * W[lev]
+        ratio = np.divide(norm, s_mass, out=np.zeros(lv.count),
+                          where=s_mass > 0.0)
+        k = int(np.argmax(ratio))
+        level_best.append((float(ratio[k]), (lev, k)))
+    best, witness = 0.0, (0, 0)
+    for ratio, square in reversed(level_best):
+        if ratio > best:
+            best, witness = ratio, square
+    return best, witness
+
+
+def _square_by_square_sup(T, source_vals, target_vals, p, depth):
+    """_testing_sup by one apply of T per square, for the half-shifted
+    grid, whose squares do not nest."""
     quad = T.quad
     best, witness = 0.0, (0, 0)
     tmu = target_vals * T.mu
+    denom_cell = source_vals * T.mu
     for lv in quad.levels(T.beta, min(T.L_max, depth)):
         denom = lv.sums(denom_cell)
         for m in range(lv.count):
@@ -201,10 +269,8 @@ def testing_constants(T: SparseOperator, sigma: WeightField, u: WeightField,
     if depth < 0:
         raise InvalidRangeError("depth must be nonnegative")
     require_same_quadrature(T.quad, sigma, u)
-    sig_mu = sigma.values * T.mu
-    u_mu = u.values * T.mu
-    c0, wit0 = _testing_sup(T, sigma.values, u.values, sig_mu, p, depth)
-    c0s, wits = _testing_sup(T, u.values, sigma.values, u_mu, q, depth)
+    c0, wit0 = _testing_sup(T, sigma.values, u.values, p, depth)
+    c0s, wits = _testing_sup(T, u.values, sigma.values, q, depth)
 
     norm, upper, exact = weighted_norm_bracket(T.handle(), u.values,
                                                sigma.values, p)
@@ -241,11 +307,10 @@ def split_by_criterion(f: Field, g: Field, sigma: WeightField,
                         out=np.zeros(lv.count), where=m_u > 0.0)
         lhs = e_f ** p * msig
         rhs = e_g ** q * m_u
-        mu_tot = lv.sums(mu)
-        for m in range(lv.count):
-            if mu_tot[m] <= 0.0:
-                continue
-            (s1 if lhs[m] >= rhs[m] else s2).append((lv.level, m))
+        live = np.flatnonzero(lv.sums(mu) > 0.0)
+        first = lhs[live] >= rhs[live]
+        s1 += zip(itertools.repeat(lv.level), live[first].tolist())
+        s2 += zip(itertools.repeat(lv.level), live[~first].tolist())
     return s1, s2
 
 
@@ -284,16 +349,15 @@ def one_weight_norm_experiment(spec: KernelSpec, v: WeightField, p,
     levels = quad.levels(0.0, depth + 1)
     ratios, shares = [], []
     for lev in range(depth + 1):
-        square = levels[lev].members
-        tail = float(mu[square].sum()) / 2 ** lev
+        start = levels[lev].start
+        tail = float(mu[start:].sum()) / 2 ** lev
         if tail <= 0.0:
             ratios.append(0.0)
             continue
         ratios.append(psi_vals[lev] * tail * 2.0 ** lev)
-        # the next level's members are a suffix of these (cells are
-        # band-major); what precedes it is the top-half band
-        top_half = square[:square.size - levels[lev + 1].members.size]
-        top = float(mu[top_half].sum()) / 2 ** lev
+        # the members are a suffix of the cells (cells are band-major),
+        # and so is the next level's; what lies between is the top half
+        top = float(mu[start:levels[lev + 1].start].sum()) / 2 ** lev
         if top > 0.0:
             shares.append(tail / top)
     live = [x for x in ratios if x > 0.0]

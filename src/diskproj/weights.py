@@ -275,7 +275,8 @@ def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values,
         avg = np.divide(lv.sums(nu_f), den, out=np.zeros(lv.count),
                         where=den > 0.0)
         # avg is 0 on massless squares, and out >= 0 already
-        out[lv.members] = np.maximum(out[lv.members], avg[lv.arcs])
+        tail = out[lv.start:]
+        np.maximum(tail, avg[lv.arcs], out=tail)
     return out
 
 

@@ -85,6 +85,13 @@ def test_config_errors(tmp_path, capsys):
     assert cli.main(["--config", str(p1), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # a non-finite p would give the twoweight suite a silent zero row
+    for bad in ("inf", "nan"):
+        ini = tmp_path / f"p_{bad}.ini"
+        ini.write_text(f"[run]\nsuite = twoweight\np = {bad}\n")
+        assert cli.main(["--config", str(ini), "--out", str(tmp_path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "twoweight.csv").exists()
 
 
 def test_depth_out_of_range(tmp_path):

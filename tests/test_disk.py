@@ -115,19 +115,22 @@ def test_dyadic_level_index():
             levels = quad.levels(beta, J + 2)
             assert [lv.level for lv in levels] == list(range(J + 3))
             for level, lv in enumerate(levels):
+                members = np.arange(lv.start, quad.size)
+                assert lv.arcs.shape == members.shape
                 want = np.arange(quad.size) if level == 0 else \
                     np.nonzero(annulus >= level)[0]
-                np.testing.assert_array_equal(lv.members, want)
+                np.testing.assert_array_equal(members, want)
                 np.testing.assert_array_equal(
-                    lv.members,
+                    members,
                     np.nonzero(quad.nodes_r >= 1.0 - 2.0 ** -level)[0])
-                for cell, m in zip(lv.members, lv.arcs):
+                for cell, m in zip(members, lv.arcs):
                     arc = dk.DyadicInterval(beta, level, int(m)).arc
                     assert arc.contains(quad.nodes_t[cell])
                 for m in range(lv.count):
                     np.testing.assert_array_equal(lv.cells(m),
-                                                  lv.members[lv.arcs == m])
-            assert all(lv.members.size == 0 for lv in levels[J + 1:])
+                                                  members[lv.arcs == m])
+            assert all(lv.start == quad.size and lv.arcs.size == 0
+                       for lv in levels[J + 1:])
             again = quad.levels(beta, 2)
             assert all(a is b for a, b in zip(again, levels))
     with pytest.raises(InvalidRangeError):

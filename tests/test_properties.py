@@ -11,7 +11,8 @@ The dyadic layer matches brute force at depths J = 1..6, angular
 refinements j0 = 0..2, both grid shifts and level caps up to J + 2: the
 dyadic handle against the double sum over node pairs, and the dyadic
 maximal function against averages over each square, with the squares
-found by scanning every grid arc; B_p stays >= 1.
+found by scanning every grid arc, and the level index against the same
+scan; B_p stays >= 1.
 """
 
 import functools
@@ -99,6 +100,11 @@ def test_dyadic_layer_matches_brute_force(J, j0, beta, p, seed, data):
     v = wt.WeightField(quad, np.exp(rng.normal(0.0, 2.0, quad.size)))
     mu = quad.masses
     labels = [square_labels(quad, beta, level) for level in range(L_max + 1)]
+    # the level index: members are the suffix of labelled cells, in order
+    for lv, lab in zip(quad.levels(beta, L_max), labels):
+        np.testing.assert_array_equal(np.flatnonzero(lab >= 0),
+                                      np.arange(lv.start, quad.size))
+        np.testing.assert_array_equal(lv.arcs, lab[lv.start:])
 
     kernel = np.zeros((quad.size, quad.size))
     for level, lab in enumerate(labels):

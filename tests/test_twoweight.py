@@ -9,13 +9,20 @@ exactly, so c1_measured = 1/2 and both witnesses are the root. The
 flat stopping instance (f = 1, sigma = 1) keeps only the root square:
 its pointwise stopped sum is 1, the bound is 4/3, and the Carleson
 embedding sum collapses to (sigma mu)(D).
+
+Oracles for the array passes: the testing tree pass is checked against
+the route that applies T once per square, and the stopping pass against
+the depth-first walk below, which visits every positive-mass square
+under the root one at a time.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diskproj import disk as dk
 from diskproj import measures as ms
@@ -130,7 +137,8 @@ def test_stopping_flat_field(leb_quad5):
     assert total == pytest.approx(quad.total_mass(), rel=1e-12)
     # every positive-mass square is assigned to the root
     assert all(L == (0, 0) for L in fam.assignment.values())
-    assert sorted(fam.collections[(0, 0)]) == sorted(fam.assignment.keys())
+    assert set(fam.assignment) == {(lev, m) for lev in range(quad.J + 1)
+                                   for m in range(2 ** lev)}
 
 
 def ancestor_of(square, other):
@@ -161,15 +169,15 @@ def test_stopping_spike_chain(leb_quad5):
                     break
             assert anc is not None
             assert fam.expectations[s] > 4.0 * fam.expectations[anc]
-    # collections partition the assigned squares and respect ancestry
-    seen = set()
-    for L, members in fam.collections.items():
-        for s in members:
-            assert s not in seen
-            seen.add(s)
-            assert ancestor_of(s, L)
-            assert fam.assignment[s] == L
-    assert seen == set(fam.assignment.keys())
+    # the assignment sends each square to its minimal stopping ancestor,
+    # and each stopping square to itself
+    for s, L in fam.assignment.items():
+        assert ancestor_of(s, L) and L in fam.expectations
+        lev, m = s
+        while (lev, m) != L:
+            assert (lev, m) not in fam.expectations
+            lev, m = lev - 1, m // 2
+    assert all(fam.assignment[L] == L for L in fam.expectations)
 
 
 def test_stopping_validation(leb_quad5):
@@ -272,8 +280,9 @@ def test_testing_other_exponent(quad3):
     assert rep.c0_star_root <= rep.norm_upper * (1.0 + 1e-12)
     assert rep.c0 > 0.0 and rep.c0_star > 0.0
     assert rep.p == 2.5
-    with pytest.raises(InvalidRangeError):
-        tw.testing_constants(T, sigma, u, p=1.0, depth=3)
+    for bad in (1.0, math.inf, math.nan):
+        with pytest.raises(InvalidRangeError):
+            tw.testing_constants(T, sigma, u, p=bad, depth=3)
     with pytest.raises(InvalidRangeError):
         tw.testing_constants(T, sigma, u, p=2.0, depth=-1)
 
@@ -295,6 +304,10 @@ def test_split_by_criterion(leb_quad5):
     with pytest.raises(InvalidRangeError):
         tw.split_by_criterion(dk.Field(quad, -f.values), g, sigma, u,
                               p=2.0, depth=3)
+    # p = inf would make q nan and put every square silently into S2
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidRangeError):
+            tw.split_by_criterion(f, g, sigma, u, p=bad, depth=3)
 
 
 def test_one_weight_report(leb_quad5):
@@ -338,3 +351,163 @@ def test_random_instance_reproducible(quad3):
     np.testing.assert_array_equal(a[2].values, b[2].values)
     assert not np.array_equal(a[0].values, c[0].values)
     assert np.all(a[2].values > 0.0) and np.all(a[3].values > 0.0)
+
+
+# -- oracles for the array passes ----------------------------------------------
+
+def stopping_walk(f, sigma, s0, level_cap):
+    """The stopping family by a depth-first walk from each stopping
+    square: (generations, expectations, assignment)."""
+    quad = f.quad
+    sm_cell = sigma.values * quad.masses
+    f_abs = np.abs(f.values)
+    sm, ex = [], []
+    for lv in quad.levels(0.0, level_cap):
+        mass = lv.sums(sm_cell)
+        sm.append(mass)
+        ex.append(np.divide(lv.sums(f_abs * sm_cell), mass,
+                            out=np.zeros(lv.count), where=mass > 0.0))
+    root = (s0.level, s0.index)
+    expectations = {root: float(ex[root[0]][root[1]])}
+    assignment = {root: root}
+    generations = [[root]]
+    current = [root]
+    while current:
+        nxt = []
+        for L in current:
+            e_l = expectations[L]
+            stack = [(L[0] + 1, 2 * L[1]), (L[0] + 1, 2 * L[1] + 1)]
+            while stack:
+                lev, m = stack.pop()
+                if lev > level_cap or sm[lev][m] <= 0.0:
+                    continue
+                e_s = float(ex[lev][m])
+                if e_s > 4.0 * e_l:
+                    expectations[(lev, m)] = e_s
+                    assignment[(lev, m)] = (lev, m)
+                    nxt.append((lev, m))
+                else:
+                    assignment[(lev, m)] = L
+                    stack.extend([(lev + 1, 2 * m), (lev + 1, 2 * m + 1)])
+        if nxt:
+            generations.append(nxt)
+        current = nxt
+    return generations, expectations, assignment
+
+
+ORACLE_MEASURES = {"lebesgue": ms.lebesgue(), "halfmix": ms.half_atom_mix(),
+                   "atom(0.9)": ms.point_mass(0.9, 1.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_quadrature(name, J, j0):
+    return dk.build_quadrature(ORACLE_MEASURES[name], J=J, j0=j0)
+
+
+def zeroed(rng, values, share):
+    return np.where(rng.random(values.shape) < share, 0.0, values)
+
+
+def square_ratio(T, source, target, p, square):
+    """||T(s 1_Q)||^p_{L^p(t mu)} / (s mu)(Q) for one square Q."""
+    lev, m = square
+    cells = T.quad.levels(T.beta, lev)[lev].cells(m)
+    f_vals = np.zeros(T.quad.size)
+    f_vals[cells] = source[cells]
+    out = T.apply(f_vals)
+    return float(np.sum(np.abs(out) ** p * target * T.mu) /
+                 np.sum(source[cells] * T.mu[cells]))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(J=st.integers(1, 7), j0=st.sampled_from([0, 1, 2]),
+       p=st.sampled_from([1.5, 2.0, 3.0]),
+       zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_testing_tree_pass_matches_per_square(J, j0, p, zero_share, seed,
+                                               data):
+    """c0 and c0* of the tree pass equal the per-square route's to 1e-12
+    relative, with the same witness, at level caps around J and depths
+    from 0 past the cap; tau has zeroed rows and mu zero cells."""
+    quad = oracle_quadrature("lebesgue", J, j0)
+    L_max = data.draw(st.integers(max(J - 1, 0), J + 1), label="L_max")
+    depth = data.draw(st.integers(0, L_max + 2), label="depth")
+    rng = np.random.default_rng(seed)
+    mu = zeroed(rng, quad.masses, zero_share)
+    tau = [zeroed(rng, rng.pareto(1.0, 2 ** lev), zero_share) *
+           (rng.random() > 0.25) for lev in range(L_max + 1)]
+    T = tw.sparse_bergman_model(std_psi(), quad, L_max=L_max, mu=mu, tau=tau)
+    sigma = wt.WeightField(quad, np.exp(rng.normal(0.0, 1.0, quad.size)))
+    u = wt.WeightField(quad, np.exp(rng.normal(0.0, 1.0, quad.size)))
+    for s, t, e in ((sigma, u, p), (u, sigma, p / (p - 1.0))):
+        got, got_witness = tw._testing_sup(T, s.values, t.values, e, depth)
+        want, want_witness = tw._square_by_square_sup(T, s.values, t.values,
+                                                      e, depth)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        if got_witness != want_witness:
+            # only a tie in exact arithmetic, which rounding may break
+            # either way, as when a square and its child hold the same
+            # mass and T adds nothing on the rest of the square
+            assert square_ratio(T, s.values, t.values, e, got_witness) == \
+                pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(ORACLE_MEASURES)), J=st.integers(1, 7),
+       j0=st.sampled_from([0, 1, 2]),
+       zero_share=st.sampled_from([0.0, 0.5, 0.95]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_stopping_pass_matches_walk(name, J, j0, zero_share, seed, data):
+    """The array pass gives the walk's expectations and assignment
+    exactly, and the same generations, for roots at levels 0..2, level
+    caps around J and fields with zeros."""
+    quad = oracle_quadrature(name, J, j0)
+    level = data.draw(st.integers(0, min(2, J)), label="root level")
+    s0 = dk.DyadicInterval(0.0, level, data.draw(
+        st.integers(0, 2 ** level - 1), label="root index"))
+    level_cap = data.draw(st.integers(max(J - 1, level), J + 1),
+                          label="level_cap")
+    rng = np.random.default_rng(seed)
+    f = dk.Field(quad, zeroed(rng, rng.pareto(1.5, quad.size), zero_share))
+    sigma = wt.WeightField(quad, np.exp(rng.normal(0.0, 1.0, quad.size)))
+    try:
+        fam = tw.stopping_family(f, sigma, s0, level_cap=level_cap)
+    except InvalidRangeError:
+        # only a root with no |f| mass is refused
+        assert not stopping_walk(f, sigma, s0, level_cap)[1][
+            (s0.level, s0.index)] > 0.0
+        return
+    generations, expectations, assignment = stopping_walk(f, sigma, s0,
+                                                          level_cap)
+    assert fam.expectations == expectations
+    assert fam.assignment == assignment
+    assert [set(g) for g in fam.generations] == \
+        [set(g) for g in generations]
+    assert all(g == sorted(g) for g in fam.generations)
+
+
+def test_testing_ties_go_to_the_first_square():
+    """Flat weights on the default model make the squares of each level
+    equal by rotation, and the tree pass computes them alike, so the
+    witness is the level's first square."""
+    for J, j0 in ((5, 1), (7, 2)):
+        quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+        one = wt.weight_field(quad).values
+        T = tw.sparse_bergman_model(std_psi(), quad)
+        for p in (1.5, 2.0, 3.0):
+            got, (lev, m) = tw._testing_sup(T, one, one, p, J)
+            want, (want_lev, _) = tw._square_by_square_sup(T, one, one, p, J)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert (lev, m) == (want_lev, 0)
+
+
+def test_testing_constants_at_depth_twelve():
+    """The tree pass makes the testing constants cheap at J=12, depth 11:
+    the bracket closes and c0^(1/2) sits under it."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=12)
+    sigma, u, _, _ = tw.random_instance(quad, 12)
+    T = tw.sparse_bergman_model(std_psi(), quad)
+    rep = tw.testing_constants(T, sigma, u, 2.0, depth=11)
+    assert rep.norm_exact and 0.0 < rep.norm_lower <= rep.norm_upper
+    assert rep.c0_root <= rep.norm_upper
+    assert rep.c0_star_root <= rep.norm_upper

@@ -179,16 +179,24 @@ def carleson_square(interval) -> PolarRectangle:
 
 # -- quadrature ---------------------------------------------------------------
 
+def _arc_sums(arcs, member_values, count):
+    # float also on an empty level, where bincount gives int64 zeros
+    return np.bincount(arcs, weights=member_values,
+                       minlength=count).astype(float, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class DyadicLevel:
     """The member cells of one grid level, those whose nodes lie in a
     Carleson square of side 2^-level, and the arc index of each. Cells
     are band-major, so the members are the suffix start..size-1 and arcs
-    lists their arc indices in cell order."""
+    lists their arc indices in cell order. masses is sums(quad.masses),
+    the quadrature's mass of each square."""
 
     level: int
     start: int
     arcs: np.ndarray
+    masses: np.ndarray
 
     @property
     def count(self):
@@ -196,9 +204,7 @@ class DyadicLevel:
 
     def sums(self, cell_values):
         """Per-arc sums of cell_values over the members, in cell order."""
-        # float also on an empty level, where bincount gives int64 zeros
-        return np.bincount(self.arcs, weights=cell_values[self.start:],
-                           minlength=self.count).astype(float, copy=False)
+        return _arc_sums(self.arcs, cell_values[self.start:], self.count)
 
     def cells(self, m):
         """The member cells in arc m, in cell order."""
@@ -277,8 +283,9 @@ class DiskQuadrature:
             # band b >= 2 is annulus b - 1, after the two core rings
             start = (int(np.searchsorted(self.cell_band, level, side="right"))
                      if level else 0)
-            index.append(DyadicLevel(
-                level, start, arc_index(beta, level, self.nodes_t[start:])))
+            arcs = arc_index(beta, level, self.nodes_t[start:])
+            index.append(DyadicLevel(level, start, arcs, _arc_sums(
+                arcs, self.masses[start:], 1 << level)))
         return tuple(index[:L_max + 1])
 
     def same_as(self, other):

@@ -12,8 +12,9 @@ w = zeta conj(z). Every band of the quadrature holds a power-of-two
 number of equally spaced nodes, so between a row band and a column band
 w takes only max(n_a, n_b) distinct values: each band-pair block is
 circulant up to index striding. A handle evaluates its kernel once at
-those values, on first use, and applies it by one FFT correlation per
-band pair. Kernel rows (apply with matrix_free=True) use the same table.
+those values on first use, and applies it in the mode domain (Davis,
+Circulant Matrices): an FFT per band, one sparse product and an inverse
+FFT per band. Kernel rows (apply with matrix_free=True) use the tables.
 
 The dyadic operators are SparseOperator instances, T f = sum_S tau_S
 (E^mu_S f) 1_S over the squares of one grid, with tau_S = Psi(|I|)
@@ -35,6 +36,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.optimize import bisect
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .disk import (Arc, DiskQuadrature, Field, arc_index, carleson_square,
@@ -83,9 +85,9 @@ class OperatorHandle:
     """A linear operator bound to one quadrature.
 
     Application is out = K @ (f * mu). fast_apply computes it without
-    forming K (FFT correlation or per-level sums); kernel_block(rows)
-    returns the pure kernel submatrix K[rows, :] (no masses), which the
-    matrix-free route gathers block by block.
+    forming K (in the mode domain or by per-level sums);
+    kernel_block(rows) returns the pure kernel submatrix K[rows, :] (no
+    masses), which the matrix-free route gathers block by block.
     """
 
     quad: DiskQuadrature
@@ -98,9 +100,9 @@ class OperatorHandle:
         """K @ (values * mu) by fast_apply; with matrix_free=True, by
         kernel rows gathered block by block instead."""
         v = np.asarray(values)
-        if v.shape != self.mu.shape:
-            raise InvalidRangeError(f"values of shape {v.shape} for an "
-                                    f"operator on {self.mu.size} cells")
+        if v.shape != self.mu.shape or not np.all(np.isfinite(v)):
+            raise InvalidRangeError(f"values must be finite, one per cell "
+                                    f"({self.mu.size}): shape {v.shape}")
         if not matrix_free:
             return self.fast_apply(v)
         weighted = v * self.mu
@@ -119,7 +121,10 @@ class _BandPairTable:
     Node angles are (k + 1/2) / n, so between arcs k_a and k_b the angle
     of w is (m + delta) / N with m = (k_b s_b - k_a s_a) mod N and
     delta = (s_b - s_a) / 2, and the block (a, b) holds only the N values
-    k(r_a r_b e^{2 pi i (m + delta) / N}). They are evaluated on first use.
+    T_ab[m] = k(r_a r_b e^{2 pi i (m + delta) / N}), evaluated for a <= b:
+    T_ba[m] = conj T_ab[-m mod N], as k(conj w) = conj k(w). In the mode
+    domain, block (a, b) sends DFT entry m mod n_b of band b to entry
+    m mod n_a of band a times S_ab[m] n_a / N, S_ab = ifft(T_ab), m < N.
     """
 
     def __init__(self, quad: DiskQuadrature, kernel_of_w: Callable):
@@ -132,22 +137,27 @@ class _BandPairTable:
         sizes = self._span.ravel()
         self._offset = (np.cumsum(sizes) - sizes).reshape(self._span.shape)
         self._values = None
-        self._spectra = None
+        self._modes = None
 
     @property
     def values(self):
         """All band-pair tables, concatenated pair-major."""
         if self._values is None:
             radius = self.quad.nodes_r[[s.start for s in self._slices]]
+            upper = np.triu_indices(self._arcs.size)
             w = []
-            for a, n_a in enumerate(self._arcs):
-                for b, n_b in enumerate(self._arcs):
-                    span = self._span[a, b]
-                    delta = 0.5 * (span // n_b - span // n_a)
-                    angle = (np.arange(span) + delta) / span
-                    w.append(radius[a] * radius[b] *
-                             np.exp(2j * np.pi * angle))
-            self._values = np.asarray(self._kernel_of_w(np.concatenate(w)))
+            for a, b in zip(*upper):
+                span = self._span[a, b]
+                delta = 0.5 * (span // self._arcs[b] - span // self._arcs[a])
+                angle = (np.arange(span) + delta) / span
+                w.append(radius[a] * radius[b] * np.exp(2j * np.pi * angle))
+            k = np.asarray(self._kernel_of_w(np.concatenate(w)))
+            tables = np.empty(self._span.shape, dtype=object)
+            for a, b, t in zip(*upper, np.split(
+                    k, np.cumsum(self._span[upper])[:-1])):
+                tables[b, a] = np.conj(t[-np.arange(t.size) % t.size])
+                tables[a, b] = t   # a == b keeps the evaluated table
+            self._values = np.concatenate(tables.ravel())
         return self._values
 
     def rows(self, rows):
@@ -161,38 +171,28 @@ class _BandPairTable:
                - q.cell_arc[rows][:, None] * (span // self._arcs[a])) % span
         return self.values[self._offset[a, b] + pos]
 
-    def _pair_spectra(self):
-        """Per pair, sum_m T[m] e^{2 pi i p m / N}: the DFT of m -> T[-m],
-        which turns the correlation with T into a circular convolution."""
-        if self._spectra is None:
-            vals = self.values
-            self._spectra = [
-                [np.fft.ifft(vals[self._offset[a, b]:
-                                  self._offset[a, b] + self._span[a, b]],
-                             norm="forward")
-                 for b in range(self._arcs.size)]
-                for a in range(self._arcs.size)]
-        return self._spectra
+    @property
+    def modes(self):
+        """K as one CSR matrix on the concatenated per-band DFTs."""
+        if self._modes is None:
+            rows, cols, data = [], [], []
+            tables = np.split(self.values, self._offset.ravel()[1:])
+            for (a, b), t in zip(np.ndindex(self._span.shape), tables):
+                m = np.arange(t.size)
+                rows.append(self._slices[a].start + m % self._arcs[a])
+                cols.append(self._slices[b].start + m % self._arcs[b])
+                data.append(np.fft.ifft(t, norm="forward") *
+                            (self._arcs[a] / t.size))
+            n = self.quad.size
+            self._modes = csr_array((np.concatenate(data), (
+                np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+        return self._modes
 
     def correlate(self, g):
-        """K @ g, one FFT correlation per band pair.
-
-        Row band a needs out[k_a] = sum_{k_b} T[k_b s_b - k_a s_a] g[k_b]:
-        the column band is zero-stuffed to length N (its spectrum tiles
-        s_b times), and sampling every s_a-th output folds the product
-        spectrum s_a times onto length n_a.
-        """
-        spectra = self._pair_spectra()
-        g_hat = [np.fft.fft(g[s]) for s in self._slices]
-        out = np.empty(self.quad.size, dtype=complex)
-        for a, n_a in enumerate(self._arcs):
-            acc = np.zeros(n_a, dtype=complex)
-            for b, n_b in enumerate(self._arcs):
-                span = self._span[a, b]
-                prod = spectra[a][b] * np.tile(g_hat[b], span // n_b)
-                acc += prod.reshape(-1, n_a).sum(axis=0) * (n_a / span)
-            out[self._slices[a]] = np.fft.ifft(acc)
-        return out
+        """K @ g through the mode-domain matrix."""
+        g_hat = np.concatenate([np.fft.fft(g[s]) for s in self._slices])
+        acc = self.modes @ g_hat
+        return np.concatenate([np.fft.ifft(acc[s]) for s in self._slices])
 
 
 def _table_handle(quad, kernel_of_w, mu, positive):
@@ -313,6 +313,8 @@ def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
 def apply_sparse(T: SparseOperator, f: Field) -> Field:
     """Evaluate sum_S tau_S (E^mu_S f) 1_S; linear, positive on f >= 0."""
     require_same_quadrature(T.quad, f)
+    if not np.all(np.isfinite(f.values)):
+        raise InvalidRangeError("apply_sparse takes a finite field")
     return Field(T.quad, T.apply(f.values))
 
 
@@ -334,6 +336,7 @@ def projection_identity_error(spec: KernelSpec, quad: DiskQuadrature,
     J = 11); with j0 = 2 it stays within 5% of 2^-J through J = 11.
     """
     h = bergman_handle(spec, quad) if handle is None else handle
+    require_same_quadrature(quad, h)
     out = h.apply(np.ones(quad.size))
     return float(np.max(np.abs(out[quad.core_mask] - 1.0)))
 

@@ -307,7 +307,7 @@ def split_by_criterion(f: Field, g: Field, sigma: WeightField,
                         out=np.zeros(lv.count), where=m_u > 0.0)
         lhs = e_f ** p * msig
         rhs = e_g ** q * m_u
-        live = np.flatnonzero(lv.sums(mu) > 0.0)
+        live = np.flatnonzero(lv.masses > 0.0)
         first = lhs[live] >= rhs[live]
         s1 += zip(itertools.repeat(lv.level), live[first].tolist())
         s2 += zip(itertools.repeat(lv.level), live[~first].tolist())

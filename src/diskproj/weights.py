@@ -127,8 +127,9 @@ def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
         raise InvalidRangeError("B_p needs p in (1, inf)")
     quad = v.quad
     pprime = p / (p - 1.0)
-    dual_vals = np.power(v.values, -pprime / p)
     mass = quad.masses
+    mass_v = mass * v.values
+    mass_d = mass * np.power(v.values, -pprime / p)
     grids = [(beta, quad.levels(beta, depth)) for beta in GRID_SHIFTS]
     best, witness, skipped = 0.0, None, 0
     per_depth = []
@@ -136,9 +137,9 @@ def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
         level_best = 0.0
         for beta, levels in grids:
             lv = levels[level]
-            den = lv.sums(mass)
-            num_v = lv.sums(mass * v.values)
-            num_d = lv.sums(mass * dual_vals)
+            den = lv.masses
+            num_v = lv.sums(mass_v)
+            num_d = lv.sums(mass_d)
             ok = den > 0.0
             skipped += int(lv.count - ok.sum())
             if not ok.any():

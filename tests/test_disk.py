@@ -106,8 +106,8 @@ def test_quadrature_masses_exact():
 def test_dyadic_level_index():
     """Level l holds the cells of annuli j >= l (every cell at l = 0),
     which are the nodes with r >= 1 - 2^-l, each with the grid arc that
-    contains its angle; levels past J hold no cell, and the index is
-    built once per grid shift."""
+    contains its angle, and the mass of each square; levels past J hold
+    no cell, and the index is built once per grid shift."""
     for J, j0 in ((4, 0), (6, 1)):
         quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
         annulus = np.array([b.j for b in quad.bands])[quad.cell_band]
@@ -129,6 +129,12 @@ def test_dyadic_level_index():
                 for m in range(lv.count):
                     np.testing.assert_array_equal(lv.cells(m),
                                                   members[lv.arcs == m])
+                # the cached square masses: mu(S) of every grid square
+                np.testing.assert_allclose(
+                    lv.masses, [quad.masses[members[lv.arcs == m]].sum()
+                                for m in range(lv.count)], rtol=1e-14)
+                np.testing.assert_array_equal(lv.masses,
+                                              lv.sums(quad.masses))
             assert all(lv.start == quad.size and lv.arcs.size == 0
                        for lv in levels[J + 1:])
             again = quad.levels(beta, 2)

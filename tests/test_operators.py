@@ -10,7 +10,9 @@ Oracles used here:
     hand: diag(sqrt(u mu)) K diag(sqrt(sigma mu)) = diag(2 sqrt 3, 4).
   * the kernel handles' band-pair tables are pinned against kernels
     evaluated directly at every node pair w = z_j conj(z_i), the dense
-    route the tables replace.
+    route the tables replace; the mode-domain apply is pinned against
+    the rows gathered from the tables, and each (b, a) table filled by
+    conjugated reversal against the kernel at its own arguments.
   * the matrix-free norms are pinned against dense oracles on the
     gathered kernel: svdvals at p = 2, and at p != 2 a nonlinear power
     iteration from random starts, which must land inside the bracket.
@@ -22,6 +24,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -130,10 +133,12 @@ def test_table_route_matches_dense_oracle(nu_name, gamma, J, j0):
 
 
 def test_table_evaluates_each_band_pair_offset_once(monkeypatch):
+    """One kernel call, at the max(n_a, n_b) offsets of each unordered
+    band pair: the (b, a) tables are filled from the (a, b) ones."""
     quad = dk.build_quadrature(ms.lebesgue(), J=6, j0=0)
     arcs = [b.arc_count for b in quad.bands]
-    distinct = sum(max(a, b) for a in arcs for b in arcs)
-    assert distinct == 1670 < quad.size ** 2
+    distinct = sum(max(a, b) for i, a in enumerate(arcs) for b in arcs[i:])
+    assert distinct == 900 < quad.size ** 2
     sizes = []
     evaluate = op.kernel_integral_grid
 
@@ -149,6 +154,87 @@ def test_table_evaluates_each_band_pair_offset_once(monkeypatch):
     h.apply(ones, matrix_free=True)
     gather(h)
     assert sizes == [distinct]
+
+
+def table_of(h):
+    """The band-pair table behind a kernel handle."""
+    return h.kernel_block.__self__
+
+
+def table_cases(gamma, nu, quad):
+    """(name, handle, kernel of w) for the three kernel handles."""
+    spec = KernelSpec(gamma=gamma, nu=nu)
+    psi = op.PsiProfile(gamma, nu)
+    return [
+        ("bergman", op.bergman_handle(spec, quad),
+         lambda w: np.conj(kernel_integral_grid(spec, w))),
+        ("positive", op.positive_handle(spec, quad),
+         lambda w: np.abs(kernel_integral_grid(spec, w))),
+        ("psi-positive", op.psi_positive_handle(psi, quad),
+         lambda w: psi.kernel(w, 1.0))]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(J=st.integers(1, 7), j0=st.integers(0, 3),
+       kind=st.sampled_from(["bergman", "positive", "psi-positive"]),
+       nu_name=st.sampled_from(["atom", "lebesgue"]),
+       gamma=st.sampled_from([1.0, 2.0]), real=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_mode_apply_matches_gathered_rows(J, j0, kind, nu_name, gamma, real,
+                                          seed):
+    """The mode-domain apply against the rows gathered from the tables,
+    on complex fields, and on real fields for the positive handles."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+    h = next(h for name, h, _ in table_cases(gamma, NUS[nu_name], quad)
+             if name == kind)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(quad.size)
+    if not (real and h.positive):
+        f = f + 1j * rng.standard_normal(quad.size)
+    want = h.apply(f, matrix_free=True)
+    got = h.apply(f)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if h.positive and real:
+        assert np.isrealobj(got)
+
+
+@pytest.mark.parametrize("J, j0", [(6, 0), (5, 2)])
+def test_mode_matrix_has_one_nonzero_per_table_value(J, j0):
+    quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+    arcs = [b.arc_count for b in quad.bands]
+    size = sum(max(a, b) for a in arcs for b in arcs)
+    for _, h, _ in table_cases(1.0, ATOM1, quad):
+        table = table_of(h)
+        assert table.values.size == size
+        assert table.modes.shape == (quad.size, quad.size)
+        assert table.modes.nnz == size
+
+
+@pytest.mark.parametrize("J, j0", [(6, 0), (5, 2)])
+@pytest.mark.parametrize("nu_name", ["atom", "lebesgue"])
+def test_filled_tables_match_direct_evaluation(nu_name, J, j0):
+    """Every (b, a) table with b > a, filled by conjugated reversal, against
+    the kernel evaluated at its own arguments
+    r_a r_b e^{2 pi i (m + (s_a - s_b) / 2) / N}, pair-major."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+    arcs = [b.arc_count for b in quad.bands]
+    radius = [0.5 * (b.r_lo + b.r_hi) for b in quad.bands]
+    for name, h, kernel in table_cases(2.0, NUS[nu_name], quad):
+        values = table_of(h).values
+        scale = np.max(np.abs(values))
+        offset = 0
+        for b, n_b in enumerate(arcs):
+            for a, n_a in enumerate(arcs):
+                span = max(n_a, n_b)
+                if b > a:
+                    shift = 0.5 * (span // n_a - span // n_b)
+                    w = radius[a] * radius[b] * np.exp(
+                        2j * np.pi * (np.arange(span) + shift) / span)
+                    got = values[offset:offset + span]
+                    assert np.max(np.abs(got - kernel(w))) <= 1e-12 * scale, \
+                        (name, b, a)
+                offset += span
+        assert offset == values.size
 
 
 def test_projection_identity_error_density_deep():
@@ -272,6 +358,25 @@ def test_dyadic_inputs_out_of_range_raise(leb_quad5, call):
         call(leb_quad5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["bergman", "positive", "psi-positive",
+                                  "dyadic-0"])
+def test_nonfinite_fields_raise(leb_quad5, kind, bad):
+    """One NaN or inf cell would make every output cell NaN: the handle
+    apply, by either route, and apply_sparse reject it."""
+    f = np.ones(leb_quad5.size)
+    f[7] = bad
+    h = handle_kinds(leb_quad5)[kind]
+    for matrix_free in (False, True):
+        with pytest.raises(InvalidRangeError):
+            h.apply(f, matrix_free=matrix_free)
+        with pytest.raises(InvalidRangeError):
+            h.apply(f + 1j, matrix_free=matrix_free)
+    with pytest.raises(InvalidRangeError):
+        tw.apply_sparse(tw.sparse_bergman_model(std_psi(), leb_quad5),
+                        dk.Field(leb_quad5, f))
+
+
 MISMATCHED_QUADRATURE = {
     "weak11-projection": lambda q, o: wt.weak11_projection_check(
         wt.weight_field(q), dk.Field.constant(o, 1.0),
@@ -286,6 +391,8 @@ MISMATCHED_QUADRATURE = {
         wt.weight_field(q), 2.0, 2),
     "cz-weak11": lambda q, o: czd.cz_reconstruct_weak11_bound(
         STD, wt.weight_field(o), dk.Field.constant(q, 1.0), 2.0),
+    "identity-error": lambda q, o: op.projection_identity_error(
+        STD, q, handle=op.bergman_handle(STD, o)),
 }
 
 

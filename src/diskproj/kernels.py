@@ -4,9 +4,16 @@ Two evaluation routes are provided and cross-checked: the power series
 sum x^n / (2 omega_{2n+1}) driven by a moment sequence, and the integral
 form (1-w)^(-gamma) int dnu(r)/(1-rw). Every integral against nu here
 (moment tables, Cauchy transforms, the construction values F, the lower
-bound and the divergence proxy) runs on one engine, the graded
-Gauss-Legendre rule of nu.density_rule, vectorized over its arguments;
-each scalar function is its grid twin at one argument. The moment
+bound and the divergence proxy) runs on one engine, the Gauss-Legendre
+rules of nu.density_rule, vectorized over its arguments; each scalar
+function is its grid twin at one argument. The two Cauchy-type
+integrands, 1/(1-rw) and the lower bound's 1/|1-rw|, have one pole
+about |1-w| beyond r = 1; for a nu that declares an analytic density
+each argument runs on the rule graded toward 1 only as far as that
+distance needs, and otherwise on the full rule. Their arguments must
+therefore be finite, with |w| <= 1 and w != 1; anything else raises
+InvalidRangeError. Moments, F and the divergence proxy stay on the full
+rule, whose grading toward 0 fractional orders need. The moment
 construction turns a measure nu on [0,1] into the moment sequence of a
 radial weight whose kernel has exactly that integral form (gamma = 1),
 via
@@ -30,6 +37,7 @@ import numpy as np
 from .errors import (InvalidRangeError, QuadratureMismatchError,
                      SeparationError, TailVanishedError,
                      TruncationInfeasibleError)
+from ._integrate import argument_panels
 from .measures import DEFAULT_TOL, RadialMeasure
 
 MAX_SERIES_ARG = 1.0 - 2.0 ** -20
@@ -125,11 +133,11 @@ def kernel_series(moments: Sequence[float], x, tol=1e-12):
 
 # -- integral route -----------------------------------------------------------
 
-def _density_sums(nu: RadialMeasure, flat, integrand, tol=DEFAULT_TOL):
-    """sum_i c_i integrand(r_i, w) over the density rule of nu, for each w
-    in the 1-d array flat, in blocks of at most _GRID_BLOCK_ENTRIES node
-    x argument products."""
-    nodes, dens_w = nu.density_rule(tol=tol)
+def _rule_sums(rule, flat, integrand):
+    """sum_i c_i integrand(r_i, w) for the rule (r, c) at each w in the
+    1-d array flat, in blocks of at most _GRID_BLOCK_ENTRIES node x
+    argument products."""
+    nodes, dens_w = rule
     out = np.zeros(flat.shape, dtype=complex)
     block = max(1, _GRID_BLOCK_ENTRIES // max(nodes.size, 1))
     for start in range(0, flat.size, block):
@@ -139,12 +147,42 @@ def _density_sums(nu: RadialMeasure, flat, integrand, tol=DEFAULT_TOL):
     return out
 
 
-def nu_cauchy_grid(nu: RadialMeasure, w_values, tol=DEFAULT_TOL):
-    """int dnu(r) / (1 - r w) over an array of complex |w| < 1; atoms exact.
+def _density_sums(nu: RadialMeasure, flat, integrand, tol=DEFAULT_TOL):
+    """int integrand(r, w) density(r) dr for each w in the 1-d array flat,
+    for an integrand analytic in r up to a pole at r = 1/w.
 
-    A tol below the default selects a higher-order rule.
+    A measure declaring analytic_density runs each argument on the rule
+    graded as far toward r = 1 as its |1 - w| needs, the arguments
+    grouped by panel count with a stable sort; any other measure runs
+    every argument on the full rule.
+    """
+    if not nu.analytic_density:
+        return _rule_sums(nu.density_rule(tol=tol), flat, integrand)
+    panels = argument_panels(np.abs(1.0 - flat))
+    order = np.argsort(panels, kind="stable")
+    starts = np.flatnonzero(np.diff(panels[order], prepend=-1))
+    out = np.zeros(flat.shape, dtype=complex)
+    for lo, hi in zip(starts, [*starts[1:], flat.size]):
+        idx = order[lo:hi]
+        rule = nu.density_rule(tol=tol, panels=int(panels[idx[0]]))
+        out[idx] = _rule_sums(rule, flat[idx], integrand)
+    return out
+
+
+def nu_cauchy_grid(nu: RadialMeasure, w_values, tol=DEFAULT_TOL):
+    """int dnu(r) / (1 - r w) over an array of complex |w| <= 1, w != 1;
+    atoms exact.
+
+    The density rules assume the pole 1/w lies about |1 - w| beyond
+    r = 1, which holds only on the closed disk, so a non-finite w, |w| > 1
+    or w = 1 raises InvalidRangeError. A tol below the default selects a
+    higher-order rule.
     """
     w = np.asarray(w_values)
+    bad = ~np.isfinite(w) | (np.abs(w) > 1.0) | (w == 1.0)
+    if np.any(bad):
+        raise InvalidRangeError("Cauchy-transform arguments must be finite, "
+                                f"with |w| <= 1 and w != 1: {w[bad][0]}")
     flat = w.ravel()
     out = _density_sums(nu, flat, lambda r, x: 1.0 / (1.0 - r * x), tol)
     for loc, mass in nu.atoms:
@@ -160,8 +198,8 @@ def nu_cauchy_transform(nu: RadialMeasure, w, tol=DEFAULT_TOL):
 def kernel_integral_grid(spec: KernelSpec, w_values):
     """(1-w)^(-gamma) * int dnu/(1-rw), principal branch, over an array."""
     w = np.asarray(w_values, dtype=complex)
-    pref = (1.0 - w) ** (-spec.gamma)
-    return pref * nu_cauchy_grid(spec.nu, w)
+    transform = nu_cauchy_grid(spec.nu, w)
+    return (1.0 - w) ** (-spec.gamma) * transform
 
 
 def kernel_integral(spec: KernelSpec, w):

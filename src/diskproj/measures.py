@@ -6,12 +6,15 @@ everything downstream (quadratures, kernels, projections) is built on
 the three primitives implemented here: tails, moments and interval
 masses. Atom sums are exact. Integrals of the density part take one of
 two engines: moments, and every integral of the kernel layer, run on
-the graded Gauss-Legendre rule that density_rule maps onto an interval;
+the Gauss-Legendre rules that density_rule maps onto an interval;
 interval masses and tails run on adaptive composite Simpson quadrature
 (absolute tolerance 1e-12), which gives polynomial-density cell masses
 exactly. Both apply the same endpoint substitution to densities
 singular at r = 1.
-"""
+
+The catalog declares the densities of lebesgue, halfmix and integer-alpha
+power measures analytic on [0, 1] (analytic_density); only the kernel
+layer's Cauchy-type integrals use that, and moments keep the full rule."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._integrate import adaptive_simpson, graded_gl_rule
+from ._integrate import adaptive_simpson, argument_gl_rule, graded_gl_rule
 from .errors import InvalidRangeError
 
 DEFAULT_TOL = 1e-12
@@ -71,6 +74,13 @@ class RadialMeasure:
         a vectorized function of the gap s = 1 - r on [0, 1/8]. The
         substitution hands it s exactly, never s re-derived from a
         rounded r.
+    analytic_density : bool
+        Declares the density analytic on a neighborhood of [0, 1], as a
+        polynomial is. Integrals of the kernel layer then run on a rule
+        graded toward r = 1 only as far as each argument needs (see
+        density_rule's panels); moments keep the full rule. Never
+        inferred: a density singular or merely smooth at 0 or 1 must
+        leave it False.
     """
 
     name: str
@@ -78,6 +88,7 @@ class RadialMeasure:
     atoms: tuple = ()
     endpoint_power: float = 0.0
     endpoint_factor: Optional[Callable] = None
+    analytic_density: bool = False
 
     def __post_init__(self):
         for loc, mass in self.atoms:
@@ -90,13 +101,19 @@ class RadialMeasure:
         if self.endpoint_power < 0.0 and self.density is not None and \
                 self.endpoint_factor is None:
             raise InvalidRangeError("endpoint_power < 0 needs endpoint_factor")
+        if self.analytic_density and self.endpoint_power < 0.0:
+            raise InvalidRangeError("a density with endpoint_power < 0 is "
+                                    "not analytic at r = 1")
 
     # -- density integration -------------------------------------------------
 
-    def density_rule(self, a=0.0, b=1.0, tol=DEFAULT_TOL):
+    def density_rule(self, a=0.0, b=1.0, tol=DEFAULT_TOL, panels=None):
         """Nodes r_i and weights c_i with sum_i c_i g(r_i) approximating
         int_a^b g(r) density(r) dr: the graded Gauss-Legendre rule mapped
-        onto [a, b], its weights multiplied by the density.
+        onto [a, b], its weights multiplied by the density. panels = K
+        takes argument_gl_rule(K) instead, for an analytic g with one
+        pole about 2^-(K-3) beyond r = 1 and a measure that declares
+        analytic_density.
 
         For endpoint_power < 0 the part of [a, b] above 7/8 is mapped in
         u = (1-r)^(1+p) instead, where the weights are endpoint_factor
@@ -106,7 +123,9 @@ class RadialMeasure:
         """
         if self.density is None:
             return np.empty(0), np.empty(0)
-        x, w = graded_gl_rule(order=16 if tol >= DEFAULT_TOL else 24)
+        order = 16 if tol >= DEFAULT_TOL else 24
+        x, w = graded_gl_rule(order=order) if panels is None else \
+            argument_gl_rule(panels, order)
         if self.endpoint_power < 0.0 and b > _SUBSTITUTION_CUT:
             cut = max(a, _SUBSTITUTION_CUT)
             q = 1.0 + self.endpoint_power
@@ -198,11 +217,15 @@ class RadialMeasure:
 # -- catalog ------------------------------------------------------------------
 
 def lebesgue():
-    return RadialMeasure(name="lebesgue", density=lambda r: np.ones_like(np.asarray(r, dtype=float)))
+    return RadialMeasure(name="lebesgue", density=lambda r: np.ones_like(np.asarray(r, dtype=float)),
+                         analytic_density=True)
 
 
 def power_measure(alpha):
-    """Standard-weight shape (alpha+1)(1-r^2)^alpha dr, alpha > -1."""
+    """Standard-weight shape (alpha+1)(1-r^2)^alpha dr, alpha > -1.
+
+    An integer alpha gives a polynomial density, declared analytic.
+    """
     if alpha <= -1.0:
         raise InvalidRangeError("power measure needs alpha > -1")
 
@@ -216,7 +239,8 @@ def power_measure(alpha):
         return (alpha + 1.0) * np.power(2.0 - s, alpha)
 
     return RadialMeasure(name=f"power({alpha:g})", density=dens,
-                         endpoint_power=alpha, endpoint_factor=factor)
+                         endpoint_power=alpha, endpoint_factor=factor,
+                         analytic_density=float(alpha).is_integer())
 
 
 def point_mass(location=1.0, mass=1.0, name=None):
@@ -258,7 +282,7 @@ def half_atom_mix():
     """Lebesgue plus a unit atom at 1/2."""
     return RadialMeasure(name="halfmix",
                          density=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                         atoms=((0.5, 1.0),))
+                         atoms=((0.5, 1.0),), analytic_density=True)
 
 
 _CATALOG = {

@@ -14,7 +14,10 @@ Independent oracles used here:
 - the explicit difference constant at (c, gamma) = (2, 1) is 84 sqrt 2;
 - adaptive Simpson on the raw integrands (the helpers below) for the
   Cauchy transform, the lower bound, the kernel difference bound and the
-  construction values: the library runs all of these on the graded rule.
+  construction values: the library runs all of these on the graded rule;
+- the full-rule sums in blocks of _GRID_BLOCK_ENTRIES node x argument
+  products (full_rule_sums below), which measures that do not declare
+  an analytic density must reproduce bit for bit.
 """
 
 import math
@@ -25,7 +28,9 @@ from scipy.special import digamma
 
 from diskproj import kernels as kn
 from diskproj import measures as ms
-from diskproj._integrate import adaptive_simpson, graded_gl_rule
+from diskproj import operators as op
+from diskproj._integrate import (adaptive_simpson, argument_gl_rule,
+                                 argument_panels, graded_gl_rule)
 from diskproj.errors import (InvalidRangeError, SeparationError,
                              TruncationInfeasibleError)
 
@@ -51,6 +56,19 @@ def simpson_cauchy(nu, w):
 
 def simpson_kernel(spec, w):
     return (1.0 - w) ** -spec.gamma * simpson_cauchy(spec.nu, w)
+
+
+def full_rule_sums(nu, flat, integrand):
+    """sum_i c_i integrand(r_i, w) on the full density rule, in the
+    library's blocks of node x argument products."""
+    nodes, dens_w = nu.density_rule()
+    out = np.zeros(flat.shape, dtype=complex)
+    block = max(1, kn._GRID_BLOCK_ENTRIES // max(nodes.size, 1))
+    for start in range(0, flat.size, block):
+        seg = flat[start:start + block]
+        out[start:start + block] = dens_w @ integrand(nodes[:, None],
+                                                      seg[None, :])
+    return out
 
 
 # -- moment tables -------------------------------------------------------------
@@ -143,11 +161,112 @@ def test_kernel_spec_rejects_non_finite_gamma(gamma):
 
 def test_graded_rule_keeps_nodes_below_one():
     for order in (16, 24):   # the orders RadialMeasure.density_rule uses
-        nodes, weights = graded_gl_rule(order=order)
-        assert nodes.max() < 1.0
-        assert np.all(weights > 0.0)
+        rules = [graded_gl_rule(order=order)] + \
+            [argument_gl_rule(k, order) for k in range(3, 45)]
+        for nodes, weights in rules:
+            assert nodes.max() < 1.0
+            assert np.all(weights > 0.0)
+            assert abs(weights.sum() - 1.0) <= 1e-15
+    # the argument rule with the full rule's 44 panels toward 1 ends on
+    # the full rule's last 45 panels
+    for order in (16, 24):
+        tail = 45 * order
+        for got, want in zip(argument_gl_rule(44, order),
+                             graded_gl_rule(order=order)):
+            np.testing.assert_array_equal(got[-tail:], want[-tail:])
     with pytest.raises(InvalidRangeError):
         graded_gl_rule(n_panels=80)   # grades past double resolution at 1
+
+
+def test_argument_panels_follow_the_distance_to_one():
+    gap = np.array([2.0, 1.0, 0.5, 2.0 ** -10, 0.9 * 2.0 ** -10, 2.0 ** -41,
+                    2.0 ** -60, 5e-324])
+    np.testing.assert_array_equal(argument_panels(gap),
+                                  [3, 3, 4, 13, 14, 44, 44, 44])
+
+
+GRADED = {"lebesgue": ms.lebesgue(), "halfmix": ms.half_atom_mix(),
+          "power(0)": ms.power_measure(0.0), "power(1)": ms.power_measure(1.0),
+          "power(2)": ms.power_measure(2)}
+UNDECLARED = {"expinv": ms.expinv(), "power(0.5)": ms.power_measure(0.5),
+              "power(-0.5)": ms.power_measure(-0.5), "loginv": ms.loginv(),
+              "point1": ATOM1,
+              "sqrt": ms.RadialMeasure(name="sqrt", density=np.sqrt)}
+
+
+def test_analytic_density_is_declared_by_the_catalog():
+    for name, nu in GRADED.items():
+        assert nu.analytic_density, name
+    for name, nu in UNDECLARED.items():
+        assert not nu.analytic_density, name
+    assert not ms.power_measure(-0.999).analytic_density
+    with pytest.raises(InvalidRangeError):
+        ms.RadialMeasure(name="bad", density=np.ones_like, endpoint_power=-0.5,
+                         endpoint_factor=np.ones_like, analytic_density=True)
+
+
+@pytest.mark.parametrize("name", sorted(UNDECLARED))
+def test_undeclared_measures_keep_the_full_rule_bit_for_bit(name):
+    nu = UNDECLARED[name]
+    rng = np.random.default_rng(3)
+    gap = 2.0 ** -rng.uniform(0.0, 40.0, 2000)
+    z = (1.0 - gap) * np.exp(2j * np.pi * rng.random(2000))
+    z[::7] = 1.0 - gap[::7]          # real arguments close to 1
+    cauchy = full_rule_sums(nu, z, lambda r, x: 1.0 / (1.0 - r * x))
+    dist = full_rule_sums(nu, z, lambda r, x: 1.0 / np.abs(1.0 - r * x)).real
+    for loc, mass in nu.atoms:
+        cauchy += mass / (1.0 - loc * z)
+        dist += mass / np.abs(1.0 - loc * z)
+    assert np.array_equal(kn.nu_cauchy_grid(nu, z), cauchy)
+    lhs, rhs, _ = kn.lower_bound_eq4_grid(nu, z)
+    assert np.array_equal(lhs, np.abs(cauchy))
+    assert np.array_equal(rhs, dist / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_argument_groups_keep_each_value_in_place(name):
+    # arguments of every panel count, interleaved: the grid sorts them by
+    # panel count and must put each sum back where its argument was
+    nu = GRADED[name]
+    rng = np.random.default_rng(4)
+    gap = 2.0 ** -rng.uniform(0.0, 44.0, 400)
+    z = ((1.0 - gap) * np.exp(2j * np.pi * rng.random(400))).reshape(20, 20)
+    grid = kn.nu_cauchy_grid(nu, z)
+    _, rhs, _ = kn.lower_bound_eq4_grid(nu, z)
+    assert grid.shape == rhs.shape == (20, 20)
+    one = [kn.nu_cauchy_grid(nu, [x])[0] for x in z.ravel()]
+    np.testing.assert_allclose(grid.ravel(), one, rtol=1e-14)
+    one = [kn.lower_bound_eq4_grid(nu, [x])[1][0] for x in z.ravel()]
+    np.testing.assert_allclose(rhs.ravel(), one, rtol=1e-14)
+
+
+@pytest.mark.parametrize("w", [1.5, -1.0 - 1e-9, 0.8 + 0.8j, 1.0, 1.0 + 0j,
+                               math.nan, math.inf, complex(0.5, math.nan),
+                               -math.inf])
+def test_cauchy_transform_rejects_arguments_off_the_closed_disk(w):
+    spec = kn.KernelSpec(gamma=1.0, nu=ms.lebesgue())
+    for nu in (ms.lebesgue(), ATOM1, ms.expinv()):
+        with pytest.raises(InvalidRangeError):
+            kn.nu_cauchy_grid(nu, [0.5, w])
+        with pytest.raises(InvalidRangeError):
+            kn.nu_cauchy_transform(nu, w)
+    with pytest.raises(InvalidRangeError):
+        kn.kernel_integral_grid(spec, np.array([w, 0.0]))
+    with pytest.raises(InvalidRangeError):
+        kn.lower_bound_eq4_grid(ms.lebesgue(), [w])
+    if not isinstance(w, complex):
+        with pytest.raises(InvalidRangeError):
+            op.PsiProfile(1.0, ms.lebesgue())(1.0 - w)
+
+
+def test_cauchy_transform_accepts_the_closed_disk_minus_one_point():
+    # |w| = 1 away from w = 1 is a pole off [0, 1]: finite, closed form
+    w = np.array([-1.0, 1j, -1j, np.exp(0.01j), 0.0])
+    got = kn.nu_cauchy_grid(ms.lebesgue(), w)
+    want = np.concatenate((-np.log1p(-w[:-1]) / w[:-1], [1.0]))
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+    assert op.PsiProfile(1.0, ms.lebesgue())(2.0) == \
+        pytest.approx(math.log(2.0), rel=1e-14)
 
 
 def test_series_and_integral_routes_agree_for_log_kernel():

@@ -219,18 +219,22 @@ def run_comparability(cfg: ExperimentConfig):
     ok &= _row(rows, suite, "dyadic-containment", "10000 arcs <= 1/4",
                worst, 4.0, worst <= 4.0 and contained)
 
+    quads = [dk.build_quadrature(ms.lebesgue(), J=J, j0=cfg.j0)
+             for J in (8, 10)]
     for nu, tag in ((ms.point_mass(1.0, 1.0), "atom1"),
                     (ms.lebesgue(), "lebesgue")):
         psi = op.PsiProfile(1.0, nu)
-        lo1, hi1 = op.comparability_constants(psi, 10 ** 4, cfg.seed, J=8)
-        lo2, hi2 = op.comparability_constants(psi, 10 ** 4, cfg.seed, J=10)
-        ok &= _row(rows, suite, "kernel-comparability-low", f"psi={tag}",
-                   lo1, 0.0, lo1 > 0.0)
-        ok &= _row(rows, suite, "kernel-comparability-high", f"psi={tag}",
-                   hi1, math.inf, math.isfinite(hi1))
+        (lo1, hi1), (lo2, hi2) = (op.comparability_constants(psi, q)
+                                  for q in quads)
+        ok &= _row(rows, suite, "kernel-comparability-low",
+                   f"psi={tag}, node pairs J 8", lo1, 0.0, lo1 > 0.0)
+        ok &= _row(rows, suite, "kernel-comparability-high",
+                   f"psi={tag}, node pairs J 8", hi1, math.inf,
+                   math.isfinite(hi1))
         drift = max(abs(lo2 / lo1 - 1.0), abs(hi2 / hi1 - 1.0))
         ok &= _row(rows, suite, "kernel-comparability-stability",
-                   f"psi={tag}, J 8->10", drift, 0.2, drift <= 0.2)
+                   f"psi={tag}, node pairs J 8->10", drift, 0.2,
+                   drift <= 0.2)
     return rows, ok, {}
 
 

@@ -71,6 +71,15 @@ def check_grid(beta, L_max):
         raise InvalidRangeError(f"level cap must be an integer >= 0: {L_max}")
 
 
+def finite_table(values, shape, name):
+    """values as an array of the given shape, every entry finite."""
+    arr = np.asarray(values)
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise InvalidRangeError(f"{name} must be finite, shape {shape}: "
+                                f"{arr.shape}")
+    return arr
+
+
 def nonnegative_table(values, shape, name):
     """values as a float array of the given shape, finite and >= 0."""
     arr = np.asarray(values, dtype=float)

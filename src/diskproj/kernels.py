@@ -334,8 +334,8 @@ def moments_from_phi(phi_values):
     """omega_{2n+1} = 1/(2 sum_{j<=n} phi(j)): the odd-order moments a
     coefficient sequence phi-hat generates through the construction."""
     phi = np.asarray(phi_values, dtype=float)
-    if np.any(phi <= 0.0):
-        raise InvalidRangeError("phi coefficients must be positive")
+    if not np.all(np.isfinite(phi) & (phi > 0.0)):
+        raise InvalidRangeError("phi coefficients must be finite and positive")
     return 1.0 / (2.0 * np.cumsum(phi))
 
 
@@ -351,8 +351,10 @@ class MonotonicityReport:
 def check_completely_monotone(seq, k_max, tol=1e-12) -> MonotonicityReport:
     """Check (-1)^k (Delta^k m)_n >= -tol for k = 0..k_max."""
     m = np.asarray(seq, dtype=float)
-    if m.size < k_max + 1:
-        raise InvalidRangeError("sequence too short for requested order")
+    if not (isinstance(k_max, (int, np.integer)) and 0 <= k_max < m.size
+            and np.all(np.isfinite(m))):
+        raise InvalidRangeError("need an integer order k_max >= 0 and a "
+                                "finite sequence of length k_max + 1")
     diff = m.copy()
     for k in range(k_max + 1):
         signed = diff if k % 2 == 0 else -diff
@@ -421,7 +423,10 @@ def shi_ratio(spec: KernelSpec, omega, x, tol=DEFAULT_TOL):
 
 def difference_constant(c, gamma):
     """C(c, gamma) = sqrt(2) (2+gamma) c^(gamma+1) (3c+1) / (c-1)^(gamma+2)."""
-    if c <= 1.0:
-        raise InvalidRangeError("separation parameter c must be > 1")
-    return math.sqrt(2.0) * (2.0 + gamma) * c ** (gamma + 1.0) * \
-        (3.0 * c + 1.0) / (c - 1.0) ** (gamma + 2.0)
+    if not (1.0 < c < math.inf and 1.0 <= gamma < math.inf):
+        raise InvalidRangeError("need finite c > 1 and gamma >= 1")
+    try:
+        return math.sqrt(2.0) * (2.0 + gamma) * c ** (gamma + 1.0) * \
+            (3.0 * c + 1.0) / (c - 1.0) ** (gamma + 2.0)
+    except OverflowError:
+        raise InvalidRangeError(f"C({c}, {gamma}) overflows") from None

@@ -39,8 +39,8 @@ from scipy.optimize import bisect
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
-from .disk import (Arc, DiskQuadrature, Field, arc_index, carleson_square,
-                   check_grid, nonnegative_table, require_same_quadrature)
+from .disk import (GRID_SHIFTS, Arc, DiskQuadrature, Field, carleson_square,
+                   finite_table, nonnegative_table, require_same_quadrature)
 from .errors import (InvalidRangeError, NoAdmissiblePairError,
                      NoConvergenceError)
 from .kernels import KernelSpec, kernel_integral_grid, nu_cauchy_grid
@@ -99,10 +99,7 @@ class OperatorHandle:
     def apply(self, values, matrix_free=False):
         """K @ (values * mu) by fast_apply; with matrix_free=True, by
         kernel rows gathered block by block instead."""
-        v = np.asarray(values)
-        if v.shape != self.mu.shape or not np.all(np.isfinite(v)):
-            raise InvalidRangeError(f"values must be finite, one per cell "
-                                    f"({self.mu.size}): shape {v.shape}")
+        v = finite_table(values, self.mu.shape, "values")
         if not matrix_free:
             return self.fast_apply(v)
         weighted = v * self.mu
@@ -284,7 +281,8 @@ class SparseOperator:
             arc_of = np.full(self.quad.size, -1)
             arc_of[lv.start:] = lv.arcs
             same = arc_of[rows][:, None] == lv.arcs[None, :]
-            out[:, lv.start:] += np.where(same, weight[lv.arcs], 0.0)
+            tail = out[:, lv.start:]   # a view: add in place, no temporary
+            np.add(tail, weight[lv.arcs], out=tail, where=same)
         return out
 
     def handle(self) -> OperatorHandle:
@@ -313,9 +311,7 @@ def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
 def apply_sparse(T: SparseOperator, f: Field) -> Field:
     """Evaluate sum_S tau_S (E^mu_S f) 1_S; linear, positive on f >= 0."""
     require_same_quadrature(T.quad, f)
-    if not np.all(np.isfinite(f.values)):
-        raise InvalidRangeError("apply_sparse takes a finite field")
-    return Field(T.quad, T.apply(f.values))
+    return Field(T.quad, T.apply(finite_table(f.values, f.values.shape, "f")))
 
 
 def dyadic_handle(beta, psi: PsiProfile, quad: DiskQuadrature, L_max=None,
@@ -341,49 +337,27 @@ def projection_identity_error(spec: KernelSpec, quad: DiskQuadrature,
     return float(np.max(np.abs(out[quad.core_mask] - 1.0)))
 
 
-# -- dyadic kernels and comparability ------------------------------------------
+# -- kernel comparability -----------------------------------------------------
 
-def _dyadic_kernel_pairs(beta, psi, z, zeta, L_max):
-    """sum over grid squares S(I), level <= L_max, containing both points,
-    of Psi(|I|)/|I|, over paired point arrays. Levels are scanned
-    independently: the half-shifted family is not nested, so membership
-    is not monotone in the level."""
-    check_grid(beta, L_max)
-    rz, rw = np.abs(z), np.abs(zeta)
-    tz = (np.angle(z) / (2 * np.pi)) % 1.0
-    tw = (np.angle(zeta) / (2 * np.pi)) % 1.0
-    out = np.zeros(np.shape(z))
-    for l in range(L_max + 1):
-        thr = 1.0 - 2.0 ** -l
-        both = (rz >= thr) & (rw >= thr) & \
-            (arc_index(beta, l, tz) == arc_index(beta, l, tw))
-        out[both] += float(psi(2.0 ** -l)) * 2.0 ** l
-    return out
-
-
-def comparability_constants(psi: PsiProfile, sample_count, seed, J=8,
-                            L_max=None):
-    """min and max over sampled pairs of K_Psi / (K^0 + K^(1/2)).
-
-    Points are sampled boundary-clustered in the truncated disk of
-    depth J; the dyadic kernels are capped at L_max (default J + 1).
-    The denominator is never zero: the root square holds every point.
-    """
-    if sample_count <= 0:
-        raise InvalidRangeError("sample_count must be positive")
-    L_max = J + 1 if L_max is None else L_max
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(size=(2, sample_count))
-    r = 1.0 - np.power(2.0, -u[0] * (J + 1))
-    t = rng.uniform(size=(2, sample_count))
-    z = r * np.exp(2j * np.pi * t[0])
-    zeta = (1.0 - np.power(2.0, -u[1] * (J + 1))) * np.exp(2j * np.pi * t[1])
-    sep = np.abs(1.0 - np.conj(zeta) * z)
-    k_psi = psi(sep) / sep
-    denom = (_dyadic_kernel_pairs(0.0, psi, z, zeta, L_max) +
-             _dyadic_kernel_pairs(0.5, psi, z, zeta, L_max))
-    ratio = k_psi / denom
-    return float(ratio.min()), float(ratio.max())
+def comparability_constants(psi: PsiProfile, quad: DiskQuadrature):
+    """min and max over the quadrature's node pairs of
+    K_Psi / (K^0 + K^(1/2)), dyadic levels 0..J: the Psi handle's table
+    over the dyadic handles' kernel rows, in row blocks. The half turn
+    t -> t + 1/2 keeps the nodes and both grids, so rows t < 1/2 hold
+    every value; for j0 >= 1, where no node lies on an arc end, so does
+    the reflection t -> 1 - t, and rows t < 1/4 suffice. The root square
+    holds every node, so the denominator is never zero."""
+    numerator = psi_positive_handle(psi, quad).kernel_block
+    dyadic = [dyadic_handle(beta, psi, quad).kernel_block
+              for beta in GRID_SHIFTS]
+    rows = np.flatnonzero(quad.nodes_t < (0.25 if quad.j0 else 0.5))
+    step = max(1, _GATHER_ENTRIES // quad.size)
+    lo, hi = math.inf, 0.0
+    for s in range(0, rows.size, step):
+        block = rows[s:s + step]
+        ratio = numerator(block) / sum(k(block) for k in dyadic)
+        lo, hi = min(lo, ratio.min()), max(hi, ratio.max())
+    return float(lo), float(hi)
 
 
 # -- lower-bound lemmas --------------------------------------------------------
@@ -392,14 +366,18 @@ def separation_thresholds(gamma):
     """(D1, D2): D1 is the smallest separation multiple with
     sqrt(2)(2+gamma) c^gamma (3c+1)/(c-1)^(gamma+2) <= 1/2 at
     c = (1/3 + D1)/sqrt(2); D2 = D1 + 2. Found by bisection (the left
-    side is strictly decreasing in c on (1, inf))."""
+    side is strictly decreasing in c on (1, inf)), on its logarithm,
+    which has the same sign and does not overflow at large gamma."""
+    if not 1.0 <= gamma < math.inf:
+        raise InvalidRangeError(f"gamma must be finite and >= 1: {gamma}")
 
     def g(d):
         c = (1.0 / 3.0 + d) / math.sqrt(2.0)
         if c <= 1.0:
             return math.inf
-        return math.sqrt(2.0) * (2.0 + gamma) * c ** gamma * (3.0 * c + 1.0) \
-            / (c - 1.0) ** (gamma + 2.0) - 0.5
+        return math.log(2.0 * math.sqrt(2.0) * (2.0 + gamma) *
+                        (3.0 * c + 1.0)) \
+            + gamma * math.log(c / (c - 1.0)) - 2.0 * math.log(c - 1.0)
 
     lo = math.sqrt(2.0) - 1.0 / 3.0 + 1e-9
     hi = 10.0

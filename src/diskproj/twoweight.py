@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .disk import (DiskQuadrature, DyadicInterval, Field,
+from .disk import (DiskQuadrature, DyadicInterval, Field, nonnegative_table,
                    require_same_quadrature)
 from .errors import InvalidRangeError
 from .kernels import KernelSpec
@@ -293,9 +293,8 @@ def split_by_criterion(f: Field, g: Field, sigma: WeightField,
     q = _conjugate(p)
     quad = f.quad
     require_same_quadrature(quad, g, sigma, u)
-    fv, gv = np.asarray(f.values), np.asarray(g.values)
-    if np.any(fv < 0.0) or np.any(gv < 0.0):
-        raise InvalidRangeError("the splitting criterion takes f, g >= 0")
+    fv, gv = (nonnegative_table(h.values, (quad.size,), name)
+              for h, name in ((f, "f"), (g, "g")))
     mu = quad.masses
     sig_mu, u_mu = sigma.values * mu, u.values * mu
     s1, s2 = [], []

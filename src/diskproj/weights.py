@@ -38,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .disk import (GRID_SHIFTS, DiskQuadrature, Field, nonnegative_table,
-                   require_same_quadrature)
+from .disk import (GRID_SHIFTS, DiskQuadrature, Field, finite_table,
+                   nonnegative_table, require_same_quadrature)
 from .errors import ConfigError, InvalidRangeError
 
 
@@ -269,7 +269,7 @@ def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values,
     pass per level."""
     L_max = quad.J if L_max is None else L_max
     nu = nonnegative_table(nu_masses, (quad.size,), "nu_masses")
-    nu_f = nu * np.abs(np.asarray(f_values))
+    nu_f = nu * np.abs(finite_table(f_values, (quad.size,), "f"))
     out = np.zeros(quad.size)
     for lv in quad.levels(beta, L_max):
         den = lv.sums(nu)
@@ -309,8 +309,10 @@ def weak11_projection_check(v: WeightField, f: Field, projected: Field):
     """sup_lambda lambda (v omega x m)({|Pf| > lambda}) / ||f||_{L^1(v)}
     for a precomputed projection output (P_omega f or P+_omega f)."""
     require_same_quadrature(v.quad, f, projected)
+    f_abs, pf_abs = (np.abs(finite_table(h.values, h.values.shape, name))
+                     for h, name in ((f, "f"), (projected, "projected")))
     meas = v.values * v.quad.masses
-    norm1 = float(np.sum(np.abs(f.values) * meas))
+    norm1 = float(np.sum(f_abs * meas))
     if norm1 <= 0.0:
         return 0.0
-    return _exact_weak_sup(np.abs(projected.values), meas) / norm1
+    return _exact_weak_sup(pf_abs, meas) / norm1

@@ -7,11 +7,15 @@ paths substitute a stub suite.
 """
 
 import argparse
+import csv
 from pathlib import Path
 
 import pytest
 
 from diskproj import cli
+from diskproj import disk as dk
+from diskproj import measures as ms
+from diskproj import operators as op
 from diskproj.errors import ConfigError, NoConvergenceError
 
 
@@ -92,6 +96,43 @@ def test_config_errors(tmp_path, capsys):
         assert cli.main(["--config", str(ini), "--out", str(tmp_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "twoweight.csv").exists()
+
+
+def kernel_comparability_rows(out):
+    with open(out / "comparability.csv", newline="") as fh:
+        return [r for r in csv.DictReader(fh)
+                if r["check"].startswith("kernel-comparability-")]
+
+
+def test_comparability_kernel_rows_are_seed_free(tmp_path):
+    """The kernel rows are extremes over node pairs, so no seed enters
+    them; at seed 11 the sampled estimate used to drift past 0.2."""
+    code0, out0 = run_main(tmp_path / "s0", "--suite", "comparability",
+                           "--seed", "0")
+    code11, out11 = run_main(tmp_path / "s11", "--suite", "comparability",
+                             "--seed", "11")
+    assert code0 == code11 == 0
+    rows = kernel_comparability_rows(out0)
+    assert len(rows) == 6
+    assert rows == kernel_comparability_rows(out11)
+
+
+def test_comparability_honors_j0(tmp_path):
+    ini = tmp_path / "j0.ini"
+    ini.write_text("[run]\nsuite = comparability\nj0 = 0\n")
+    code = cli.main(["--config", str(ini), "--out", str(tmp_path / "out"),
+                     "--no-timestamp"])
+    assert code == 0
+    psi = op.PsiProfile(1.0, ms.point_mass(1.0, 1.0))
+    lo, hi = op.comparability_constants(
+        psi, dk.build_quadrature(ms.lebesgue(), J=8, j0=0))
+    got = {r["check"]: r["value"] for r in kernel_comparability_rows(
+        tmp_path / "out") if r["inputs"] == "psi=atom1, node pairs J 8"}
+    assert got == {"kernel-comparability-low": cli._fmt(lo),
+                   "kernel-comparability-high": cli._fmt(hi)}
+    # the default j0 = 1 reads other extremes
+    assert lo != op.comparability_constants(
+        psi, dk.build_quadrature(ms.lebesgue(), J=8))[0]
 
 
 def test_depth_out_of_range(tmp_path):

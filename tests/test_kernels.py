@@ -369,8 +369,9 @@ def test_harmonic_phi_partial_sums_closed_form():
 def test_moments_from_phi_and_inversion():
     np.testing.assert_allclose(kn.moments_from_phi([1.0, 1.0, 1.0]),
                                [0.5, 0.25, 1.0 / 6.0], rtol=1e-14)
-    with pytest.raises(InvalidRangeError):
-        kn.moments_from_phi([1.0, 0.0])
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidRangeError):
+            kn.moments_from_phi([1.0, bad])
 
 
 # -- analytic verifiers ----------------------------------------------------------
@@ -387,6 +388,12 @@ def test_completely_monotone_sequences():
     assert kn.check_completely_monotone(table, k_max=8).passed
     with pytest.raises(InvalidRangeError):
         kn.check_completely_monotone([1.0, 0.5], k_max=5)
+    # a non-finite sequence or a negative order checks nothing
+    for seq, k_max in (([math.nan] * 5, 2), ([math.inf] * 5, 2),
+                       ([1.0, math.nan, 0.25], 1), ([1.0, 0.5], -1),
+                       ([1.0, 0.5], 0.5)):
+        with pytest.raises(InvalidRangeError):
+            kn.check_completely_monotone(seq, k_max=k_max)
 
 
 def test_transform_lower_bound_atom_is_sqrt2_on_reals():
@@ -420,8 +427,11 @@ def test_difference_constant_closed_form():
     want = math.sqrt(2.0) * (2.0 + g) * c ** (g + 1.0) * (3.0 * c + 1.0) \
         / (c - 1.0) ** (g + 2.0)
     assert kn.difference_constant(c, g) == pytest.approx(want, rel=1e-15)
-    with pytest.raises(InvalidRangeError):
-        kn.difference_constant(1.0, 1.0)
+    for c, gamma in ((1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                     (2.0, math.nan), (2.0, math.inf), (2.0, 0.5),
+                     (2.0, 1e4)):   # the last overflows
+        with pytest.raises(InvalidRangeError):
+            kn.difference_constant(c, gamma)
 
 
 def test_difference_bound_scalar_grid_and_guards():

@@ -16,6 +16,12 @@ Oracles used here:
   * the matrix-free norms are pinned against dense oracles on the
     gathered kernel: svdvals at p = 2, and at p != 2 a nonlinear power
     iteration from random starts, which must land inside the bracket.
+  * the comparability constants, the extremes over node pairs of
+    K_Psi / (K^0 + K^(1/2)), are pinned against the pointwise route the
+    library used to sample: psi at |1 - conj(zeta) z| over dyadic
+    kernels that test square membership level by level with a radius
+    threshold and an arc index, at every node pair; and the rows the
+    library reads against all rows, bitwise.
 Deterministic grid quantities (identity error, comparability range)
 were computed once and frozen.
 """
@@ -291,21 +297,66 @@ def test_sparse_apply_complex_field(beta, J):
     assert np.isrealobj(T.apply(f.real))
 
 
+def dyadic_kernel_polar(beta, psi, r1, t1, r2, t2, L_max):
+    """sum over grid squares S(I), level <= L_max, containing both points
+    (r1, t1) and (r2, t2), t in turns, of Psi(|I|)/|I|, over paired
+    arrays. Levels are scanned independently: the half-shifted family is
+    not nested, so membership is not monotone in the level."""
+    out = np.zeros(np.broadcast(r1, t1, r2, t2).shape)
+    for l in range(L_max + 1):
+        thr = 1.0 - 2.0 ** -l
+        both = (r1 >= thr) & (r2 >= thr) & \
+            (dk.arc_index(beta, l, t1) == dk.arc_index(beta, l, t2))
+        out[both] += float(psi(2.0 ** -l)) * 2.0 ** l
+    return out
+
+
+def dyadic_kernel_pairs(beta, psi, z, zeta, L_max):
+    """dyadic_kernel_polar at paired points of the disk."""
+    def turns(x):
+        return (np.angle(x) / (2 * np.pi)) % 1.0
+    return dyadic_kernel_polar(beta, psi, np.abs(z), turns(z), np.abs(zeta),
+                               turns(zeta), L_max)
+
+
+def pointwise_ratio(psi, r1, t1, r2, t2, L_max):
+    """K_Psi / (K^0 + K^(1/2)) at paired points in polar form, dyadic
+    levels <= L_max."""
+    z, zeta = r1 * np.exp(2j * np.pi * t1), r2 * np.exp(2j * np.pi * t2)
+    sep = np.abs(1.0 - np.conj(zeta) * z)
+    return psi(sep) / sep / sum(
+        dyadic_kernel_polar(beta, psi, r1, t1, r2, t2, L_max)
+        for beta in dk.GRID_SHIFTS)
+
+
+def sampled_comparability(psi, sample_count, seed, J=8, L_max=None):
+    """min and max of pointwise_ratio over pairs sampled boundary-clustered
+    in the truncated disk of depth J, dyadic levels <= L_max (default
+    J + 1): the estimator the comparability suite used to run."""
+    L_max = J + 1 if L_max is None else L_max
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(2, sample_count))
+    r = 1.0 - np.power(2.0, -u * (J + 1))
+    t = rng.uniform(size=(2, sample_count))
+    ratio = pointwise_ratio(psi, r[0], t[0], r[1], t[1], L_max)
+    return float(ratio.min()), float(ratio.max())
+
+
 def test_dyadic_kernel_hand_value():
     psi = std_psi()
     z = 0.9 * np.exp(2j * np.pi * 0.01)
     zeta = 0.9 * np.exp(2j * np.pi * 0.02)
     # shared squares at levels 0, 1, 2 with coefficients 4^l
-    assert float(op._dyadic_kernel_pairs(0.0, psi, z, zeta, 2)) == 21.0
+    assert float(dyadic_kernel_pairs(0.0, psi, z, zeta, 2)) == 21.0
     # radius 0.9 misses the level-4 band even though the arcs agree
-    assert float(op._dyadic_kernel_pairs(0.0, psi, z, zeta, 6)) == \
+    assert float(dyadic_kernel_pairs(0.0, psi, z, zeta, 6)) == \
         pytest.approx(21.0 + 64.0)
     # random pairs against a scan of every grid arc at every level
     rng = np.random.default_rng(2)
     zs = 0.97 * np.exp(2j * np.pi * rng.random(50))
     ws = 0.97 * np.exp(2j * np.pi * rng.random(50))
     for beta in (0.0, 0.5):
-        vec = op._dyadic_kernel_pairs(beta, psi, zs, ws, 6)
+        vec = dyadic_kernel_pairs(beta, psi, zs, ws, 6)
         want = np.zeros(zs.size)
         for k, (a, b) in enumerate(zip(zs, ws)):
             ta, tb = (np.angle([a, b]) / (2.0 * np.pi)) % 1.0
@@ -317,6 +368,69 @@ def test_dyadic_kernel_hand_value():
                     if arc.contains(ta) and arc.contains(tb):
                         want[k] += 4.0 ** level
         np.testing.assert_allclose(vec, want, rtol=1e-13)
+    # the sampled estimator keeps the values it gave in the library
+    lo, hi = sampled_comparability(psi, 200, seed=1)
+    assert lo == pytest.approx(0.019607385808610732, rel=1e-9)
+    assert hi == pytest.approx(1.3757575185586914, rel=1e-9)
+
+
+PSIS = {"atom1": std_psi(), "lebesgue": op.PsiProfile(1.0, ms.lebesgue())}
+
+
+@pytest.mark.parametrize("j0", [0, 1, 2])
+@pytest.mark.parametrize("psi_name", sorted(PSIS))
+def test_comparability_matches_pointwise_oracle(psi_name, j0):
+    """The extremes over node pairs against the pointwise ratio at every
+    node pair, dyadic levels <= J. The oracle takes the node angles as
+    they are: at j0 = 0 nodes lie on arc ends, and an angle recovered by
+    np.angle can fall into the arc before."""
+    psi = PSIS[psi_name]
+    for J in range(1, 7):
+        quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+        r, t = quad.nodes_r, quad.nodes_t
+        ratio = pointwise_ratio(psi, r[:, None], t[:, None], r[None, :],
+                                t[None, :], J)
+        want = (ratio.min(), ratio.max())
+        got = op.comparability_constants(psi, quad)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                   err_msg=f"J={J}")
+
+
+def all_row_ratio(psi, quad):
+    """K_Psi / (K^0 + K^(1/2)) at every node pair, from the handles."""
+    rows = np.arange(quad.size)
+    return op.psi_positive_handle(psi, quad).kernel_block(rows) / sum(
+        op.dyadic_handle(beta, psi, quad).kernel_block(rows)
+        for beta in dk.GRID_SHIFTS)
+
+
+@pytest.mark.parametrize("j0", [0, 1, 2, 3])
+def test_comparability_rows_hold_all_extremes(j0):
+    """The rows the library reads give bitwise the extremes of all rows."""
+    for psi in PSIS.values():
+        for J in range(1, 8):
+            quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+            ratio = all_row_ratio(psi, quad)
+            assert op.comparability_constants(psi, quad) == \
+                (ratio.min(), ratio.max()), (J, j0)
+
+
+@pytest.mark.parametrize("j0", [0, 1, 2])
+def test_dyadic_kernel_symmetries(j0):
+    """The half turn keeps the dyadic kernel sum at every j0; the
+    reflection t -> 1 - t keeps it only when no node lies on an arc end,
+    j0 >= 1. At j0 = 0 annulus-l nodes start half-shifted level-l arcs."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=5, j0=j0)
+    rows = np.arange(quad.size)
+    den = sum(op.dyadic_handle(beta, std_psi(), quad).kernel_block(rows)
+              for beta in dk.GRID_SHIFTS)
+    band, arc = quad.cell_band, quad.cell_arc
+    start = np.array([b.start for b in quad.bands])[band]
+    n = np.array([b.arc_count for b in quad.bands])[band]
+    turned = start + (arc + n // 2) % n
+    reflected = start + n - 1 - arc
+    np.testing.assert_array_equal(den[np.ix_(turned, turned)], den)
+    assert np.array_equal(den[np.ix_(reflected, reflected)], den) == (j0 > 0)
 
 
 BAD_DYADIC_INPUTS = {
@@ -333,8 +447,6 @@ BAD_DYADIC_INPUTS = {
         q, q.masses, 0.0, np.ones(q.size), L_max=-2),
     "handle-cap-negative": lambda q: op.dyadic_handle(0.0, std_psi(), q,
                                                       L_max=-1),
-    "comparability-cap-negative": lambda q: op.comparability_constants(
-        std_psi(), 10, seed=0, L_max=-1),
     "shift-off-grid": lambda q: op.dyadic_handle(0.3, std_psi(), q),
     "psi-handle-mu-negative": lambda q: op.psi_positive_handle(
         std_psi(), q, mu=-q.masses),
@@ -358,14 +470,40 @@ def test_dyadic_inputs_out_of_range_raise(leb_quad5, call):
         call(leb_quad5)
 
 
+def one_field(q):
+    return dk.Field.constant(q, 1.0)
+
+
+NONFINITE_FIELD_CALLS = {
+    "dyadic-maximal": lambda q, f: wt.dyadic_maximal(q, q.masses, 0.0, f),
+    "weak11-maximal": lambda q, f: wt.weak11_maximal_check(
+        q, q.masses, 0.5, dk.Field(q, f)),
+    "weak11-projection-f": lambda q, f: wt.weak11_projection_check(
+        wt.weight_field(q), dk.Field(q, f), one_field(q)),
+    "weak11-projection-output": lambda q, f: wt.weak11_projection_check(
+        wt.weight_field(q), dk.Field.constant(q, 0.0), dk.Field(q, f)),
+    "split-f": lambda q, f: tw.split_by_criterion(
+        dk.Field(q, f), one_field(q), wt.weight_field(q),
+        wt.weight_field(q), 2.0, 2),
+    "split-g": lambda q, f: tw.split_by_criterion(
+        one_field(q), dk.Field(q, f), wt.weight_field(q),
+        wt.weight_field(q), 2.0, 2),
+}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kind", ["bergman", "positive", "psi-positive",
-                                  "dyadic-0"])
+                                  "dyadic-0", *NONFINITE_FIELD_CALLS])
 def test_nonfinite_fields_raise(leb_quad5, kind, bad):
     """One NaN or inf cell would make every output cell NaN: the handle
-    apply, by either route, and apply_sparse reject it."""
+    apply, by either route, apply_sparse, the dyadic maximal function,
+    the weak (1,1) ratios and the splitting criterion reject it."""
     f = np.ones(leb_quad5.size)
     f[7] = bad
+    if kind in NONFINITE_FIELD_CALLS:
+        with pytest.raises(InvalidRangeError):
+            NONFINITE_FIELD_CALLS[kind](leb_quad5, f)
+        return
     h = handle_kinds(leb_quad5)[kind]
     for matrix_free in (False, True):
         with pytest.raises(InvalidRangeError):
@@ -414,12 +552,11 @@ def test_mismatched_quadratures_raise(leb_quad5, leb_quad6, call, other,
 
 
 def test_comparability_constants():
-    lo, hi = op.comparability_constants(std_psi(), 200, seed=1)
+    quad = dk.build_quadrature(ms.lebesgue(), J=6, j0=1)
+    lo, hi = op.comparability_constants(std_psi(), quad)
     assert 0.0 < lo <= hi < math.inf
-    assert lo == pytest.approx(0.019607385808610732, rel=1e-9)
-    assert hi == pytest.approx(1.3757575185586914, rel=1e-9)
-    with pytest.raises(InvalidRangeError):
-        op.comparability_constants(std_psi(), 0, seed=1)
+    assert lo == pytest.approx(0.018623256609585713, rel=1e-12)
+    assert hi == pytest.approx(1.2614771880125706, rel=1e-12)
 
 
 def margin(d, gamma):
@@ -438,6 +575,13 @@ def test_separation_thresholds():
     d1b, _ = op.separation_thresholds(2.0)
     assert d1b == pytest.approx(53.524718378458054, abs=1e-6)
     assert d1b > d1
+    # the bisection runs on the log of the margin, so a large gamma
+    # does not overflow; gamma outside [1, inf) is rejected
+    d1c, _ = op.separation_thresholds(1e6)
+    assert math.isfinite(d1c) and d1c > d1b
+    for gamma in (math.nan, math.inf, 0.5, -3.0):
+        with pytest.raises(InvalidRangeError):
+            op.separation_thresholds(gamma)
 
 
 def test_separated_square_lower_bound():

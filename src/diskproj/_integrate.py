@@ -13,11 +13,11 @@ Two engines are provided, each with one job:
   grades toward 1 only as far as the pole's distance needs
   (argument_panels);
 * an adaptive composite Simpson rule (recursive bisection) to an
-  absolute tolerance, kept for the interval masses of a radial
-  measure: on polynomial densities its sums reproduce cell masses such
-  as Lebesgue dyadic lengths exactly, which a Gauss-Legendre sum misses
-  by an ulp. The test suite also uses it as the independent oracle for
-  the graded rule.
+  absolute tolerance, kept for the interval masses of a radial measure,
+  which set it relative to the interval: on polynomial densities its
+  sums reproduce cell masses such as Lebesgue dyadic lengths exactly,
+  which a Gauss-Legendre sum misses by an ulp. The test suite also uses
+  it as the independent oracle for the graded rule.
 
 Both are deterministic."""
 

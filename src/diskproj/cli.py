@@ -394,8 +394,7 @@ def run_twoweight(cfg: ExperimentConfig):
             point_worst = max(point_worst, float(
                 np.max(lhs[live] / rhs[live])))
         total = tw.carleson_embedding_sum(fam, p)
-        m_fn = wt.dyadic_maximal(quad, fam.sigma_mu, 0.0, fam.f_abs,
-                                 L_max=fam.level_cap)
+        m_fn = wt.dyadic_maximal(quad, fam.sigma_mu, 0.0, fam.f_abs)
         embed_ok &= total <= (4.0 / 3.0) ** p * float(
             np.sum(m_fn ** p * fam.sigma_mu)) * (1.0 + 1e-12)
         norm_p = float(np.sum(fam.f_abs ** p * fam.sigma_mu))

@@ -18,10 +18,11 @@ the stopping and testing passes carry arrays from one level to the next.
 
 That arithmetic lives in one cached index per quadrature and grid shift,
 DiskQuadrature.levels: the cells in some Carleson square of each level,
-a suffix of the band-major cell order, and their arc indices. Every
-per-level reduction (B_p, the dyadic maximal function, the dyadic
-operator, stopping and testing) runs on it, and it is the one place that
-checks a grid shift and a level cap.
+a suffix of the band-major cell order, their arc indices and the square
+masses. Every per-level reduction (B_p, the dyadic maximal function, the
+dyadic operator, stopping and testing) runs on it: the dyadic layer's
+measure is the cell masses and its levels are 0..J. It is the one place
+that checks a grid shift and a level cap.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class Arc:
     length: float
 
     def __post_init__(self):
-        if not 0.0 < self.length <= 1.0:
-            raise InvalidRangeError(f"arc length {self.length} outside (0, 1]")
+        if not (0.0 < self.length <= 1.0 and math.isfinite(self.start)):
+            raise InvalidRangeError(f"arc ({self.start}, {self.length}) needs "
+                                    "a finite start, a length in (0, 1]")
         object.__setattr__(self, "start", self.start % 1.0)
 
     def contains(self, t):
@@ -63,12 +65,17 @@ class Arc:
         return (self.start + self.length / 2.0) % 1.0
 
 
+def check_integer(value, name, low=0):
+    """Reject a level, depth or count that is not an integer >= low."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidRangeError(f"{name} must be an integer >= {low}: {value}")
+
+
 def check_grid(beta, L_max):
     """Reject a grid shift outside GRID_SHIFTS or a level cap below 0."""
     if beta not in GRID_SHIFTS:
         raise InvalidRangeError(f"grid shift {beta} is not in {GRID_SHIFTS}")
-    if not isinstance(L_max, (int, np.integer)) or L_max < 0:
-        raise InvalidRangeError(f"level cap must be an integer >= 0: {L_max}")
+    check_integer(L_max, "level cap")
 
 
 def finite_table(values, shape, name):
@@ -138,9 +145,14 @@ def containing_dyadic(arc: Arc) -> DyadicInterval:
     2^-l in (2|arc|, 4|arc|] the arc either misses all beta = 0
     boundaries or sits within |arc| of one, in which case the beta = 1/2
     arc centered at that boundary contains it. Ties go to beta = 0.
+    Arcs shorter than 2^-52 turns, the spacing of double angles near 1,
+    raise: a grid level past 52 resolves nothing more.
     """
     if arc.length > 0.25:
         raise InvalidRangeError("arc longer than 1/4; use the full circle")
+    if arc.length < np.finfo(float).eps:
+        raise InvalidRangeError(f"arc length {arc.length} below the "
+                                "resolution of a double angle")
     top = int(math.floor(math.log2(1.0 / arc.length)))
     for level in range(top, -1, -1):
         width = 2.0 ** -level
@@ -312,10 +324,10 @@ def require_same_quadrature(quad: DiskQuadrature, *items):
 
 
 def build_quadrature(omega: RadialMeasure, J, j0=1) -> DiskQuadrature:
-    if not 1 <= J <= MAX_DEPTH:
+    check_integer(J, "depth J", low=1)
+    if J > MAX_DEPTH:
         raise InvalidRangeError(f"depth J must be in [1, {MAX_DEPTH}]")
-    if j0 < 0:
-        raise InvalidRangeError("angular refinement j0 must be >= 0")
+    check_integer(j0, "angular refinement j0")
     core_arcs = 2 ** (1 + j0)
     count = 2 * core_arcs + sum(2 ** (j + j0) for j in range(1, J + 1))
     if count > CELL_BUDGET:

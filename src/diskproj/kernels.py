@@ -38,6 +38,7 @@ from .errors import (InvalidRangeError, QuadratureMismatchError,
                      SeparationError, TailVanishedError,
                      TruncationInfeasibleError)
 from ._integrate import argument_panels
+from .disk import check_integer
 from .measures import DEFAULT_TOL, RadialMeasure
 
 MAX_SERIES_ARG = 1.0 - 2.0 ** -20
@@ -271,8 +272,7 @@ def _construction_F_table(nu: RadialMeasure, x):
 
 def construct_omega_from_nu(nu: RadialMeasure, m_max) -> MomentConstruction:
     """Build the moment sequence omega_m = 1/(2 F(1/2 + m)), m = 0..m_max."""
-    if m_max < 1:
-        raise InvalidRangeError("m_max must be >= 1")
+    check_integer(m_max, "m_max", low=1)
     a = 0.5
     F = _construction_F_table(nu, a + np.arange(m_max + 1))
     if np.any(F <= 0.0):

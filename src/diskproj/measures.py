@@ -8,8 +8,9 @@ masses. Atom sums are exact. Integrals of the density part take one of
 two engines: moments, and every integral of the kernel layer, run on
 the Gauss-Legendre rules that density_rule maps onto an interval;
 interval masses and tails run on adaptive composite Simpson quadrature
-(absolute tolerance 1e-12), which gives polynomial-density cell masses
-exactly. Both apply the same endpoint substitution to densities
+(tolerance 1e-12 relative to the interval's first Simpson estimate, so
+small masses keep their digits), which gives polynomial-density cell
+masses exactly. Both apply the same endpoint substitution to densities
 singular at r = 1.
 
 The catalog declares the densities of lebesgue, halfmix and integer-alpha
@@ -19,6 +20,7 @@ layer's Cauchy-type integrals use that, and moments keep the full rule."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,6 +33,22 @@ DEFAULT_TOL = 1e-12
 # Densities with endpoint_power p < 0 are integrated above this radius in
 # the variable u = (1-r)^(1+p), which keeps the integrand bounded.
 _SUBSTITUTION_CUT = 0.875
+
+
+def _relative_simpson(f, a, b):
+    """adaptive_simpson of f to DEFAULT_TOL relative to the whole-interval
+    Simpson estimate, floored at the smallest normal double. A NaN or
+    infinite value of f raises: Simpson would never meet its tolerance."""
+    def checked(x):
+        value = f(x)
+        if not math.isfinite(value):
+            raise InvalidRangeError(f"density integrand not finite at {x}")
+        return value
+
+    whole = (b - a) / 6.0 * (checked(a) + 4.0 * checked(0.5 * (a + b)) +
+                             checked(b))
+    return adaptive_simpson(checked, a, b, tol=max(
+        sys.float_info.min, DEFAULT_TOL * abs(whole)))
 
 
 def _endpoint_substitution(q, u):
@@ -63,9 +81,9 @@ class RadialMeasure:
     density : callable or None
         Vectorized density on [0, 1); None means purely atomic.
     atoms : tuple of (location, mass)
-        Point masses; locations in [0, 1], masses > 0.
+        Point masses; locations in [0, 1], masses finite and >= 0.
     endpoint_power : float
-        Algebraic exponent p of the density near r = 1 (density ~
+        Algebraic exponent p > -1 of the density near r = 1 (density ~
         C (1-r)^p). Only matters for p < 0, where integrals over
         intervals touching 1 use the substitution u = (1-r)^(1+p)
         to keep the integrand bounded.
@@ -94,10 +112,10 @@ class RadialMeasure:
         for loc, mass in self.atoms:
             if not 0.0 <= loc <= 1.0:
                 raise InvalidRangeError(f"atom location {loc} outside [0, 1]")
-            if mass < 0.0:
-                raise InvalidRangeError(f"atom mass {mass} negative")
-        if self.endpoint_power <= -1.0:
-            raise InvalidRangeError("endpoint_power must be > -1 for integrability")
+            if not 0.0 <= mass < math.inf:
+                raise InvalidRangeError(f"atom mass {mass} not finite, >= 0")
+        if not -1.0 < self.endpoint_power < math.inf:
+            raise InvalidRangeError("endpoint_power must be finite and > -1")
         if self.endpoint_power < 0.0 and self.density is not None and \
                 self.endpoint_factor is None:
             raise InvalidRangeError("endpoint_power < 0 needs endpoint_factor")
@@ -141,7 +159,8 @@ class RadialMeasure:
         return nodes, weights * np.asarray(self.density(nodes), dtype=float)
 
     def _density_integral(self, fn, a, b):
-        """Integrate fn(r) * density(r) over [a, b] by adaptive Simpson."""
+        """Integrate fn(r) * density(r) over [a, b] by adaptive Simpson,
+        to a tolerance relative to the integral."""
         if self.density is None or a >= b:
             return 0.0
         dens = self.density
@@ -158,10 +177,10 @@ class RadialMeasure:
                 r, gap = _endpoint_substitution(q, u)
                 return fn(r) * factor(gap) / q
 
-            return adaptive_simpson(integrand, a, cut, tol=DEFAULT_TOL) + \
-                adaptive_simpson(transformed, (1.0 - b) ** q,
-                                 (1.0 - cut) ** q, tol=DEFAULT_TOL)
-        return adaptive_simpson(integrand, a, b, tol=DEFAULT_TOL)
+            return _relative_simpson(integrand, a, cut) + \
+                _relative_simpson(transformed, (1.0 - b) ** q,
+                                  (1.0 - cut) ** q)
+        return _relative_simpson(integrand, a, b)
 
     def _atom_sum(self, fn, a, b, include_right):
         total = 0.0
@@ -226,8 +245,8 @@ def power_measure(alpha):
 
     An integer alpha gives a polynomial density, declared analytic.
     """
-    if alpha <= -1.0:
-        raise InvalidRangeError("power measure needs alpha > -1")
+    if not -1.0 < alpha < math.inf:
+        raise InvalidRangeError("power measure needs a finite alpha > -1")
 
     def dens(r):
         r = np.asarray(r, dtype=float)

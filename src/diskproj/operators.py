@@ -17,9 +17,10 @@ Circulant Matrices): an FFT per band, one sparse product and an inverse
 FFT per band. Kernel rows (apply with matrix_free=True) use the tables.
 
 The dyadic operators are SparseOperator instances, T f = sum_S tau_S
-(E^mu_S f) 1_S over the squares of one grid, with tau_S = Psi(|I|)
-mu(S)/|I| by default. Apply and kernel rows (tau_S / mu(S) per square)
-reduce over the quadrature's per-level index, cost O(cells x levels).
+(E^mu_S f) 1_S over the squares of one grid at levels 0..J, with mu the
+cell masses and tau_S = Psi(|I|) mu(S)/|I| by default. Apply and kernel
+rows (tau_S / mu(S) per square) reduce over the quadrature's per-level
+index, which caches every mu(S); they cost O(cells x levels).
 
 Norms run on fast_apply and form no dense matrix; every kernel here is
 Hermitian, so the adjoint is the same apply. At p = 2 the norm is the
@@ -192,8 +193,9 @@ class _BandPairTable:
         return np.concatenate([np.fft.ifft(acc[s]) for s in self._slices])
 
 
-def _table_handle(quad, kernel_of_w, mu, positive):
+def _table_handle(quad, kernel_of_w, positive):
     table = _BandPairTable(quad, kernel_of_w)
+    mu = quad.masses.copy()
 
     def fast(values):
         out = table.correlate(values * mu)
@@ -204,27 +206,22 @@ def _table_handle(quad, kernel_of_w, mu, positive):
 
 def bergman_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P_omega: out(z_i) = sum_j f(z_j) conj(B_{z_i}(z_j)) mass_j."""
-    return _table_handle(
-        quad, lambda w: np.conj(kernel_integral_grid(spec, w)),
-        quad.masses.copy(), positive=False)
+    return _table_handle(quad, lambda w: np.conj(kernel_integral_grid(spec, w)),
+                         positive=False)
 
 
 def positive_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P+_omega: absolute kernel |B_{z_i}(z_j)|."""
-    return _table_handle(
-        quad, lambda w: np.abs(kernel_integral_grid(spec, w)),
-        quad.masses.copy(), positive=True)
+    return _table_handle(quad, lambda w: np.abs(kernel_integral_grid(spec, w)),
+                         positive=True)
 
 
-def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature,
-                        mu=None) -> OperatorHandle:
-    """P+_{Psi,mu} with kernel K_Psi against the measure mu."""
-    mu = (quad.masses.copy() if mu is None
-          else nonnegative_table(mu, (quad.size,), "mu"))
+def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature
+                        ) -> OperatorHandle:
+    """P+_{Psi} with kernel K_Psi against the cell masses."""
     # K_Psi(z_i, z_j) depends only on |1 - conj(z_j) z_i| = |1 - w|,
     # which is also the separation K_Psi sees at the pair (w, 1)
-    return _table_handle(quad, lambda w: psi.kernel(w, 1.0), mu,
-                         positive=True)
+    return _table_handle(quad, lambda w: psi.kernel(w, 1.0), positive=True)
 
 
 # -- the dyadic model operator -------------------------------------------------
@@ -232,7 +229,8 @@ def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature,
 @dataclass(eq=False)
 class SparseOperator:
     """T f = sum_S tau_S (E^mu_S f) 1_S over the Carleson squares of one
-    grid up to level L_max, with tau[level][arc] >= 0.
+    grid at levels 0..J, with tau[level][arc] >= 0 and mu the cell
+    masses: mu(S) is the square mass cached on the level index.
 
     Its kernel is K_ij = sum over squares S holding both cells of
     tau_S / mu(S), so that T f = K (f mu).
@@ -240,34 +238,26 @@ class SparseOperator:
 
     beta: float
     quad: DiskQuadrature
-    L_max: int
-    mu: np.ndarray                     # cell masses of the base measure
-    tau: List[np.ndarray]              # tau[level][arc], levels 0..L_max
+    tau: List[np.ndarray]              # tau[level][arc], levels 0..J
 
     def __post_init__(self):
-        self._levels = self.quad.levels(self.beta, self.L_max)
-        self.mu = nonnegative_table(self.mu, (self.quad.size,), "mu")
-        if len(self.tau) != self.L_max + 1:
-            raise InvalidRangeError("need one tau array per level")
+        self._levels = self.quad.levels(self.beta, self.quad.J)
+        if len(self.tau) != len(self._levels):
+            raise InvalidRangeError("need one tau array per level 0..J")
         self.tau = [nonnegative_table(row, (lv.count,),
                                       f"tau at level {lv.level}")
                     for row, lv in zip(self.tau, self._levels)]
-        self._square_mass = [lv.sums(self.mu) for lv in self._levels]
-
-    def square_masses(self, lev):
-        """mu(S) for every arc at one level."""
-        return self._square_mass[lev]
 
     def apply(self, values):
         """T f for the cell values of f."""
         values = np.asarray(values)
         if np.iscomplexobj(values):  # bincount takes no complex weights
             return self.apply(values.real) + 1j * self.apply(values.imag)
-        weighted = values * self.mu
+        weighted = values * self.quad.masses
         out = np.zeros(self.quad.size)
-        for lv, tau, mu_s in zip(self._levels, self.tau, self._square_mass):
-            avg = np.divide(lv.sums(weighted), mu_s,
-                            out=np.zeros_like(mu_s), where=mu_s > 0.0)
+        for lv, tau in zip(self._levels, self.tau):
+            avg = np.divide(lv.sums(weighted), lv.masses,
+                            out=np.zeros(lv.count), where=lv.masses > 0.0)
             out[lv.start:] += (tau * avg)[lv.arcs]
         return out
 
@@ -275,9 +265,9 @@ class SparseOperator:
         """Kernel submatrix K[rows, :]."""
         rows = np.asarray(rows)
         out = np.zeros((rows.size, self.quad.size))
-        for lv, tau, mu_s in zip(self._levels, self.tau, self._square_mass):
-            weight = np.divide(tau, mu_s, out=np.zeros_like(mu_s),
-                               where=mu_s > 0.0)
+        for lv, tau in zip(self._levels, self.tau):
+            weight = np.divide(tau, lv.masses, out=np.zeros(lv.count),
+                               where=lv.masses > 0.0)
             arc_of = np.full(self.quad.size, -1)
             arc_of[lv.start:] = lv.arcs
             same = arc_of[rows][:, None] == lv.arcs[None, :]
@@ -286,26 +276,20 @@ class SparseOperator:
         return out
 
     def handle(self) -> OperatorHandle:
-        return OperatorHandle(self.quad, self.kernel_rows, self.mu,
+        return OperatorHandle(self.quad, self.kernel_rows, self.quad.masses,
                               positive=True, fast_apply=self.apply)
 
 
 def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
-                         L_max: Optional[int] = None, mu=None,
                          tau: Optional[List[np.ndarray]] = None
                          ) -> SparseOperator:
     """The dyadic model of the kernel profile: tau_S = Psi(|I|) mu(S)/|I|
-    at levels 0..L_max (default J: no cell lies deeper), mu the cell
-    masses by default. A custom tau table overrides the default."""
-    L_max = quad.J if L_max is None else L_max
-    mu = quad.masses if mu is None else mu
-    op = SparseOperator(beta, quad, L_max, mu, tau if tau is not None else
-                        [np.zeros(1 << lev) for lev in range(L_max + 1)])
+    at levels 0..J. A custom tau table overrides the default."""
     if tau is None:
-        psi_vals = psi(2.0 ** -np.arange(L_max + 1))
-        op.tau = [psi_vals[lev] * op.square_masses(lev) * 2.0 ** lev
-                  for lev in range(L_max + 1)]
-    return op
+        psi_vals = psi(2.0 ** -np.arange(quad.J + 1))
+        tau = [psi_vals[lv.level] * lv.masses * 2.0 ** lv.level
+               for lv in quad.levels(beta, quad.J)]
+    return SparseOperator(beta, quad, tau)
 
 
 def apply_sparse(T: SparseOperator, f: Field) -> Field:
@@ -314,11 +298,11 @@ def apply_sparse(T: SparseOperator, f: Field) -> Field:
     return Field(T.quad, T.apply(finite_table(f.values, f.values.shape, "f")))
 
 
-def dyadic_handle(beta, psi: PsiProfile, quad: DiskQuadrature, L_max=None,
-                  mu=None) -> OperatorHandle:
-    """P^beta_{Psi,mu} = sum over grid squares of (Psi(|I|)/|I|) <f,1_S>_mu 1_S:
+def dyadic_handle(beta, psi: PsiProfile, quad: DiskQuadrature
+                  ) -> OperatorHandle:
+    """P^beta_{Psi} = sum over grid squares of (Psi(|I|)/|I|) <f,1_S>_mu 1_S:
     the handle of sparse_bergman_model's operator."""
-    return sparse_bergman_model(psi, quad, beta, L_max, mu).handle()
+    return sparse_bergman_model(psi, quad, beta).handle()
 
 
 def projection_identity_error(spec: KernelSpec, quad: DiskQuadrature,

@@ -2,13 +2,14 @@
 
 They run on the sparse dyadic operator T f = sum_S tau_S (E^mu_S f) 1_S
 of operators.py, level by level over the quadrature's dyadic-level
-index. On the nested beta = 0 grid, where arc m at level l has the
-children 2m and 2m + 1, the stopping squares take one top-down array
-pass, and the Sawyer testing constants one tree pass per side with no
-apply of T (see _testing_sup); each costs O(cells x levels). The
-half-shifted grid does not nest, so there the testing constants apply T
-once per square: 2^(d+1) - 1 applies per side at depth d. The operator
-norms iterate on fast applies and form no dense matrix.
+index: levels 0..J, mu the cell masses, each mu(S) cached on the index.
+On the nested beta = 0 grid, where arc m at level l has the children 2m
+and 2m + 1, the stopping squares take one top-down array pass, and the
+Sawyer testing constants one tree pass per side with no apply of T (see
+_testing_sup); each costs O(cells x levels). The half-shifted grid does
+not nest, so there the testing constants apply T once per square:
+2^(d+1) - 1 applies per side at depth d. The operator norms iterate on
+fast applies and form no dense matrix.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .disk import (DiskQuadrature, DyadicInterval, Field, nonnegative_table,
-                   require_same_quadrature)
+from .disk import (DiskQuadrature, DyadicInterval, Field, check_integer,
+                   finite_table, nonnegative_table, require_same_quadrature)
 from .errors import InvalidRangeError
 from .kernels import KernelSpec
 from .operators import (PsiProfile, SparseOperator, apply_sparse,
@@ -44,8 +45,6 @@ def _conjugate(p):
 @dataclass(eq=False)
 class StoppingFamily:
     root: Square
-    beta: float
-    level_cap: int
     generations: List[List[Square]]
     expectations: Dict[Square, float]       # stopped E^{sigma mu}_L |f|
     assignment: Dict[Square, Square]        # lambda(S): minimal stopping
@@ -58,8 +57,8 @@ class StoppingFamily:
         return [L for gen in self.generations for L in gen]
 
 
-def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval,
-                    level_cap: Optional[int] = None) -> StoppingFamily:
+def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval
+                    ) -> StoppingFamily:
     """Breadth-first stopping-square generations at threshold factor 4.
 
     Starting from S0, each stopping square L spawns the maximal squares
@@ -78,15 +77,13 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval,
     if s0.beta != 0.0:
         raise InvalidRangeError("stopping construction runs on the "
                                 "unshifted grid (its squares nest)")
-    if level_cap is None:
-        level_cap = quad.J
-    if s0.level > level_cap:
-        raise InvalidRangeError("root below the level cap")
+    if s0.level > quad.J:
+        raise InvalidRangeError("root below the quadrature's depth")
 
     sm_cell = sigma.values * quad.masses
-    f_abs = np.abs(np.asarray(f.values))
+    f_abs = np.abs(finite_table(f.values, (quad.size,), "f"))
     sm, ex = [], []
-    for lv in quad.levels(0.0, level_cap):
+    for lv in quad.levels(0.0, quad.J):
         mass = lv.sums(sm_cell)
         sm.append(mass)
         ex.append(np.divide(lv.sums(f_abs * sm_cell), mass,
@@ -101,7 +98,7 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval,
     # the stopping ancestor of each square at the current level under S0
     anc_lev, anc_idx = np.array([root[0]]), np.array([root[1]])
     anc_e, gen = ex[root[0]][root[1]:root[1] + 1], np.zeros(1, np.int64)
-    for lev in range(root[0] + 1, level_cap + 1):
+    for lev in range(root[0] + 1, quad.J + 1):
         shift = lev - root[0]
         idx = np.arange(root[1] << shift, (root[1] + 1) << shift)
         live = sm[lev][idx] > 0.0
@@ -124,8 +121,7 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval,
     generations = [[] for _ in range(max(gens) + 1)]
     for L, g in zip(stopped, gens):
         generations[g].append(L)
-    return StoppingFamily(root=root, beta=0.0, level_cap=level_cap,
-                          generations=generations,
+    return StoppingFamily(root=root, generations=generations,
                           expectations=dict(zip(stopped, averages)),
                           assignment=dict(zip(squares, owners)),
                           quad=quad, sigma_mu=sm_cell, f_abs=f_abs)
@@ -136,7 +132,7 @@ def pointwise_linearization(family: StoppingFamily):
     lhs(z) = sum of E_L over stopping L containing z, rhs = (4/3) M f(z)
     with M the dyadic maximal function of |f| in sigma*mu."""
     quad = family.quad
-    levels = quad.levels(0.0, family.level_cap)
+    levels = quad.levels(0.0, quad.J)
     stopped = [np.zeros(lv.count) for lv in levels]
     for (lev, m), e_l in family.expectations.items():
         stopped[lev][m] = e_l
@@ -145,15 +141,14 @@ def pointwise_linearization(family: StoppingFamily):
     lhs = np.zeros(quad.size)
     for lv, e_l in zip(levels, stopped):
         lhs[lv.start:] += e_l[lv.arcs]
-    maximal = dyadic_maximal(quad, family.sigma_mu, 0.0, family.f_abs,
-                             L_max=family.level_cap)
+    maximal = dyadic_maximal(quad, family.sigma_mu, 0.0, family.f_abs)
     return lhs, (4.0 / 3.0) * maximal
 
 
 def carleson_embedding_sum(family: StoppingFamily, p) -> float:
     """sum_L (E^{sigma mu}_L |f|)^p (sigma mu)(L) over the stopping family."""
     _conjugate(p)
-    levels = family.quad.levels(0.0, family.level_cap)
+    levels = family.quad.levels(0.0, family.quad.J)
     total = 0.0
     for (lev, m), e_l in family.expectations.items():
         cells = levels[lev].cells(m)
@@ -194,28 +189,28 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
     """
     if T.beta != 0.0:
         return _square_by_square_sup(T, source_vals, target_vals, p, depth)
-    top = min(T.L_max, depth)
-    levels = T.quad.levels(0.0, T.L_max)
-    s_mu, t_mu = source_vals * T.mu, target_vals * T.mu
+    quad = T.quad
+    top = min(quad.J, depth)
+    levels = quad.levels(0.0, quad.J)
+    s_mu, t_mu = source_vals * quad.masses, target_vals * quad.masses
     # top-down: A and W at every level to the depth
     t_mass = [lv.sums(t_mu) for lv in levels[:top + 1]]
     A, W = [np.zeros(1)], [np.zeros(1)]
     for lev in range(top):
-        mu_q = T.square_masses(lev)
+        mu_q = levels[lev].masses
         a_child = np.repeat(A[lev] + np.divide(
             T.tau[lev], mu_q, out=np.zeros_like(mu_q), where=mu_q > 0.0), 2)
         A.append(a_child)
         W.append(np.repeat(W[lev], 2) + a_child ** p * (
             np.repeat(t_mass[lev], 2) - t_mass[lev + 1]))
-    # bottom-up: D_l on the level's members, then each level's best square
-    D = np.zeros(T.quad.size)
-    level_best = []
-    for lev in range(T.L_max, -1, -1):
+    # bottom-up: D_l, then each level's best square (>= keeps the first)
+    D = np.zeros(quad.size)
+    best, witness = 0.0, (0, 0)
+    for lev in range(quad.J, -1, -1):
         lv = levels[lev]
-        mu_s = T.square_masses(lev)
         s_mass = lv.sums(s_mu)
-        avg = np.divide(s_mass, mu_s, out=np.zeros_like(mu_s),
-                        where=mu_s > 0.0)
+        avg = np.divide(s_mass, lv.masses, out=np.zeros(lv.count),
+                        where=lv.masses > 0.0)
         D[lv.start:] += (T.tau[lev] * avg)[lv.arcs]
         if lev > top:
             continue
@@ -225,11 +220,8 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
         ratio = np.divide(norm, s_mass, out=np.zeros(lv.count),
                           where=s_mass > 0.0)
         k = int(np.argmax(ratio))
-        level_best.append((float(ratio[k]), (lev, k)))
-    best, witness = 0.0, (0, 0)
-    for ratio, square in reversed(level_best):
-        if ratio > best:
-            best, witness = ratio, square
+        if ratio[k] > 0.0 and ratio[k] >= best:
+            best, witness = float(ratio[k]), (lev, k)
     return best, witness
 
 
@@ -238,9 +230,9 @@ def _square_by_square_sup(T, source_vals, target_vals, p, depth):
     grid, whose squares do not nest."""
     quad = T.quad
     best, witness = 0.0, (0, 0)
-    tmu = target_vals * T.mu
-    denom_cell = source_vals * T.mu
-    for lv in quad.levels(T.beta, min(T.L_max, depth)):
+    tmu = target_vals * quad.masses
+    denom_cell = source_vals * quad.masses
+    for lv in quad.levels(T.beta, min(quad.J, depth)):
         denom = lv.sums(denom_cell)
         for m in range(lv.count):
             if denom[m] <= 0.0:
@@ -266,8 +258,7 @@ def testing_constants(T: SparseOperator, sigma: WeightField, u: WeightField,
     are exact only when it is closed.
     """
     q = _conjugate(p)
-    if depth < 0:
-        raise InvalidRangeError("depth must be nonnegative")
+    check_integer(depth, "depth")
     require_same_quadrature(T.quad, sigma, u)
     c0, wit0 = _testing_sup(T, sigma.values, u.values, p, depth)
     c0s, wits = _testing_sup(T, u.values, sigma.values, q, depth)

@@ -134,7 +134,6 @@ def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
     best, witness, skipped = 0.0, None, 0
     per_depth = []
     for level in range(depth + 1):
-        level_best = 0.0
         for beta, levels in grids:
             lv = levels[level]
             den = lv.masses
@@ -146,13 +145,10 @@ def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
                 continue
             vals = (num_v[ok] / den[ok]) * (num_d[ok] / den[ok]) ** (p / pprime)
             k = int(np.argmax(vals))
-            if vals[k] > level_best:
-                level_best = float(vals[k])
             if vals[k] > best:
                 best = float(vals[k])
                 witness = (beta, level, int(np.nonzero(ok)[0][k]))
-        per_depth.append(max(best, level_best) if per_depth == []
-                         else max(per_depth[-1], level_best))
+        per_depth.append(best)
     return CharacteristicReport(value=best, witness=witness, depth=depth,
                                 per_depth=tuple(per_depth), skipped=skipped)
 
@@ -262,16 +258,13 @@ def b1_characteristic(v: WeightField) -> CharacteristicReport:
 
 # -- dyadic maximal operator -----------------------------------------------------
 
-def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values,
-                   L_max=None):
+def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values):
     """M f(z) = max over grid squares S containing z of the nu-average
-    of |f| over S, levels 0..L_max (default J; no cell lies deeper); one
-    pass per level."""
-    L_max = quad.J if L_max is None else L_max
+    of |f| over S at levels 0..J; one pass per level."""
     nu = nonnegative_table(nu_masses, (quad.size,), "nu_masses")
     nu_f = nu * np.abs(finite_table(f_values, (quad.size,), "f"))
     out = np.zeros(quad.size)
-    for lv in quad.levels(beta, L_max):
+    for lv in quad.levels(beta, quad.J):
         den = lv.sums(nu)
         avg = np.divide(lv.sums(nu_f), den, out=np.zeros(lv.count),
                         where=den > 0.0)

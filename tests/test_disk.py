@@ -27,6 +27,9 @@ def test_arc_wraps_and_contains():
         dk.Arc(0.0, 0.0)
     with pytest.raises(InvalidRangeError):
         dk.Arc(0.0, 1.5)
+    for start in (math.nan, math.inf):
+        with pytest.raises(InvalidRangeError):
+            dk.Arc(start, 0.1)
 
 
 def test_arc_index_definition():
@@ -77,6 +80,12 @@ def test_containing_dyadic_bound_and_minimality():
             assert (arc.start - start) % 1.0 + arc.length > 2.0 ** -finer
     with pytest.raises(InvalidRangeError):
         dk.containing_dyadic(dk.Arc(0.0, 0.3))
+    # the finest level a double angle resolves is 52; shorter arcs raise
+    # instead of overflowing the arc index
+    assert dk.containing_dyadic(dk.Arc(0.75, 2.0 ** -52)).level == 52
+    for length in (2.0 ** -53, 1e-300, 5e-324):
+        with pytest.raises(InvalidRangeError):
+            dk.containing_dyadic(dk.Arc(0.3, length))
 
 
 def test_carleson_square_and_top_half():
@@ -183,6 +192,11 @@ def test_quadrature_limits():
         dk.build_quadrature(leb, J=13)
     with pytest.raises(InvalidRangeError):
         dk.build_quadrature(leb, J=5, j0=-1)
+    # a depth that is not an integer, not a TypeError from range()
+    with pytest.raises(InvalidRangeError):
+        dk.build_quadrature(leb, 6.0)
+    with pytest.raises(InvalidRangeError):
+        dk.build_quadrature(leb, 6, j0=1.5)
     with pytest.raises(BudgetExceededError):
         dk.build_quadrature(leb, J=12, j0=10)
 

@@ -334,8 +334,9 @@ def test_construction_internal_identities():
     assert mc.tail(0.5) == pytest.approx(mc.moment_at(2.0), rel=1e-12)
     with pytest.raises(InvalidRangeError):
         mc.tail(1.0)
-    with pytest.raises(InvalidRangeError):
-        kn.construct_omega_from_nu(ms.lebesgue(), 0)
+    for bad in (0, 2.5):
+        with pytest.raises(InvalidRangeError):
+            kn.construct_omega_from_nu(ms.lebesgue(), bad)
 
 
 def test_construction_divergence_warning_classification():

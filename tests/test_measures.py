@@ -5,12 +5,20 @@ Oracle values used below:
   m_j = (alpha+1)/2 * B((j+1)/2, alpha+1) (substitute u = r^2);
 - alpha = -1/2 total mass is (1/2) arcsin(1) = pi/4;
 - expinv has tail exactly exp(-1/(1-r)) (substitute u = 1/(1-r));
+- the power measure's tail at r is (alpha+1)/2 B(1/2, alpha+1)
+  I_{1-r^2}(alpha+1, 1/2), with I the regularized incomplete beta
+  function (substitute u = 1 - s^2);
 - loginv tails at the atom radii telescope to 1/(1 + k log 2).
+
+Interval masses and tails keep their relative accuracy as they shrink,
+down to r = 1 - 2^-27.
 """
 
 import math
 
+import numpy as np
 import pytest
+from scipy.special import beta, betainc
 
 from diskproj import measures as ms
 from diskproj.errors import InvalidRangeError
@@ -94,6 +102,25 @@ def test_expinv_tail_closed_form():
     ex = ms.expinv()
     assert ex.tail(0.5) == pytest.approx(math.exp(-2.0), rel=1e-8)
     assert ex.tail(0.9) == pytest.approx(math.exp(-10.0), rel=1e-6)
+    # tails and annulus masses far below 1e-12 keep their digits
+    for k in range(1, 10):
+        r, outer = 1.0 - 2.0 ** -k, 1.0 - 2.0 ** -(k + 1)
+        assert ex.tail(r) == pytest.approx(math.exp(-2.0 ** k), rel=1e-11,
+                                           abs=0.0)
+        assert ex.interval_mass(r, outer) == pytest.approx(
+            math.exp(-2.0 ** k) - math.exp(-2.0 ** (k + 1)), rel=1e-11,
+            abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.5])
+def test_power_measure_small_tails_match_incomplete_beta(alpha):
+    meas = ms.power_measure(alpha)
+    scale = (alpha + 1.0) / 2.0 * beta(0.5, alpha + 1.0)
+    for k in range(1, 28):
+        gap = 2.0 ** -k
+        want = scale * betainc(alpha + 1.0, 0.5, gap * (2.0 - gap))
+        assert meas.tail(1.0 - gap) == pytest.approx(want, rel=1e-7,
+                                                     abs=0.0), k
 
 
 def test_catalog_factories_and_config():
@@ -112,6 +139,25 @@ def test_invalid_ranges():
         ms.RadialMeasure(name="bad", atoms=((1.5, 1.0),))
     with pytest.raises(InvalidRangeError):
         ms.RadialMeasure(name="bad", atoms=((0.5, -1.0),))
+    # NaN fails every comparison, so each parameter needs a finite check
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidRangeError):
+            ms.power_measure(bad)
+        with pytest.raises(InvalidRangeError):
+            ms.RadialMeasure(name="bad", density=lambda r: r,
+                             endpoint_power=bad)
+        with pytest.raises(InvalidRangeError):
+            ms.RadialMeasure(name="bad", atoms=((bad, 1.0),))
+        with pytest.raises(InvalidRangeError):
+            ms.point_mass(1.0, bad)
+    # a non-finite density value raises at once; adaptive Simpson would
+    # otherwise recurse toward its depth limit, never meeting tolerance
+    for bad in (math.nan, math.inf):
+        meas = ms.RadialMeasure(name="bad",
+                                density=lambda r, v=bad: np.full_like(
+                                    np.asarray(r, dtype=float), v))
+        with pytest.raises(InvalidRangeError):
+            meas.total_mass()
     leb = ms.lebesgue()
     with pytest.raises(InvalidRangeError):
         leb.interval_mass(0.7, 0.2)

@@ -271,10 +271,12 @@ def test_dyadic_handle_fast_matches_matrix(leb_quad5):
     slow = K @ (f * quad.masses)
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
     np.testing.assert_allclose(K, K.T)
-    # L_max=0 keeps only the root square, which holds every node
-    h0 = op.dyadic_handle(0.0, std_psi(), quad, L_max=0)
+    # tau on the root square alone, which holds every node
+    root = tw.sparse_bergman_model(std_psi(), quad, tau=[
+        np.array([quad.total_mass()])] + [np.zeros(2 ** lev)
+                                          for lev in range(1, quad.J + 1)])
     want = float(np.sum(f * quad.masses))
-    np.testing.assert_allclose(h0.apply(f), want, rtol=1e-13)
+    np.testing.assert_allclose(root.handle().apply(f), want, rtol=1e-13)
     h_half = op.dyadic_handle(0.5, std_psi(), quad)
     np.testing.assert_allclose(h_half.apply(f),
                                gather(h_half) @ (f * quad.masses),
@@ -434,22 +436,21 @@ def test_dyadic_kernel_symmetries(j0):
 
 
 BAD_DYADIC_INPUTS = {
-    "mu-nan": lambda q: op.dyadic_handle(0.0, std_psi(), q, mu=np.nan),
-    "mu-negative": lambda q: op.dyadic_handle(0.0, std_psi(), q,
-                                              mu=-np.ones(q.size)),
-    "mu-short": lambda q: op.dyadic_handle(0.0, std_psi(), q,
-                                           mu=q.masses[:-1]),
-    "tau-nan": lambda q: tw.sparse_bergman_model(
-        std_psi(), q, L_max=1, tau=[np.ones(1), np.array([1.0, np.nan])]),
+    "tau-nan": lambda q: tw.sparse_bergman_model(std_psi(), q, tau=[
+        np.full(2 ** lev, np.nan if lev == 1 else 1.0)
+        for lev in range(q.J + 1)]),
     "bp-depth-negative": lambda q: wt.bp_characteristic(
         wt.weight_field(q), 2.0, -1),
-    "maximal-cap-negative": lambda q: wt.dyadic_maximal(
-        q, q.masses, 0.0, np.ones(q.size), L_max=-2),
-    "handle-cap-negative": lambda q: op.dyadic_handle(0.0, std_psi(), q,
-                                                      L_max=-1),
+    "maximal-shift-off-grid": lambda q: wt.dyadic_maximal(
+        q, q.masses, 0.3, np.ones(q.size)),
     "shift-off-grid": lambda q: op.dyadic_handle(0.3, std_psi(), q),
-    "psi-handle-mu-negative": lambda q: op.psi_positive_handle(
-        std_psi(), q, mu=-q.masses),
+    # a fractional depth raised TypeError, and NaN ran at full depth
+    "testing-depth-fractional": lambda q: tw.testing_constants(
+        tw.sparse_bergman_model(std_psi(), q), wt.weight_field(q),
+        wt.weight_field(q), 2.0, 3.5),
+    "testing-depth-nan": lambda q: tw.testing_constants(
+        tw.sparse_bergman_model(std_psi(), q), wt.weight_field(q),
+        wt.weight_field(q), 2.0, math.nan),
     "maximal-nu-nan": lambda q: wt.dyadic_maximal(
         q, np.full(q.size, np.nan), 0.0, np.ones(q.size)),
     "maximal-nu-negative": lambda q: wt.weak11_maximal_check(
@@ -488,6 +489,8 @@ NONFINITE_FIELD_CALLS = {
     "split-g": lambda q, f: tw.split_by_criterion(
         one_field(q), dk.Field(q, f), wt.weight_field(q),
         wt.weight_field(q), 2.0, 2),
+    "stopping-family": lambda q, f: tw.stopping_family(
+        dk.Field(q, f), wt.weight_field(q), dk.DyadicInterval(0.0, 0, 0)),
 }
 
 
@@ -497,7 +500,8 @@ NONFINITE_FIELD_CALLS = {
 def test_nonfinite_fields_raise(leb_quad5, kind, bad):
     """One NaN or inf cell would make every output cell NaN: the handle
     apply, by either route, apply_sparse, the dyadic maximal function,
-    the weak (1,1) ratios and the splitting criterion reject it."""
+    the weak (1,1) ratios, the splitting criterion and the stopping
+    family reject it."""
     f = np.ones(leb_quad5.size)
     f[7] = bad
     if kind in NONFINITE_FIELD_CALLS:

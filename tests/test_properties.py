@@ -18,11 +18,11 @@ one among them. The graded route's error on a unit density may be no
 larger, and on any measure the two routes may differ by no more.
 
 The dyadic layer matches brute force at depths J = 1..6, angular
-refinements j0 = 0..2, both grid shifts and level caps up to J + 2: the
-dyadic handle against the double sum over node pairs, and the dyadic
-maximal function against averages over each square, with the squares
-found by scanning every grid arc, and the level index against the same
-scan; B_p stays >= 1.
+refinements j0 = 0..2 and both grid shifts: the dyadic handle against
+the double sum over node pairs, and the dyadic maximal function against
+averages over each square, with the squares found by scanning every
+grid arc at levels up to J + 2, and the level index against the same
+scan at level caps up to J + 2; B_p stays >= 1 at those depths.
 """
 
 import functools
@@ -159,14 +159,15 @@ def square_labels(quad, beta, level):
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_dyadic_layer_matches_brute_force(J, j0, beta, p, seed, data):
     quad = quadrature(J, j0)
-    L_max = data.draw(st.integers(0, J + 2), label="L_max")
+    depth = data.draw(st.integers(0, J + 2), label="depth")
     rng = np.random.default_rng(seed)
     f = rng.pareto(1.5, quad.size) + 1e-3
     v = wt.WeightField(quad, np.exp(rng.normal(0.0, 2.0, quad.size)))
     mu = quad.masses
-    labels = [square_labels(quad, beta, level) for level in range(L_max + 1)]
+    # levels past J hold no node, so the sums below may run to J + 2
+    labels = [square_labels(quad, beta, level) for level in range(J + 3)]
     # the level index: members are the suffix of labelled cells, in order
-    for lv, lab in zip(quad.levels(beta, L_max), labels):
+    for lv, lab in zip(quad.levels(beta, depth), labels):
         np.testing.assert_array_equal(np.flatnonzero(lab >= 0),
                                       np.arange(lv.start, quad.size))
         np.testing.assert_array_equal(lv.arcs, lab[lv.start:])
@@ -175,7 +176,7 @@ def test_dyadic_layer_matches_brute_force(J, j0, beta, p, seed, data):
     for level, lab in enumerate(labels):
         same = (lab[:, None] == lab[None, :]) & (lab[:, None] >= 0)
         kernel += 4.0 ** level * same
-    out = op.dyadic_handle(beta, PSI, quad, L_max=L_max).apply(f)
+    out = op.dyadic_handle(beta, PSI, quad).apply(f)
     np.testing.assert_allclose(out, kernel @ (f * mu), rtol=1e-12)
 
     want = np.zeros(quad.size)
@@ -184,9 +185,9 @@ def test_dyadic_layer_matches_brute_force(J, j0, beta, p, seed, data):
             cells = lab == m
             avg = np.sum(f[cells] * mu[cells]) / np.sum(mu[cells])
             want[cells] = np.maximum(want[cells], avg)
-    got = wt.dyadic_maximal(quad, mu, beta, f, L_max=L_max)
+    got = wt.dyadic_maximal(quad, mu, beta, f)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    bp = wt.bp_characteristic(v, p, L_max)
+    bp = wt.bp_characteristic(v, p, depth)
     assert bp.value >= 1.0
     assert np.all(np.isfinite([*out, *got, *bp.per_depth]))

@@ -30,7 +30,7 @@ from diskproj import twoweight as tw
 from diskproj import weights as wt
 from diskproj.errors import InvalidRangeError, QuadratureMismatchError
 from diskproj.kernels import KernelSpec
-from diskproj.operators import (PsiProfile, bergman_handle, dyadic_handle,
+from diskproj.operators import (PsiProfile, bergman_handle,
                                 weighted_norm_bracket, weighted_norm_p2)
 
 ATOM1 = ms.point_mass(1.0, 1.0)
@@ -47,18 +47,18 @@ def quad3():
 
 def test_default_tau_table(quad3):
     T = tw.sparse_bergman_model(std_psi(), quad3)
-    assert T.L_max == quad3.J
-    for lev in range(T.L_max + 1):
+    assert len(T.tau) == quad3.J + 1
+    for lv in quad3.levels(0.0, quad3.J):
         # Psi(2^-l) = 2^l for the standard profile
-        want = 4.0 ** lev * T.square_masses(lev)
-        np.testing.assert_allclose(T.tau[lev], want, rtol=1e-13)
+        want = 4.0 ** lv.level * lv.sums(quad3.masses)
+        np.testing.assert_allclose(T.tau[lv.level], want, rtol=1e-13)
 
 
 def test_single_square_apply(quad3):
     quad = quad3
     tau = [np.zeros(1), np.zeros(2), np.array([0.0, 5.0, 0.0, 0.0]),
            np.zeros(8)]
-    T = tw.sparse_bergman_model(std_psi(), quad, L_max=3, tau=tau)
+    T = tw.sparse_bergman_model(std_psi(), quad, tau=tau)
     out = tw.apply_sparse(T, dk.Field.constant(quad, 1.0))
     members = (quad.nodes_r >= 0.75) & \
         (dk.arc_index(0.0, 2, quad.nodes_t) == 1)
@@ -80,47 +80,19 @@ def test_matrix_matches_apply(leb_quad5):
 
 def test_sparse_validation(quad3, leb_quad5):
     psi = std_psi()
+    deeper = [np.zeros(4), np.zeros(8)]   # levels 2 and 3 of quad3
     with pytest.raises(InvalidRangeError):
-        tw.sparse_bergman_model(psi, quad3, mu=-np.ones(quad3.size))
+        tw.sparse_bergman_model(psi, quad3, tau=[np.zeros(1), np.zeros(2),
+                                                 np.zeros(4)])
     with pytest.raises(InvalidRangeError):
-        tw.sparse_bergman_model(psi, quad3, L_max=2,
-                                tau=[np.zeros(1), np.zeros(2)])
+        tw.sparse_bergman_model(psi, quad3,
+                                tau=[np.zeros(1), np.zeros(3)] + deeper)
     with pytest.raises(InvalidRangeError):
-        tw.sparse_bergman_model(psi, quad3, L_max=1,
-                                tau=[np.zeros(1), np.zeros(3)])
-    with pytest.raises(InvalidRangeError):
-        tw.sparse_bergman_model(psi, quad3, L_max=1,
-                                tau=[np.zeros(1), -np.ones(2)])
+        tw.sparse_bergman_model(psi, quad3,
+                                tau=[np.zeros(1), -np.ones(2)] + deeper)
     T = tw.sparse_bergman_model(psi, quad3)
     with pytest.raises(QuadratureMismatchError):
         tw.apply_sparse(T, dk.Field.constant(leb_quad5, 1.0))
-
-
-def test_level_cap_past_the_depth(leb_quad5):
-    """Levels beyond J hold no cell; they used to crash the per-level
-    reductions (bincount returns int64 zeros on an empty level) and must
-    instead add nothing."""
-    quad = leb_quad5
-    J = quad.J
-    sigma, u, f, _ = tw.random_instance(quad, 4)
-    deep = tw.sparse_bergman_model(std_psi(), quad, L_max=J + 1)
-    flush = tw.sparse_bergman_model(std_psi(), quad, L_max=J)
-    np.testing.assert_array_equal(tw.apply_sparse(deep, f).values,
-                                  tw.apply_sparse(flush, f).values)
-    cells = np.arange(quad.size)
-    np.testing.assert_array_equal(deep.kernel_rows(cells),
-                                  flush.kernel_rows(cells))
-    # the dyadic handle is the same operator, capped at J by default
-    np.testing.assert_array_equal(
-        dyadic_handle(0.0, std_psi(), quad).apply(f.values),
-        tw.apply_sparse(deep, f).values)
-    s0 = dk.DyadicInterval(0.0, 0, 0)
-    fam = tw.stopping_family(f, sigma, s0, level_cap=J + 1)
-    assert fam.expectations == \
-        tw.stopping_family(f, sigma, s0, level_cap=J).expectations
-    rep = tw.testing_constants(deep, sigma, u, 2.0, J + 1)
-    assert rep == dataclasses.replace(
-        tw.testing_constants(flush, sigma, u, 2.0, J), depth=J + 1)
 
 
 def test_stopping_flat_field(leb_quad5):
@@ -189,9 +161,9 @@ def test_stopping_validation(leb_quad5):
     with pytest.raises(InvalidRangeError):
         tw.stopping_family(dk.Field.constant(quad, 0.0), sigma,
                            dk.DyadicInterval(0.0, 0, 0))
+    # a root below the quadrature's depth holds no cell
     with pytest.raises(InvalidRangeError):
-        tw.stopping_family(ones, sigma, dk.DyadicInterval(0.0, 4, 0),
-                           level_cap=3)
+        tw.stopping_family(ones, sigma, dk.DyadicInterval(0.0, quad.J + 1, 0))
 
 
 def test_pointwise_bound_random(leb_quad5):
@@ -266,6 +238,10 @@ def test_testing_necessity_random(leb_quad5):
         assert rep.c1_measured >= 0.5 - 1e-9
         assert rep.norm_upper == rep.norm_lower == pytest.approx(
             rep.c1_measured * (rep.c0_root + rep.c0_star_root), rel=1e-12)
+    # no square lies below J, so a deeper depth reports depth J's numbers
+    assert tw.testing_constants(T, sigma, u, 2.0, quad.J + 1) == \
+        dataclasses.replace(tw.testing_constants(T, sigma, u, 2.0, quad.J),
+                            depth=quad.J + 1)
 
 
 def test_testing_other_exponent(quad3):
@@ -355,14 +331,14 @@ def test_random_instance_reproducible(quad3):
 
 # -- oracles for the array passes ----------------------------------------------
 
-def stopping_walk(f, sigma, s0, level_cap):
+def stopping_walk(f, sigma, s0):
     """The stopping family by a depth-first walk from each stopping
     square: (generations, expectations, assignment)."""
     quad = f.quad
     sm_cell = sigma.values * quad.masses
     f_abs = np.abs(f.values)
     sm, ex = [], []
-    for lv in quad.levels(0.0, level_cap):
+    for lv in quad.levels(0.0, quad.J):
         mass = lv.sums(sm_cell)
         sm.append(mass)
         ex.append(np.divide(lv.sums(f_abs * sm_cell), mass,
@@ -379,7 +355,7 @@ def stopping_walk(f, sigma, s0, level_cap):
             stack = [(L[0] + 1, 2 * L[1]), (L[0] + 1, 2 * L[1] + 1)]
             while stack:
                 lev, m = stack.pop()
-                if lev > level_cap or sm[lev][m] <= 0.0:
+                if lev > quad.J or sm[lev][m] <= 0.0:
                     continue
                 e_s = float(ex[lev][m])
                 if e_s > 4.0 * e_l:
@@ -415,28 +391,27 @@ def square_ratio(T, source, target, p, square):
     f_vals = np.zeros(T.quad.size)
     f_vals[cells] = source[cells]
     out = T.apply(f_vals)
-    return float(np.sum(np.abs(out) ** p * target * T.mu) /
-                 np.sum(source[cells] * T.mu[cells]))
+    mu = T.quad.masses
+    return float(np.sum(np.abs(out) ** p * target * mu) /
+                 np.sum(source[cells] * mu[cells]))
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(J=st.integers(1, 7), j0=st.sampled_from([0, 1, 2]),
-       p=st.sampled_from([1.5, 2.0, 3.0]),
+@given(name=st.sampled_from(sorted(ORACLE_MEASURES)), J=st.integers(1, 7),
+       j0=st.sampled_from([0, 1, 2]), p=st.sampled_from([1.5, 2.0, 3.0]),
        zero_share=st.sampled_from([0.0, 0.3, 0.9]),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_testing_tree_pass_matches_per_square(J, j0, p, zero_share, seed,
-                                               data):
+def test_testing_tree_pass_matches_per_square(name, J, j0, p, zero_share,
+                                               seed, data):
     """c0 and c0* of the tree pass equal the per-square route's to 1e-12
-    relative, with the same witness, at level caps around J and depths
-    from 0 past the cap; tau has zeroed rows and mu zero cells."""
-    quad = oracle_quadrature("lebesgue", J, j0)
-    L_max = data.draw(st.integers(max(J - 1, 0), J + 1), label="L_max")
-    depth = data.draw(st.integers(0, L_max + 2), label="depth")
+    relative, with the same witness, at depths from 0 past J; tau has
+    zeroed entries and rows, and atom(0.9) leaves whole bands massless."""
+    quad = oracle_quadrature(name, J, j0)
+    depth = data.draw(st.integers(0, J + 2), label="depth")
     rng = np.random.default_rng(seed)
-    mu = zeroed(rng, quad.masses, zero_share)
     tau = [zeroed(rng, rng.pareto(1.0, 2 ** lev), zero_share) *
-           (rng.random() > 0.25) for lev in range(L_max + 1)]
-    T = tw.sparse_bergman_model(std_psi(), quad, L_max=L_max, mu=mu, tau=tau)
+           (rng.random() > 0.25) for lev in range(J + 1)]
+    T = tw.sparse_bergman_model(std_psi(), quad, tau=tau)
     sigma = wt.WeightField(quad, np.exp(rng.normal(0.0, 1.0, quad.size)))
     u = wt.WeightField(quad, np.exp(rng.normal(0.0, 1.0, quad.size)))
     for s, t, e in ((sigma, u, p), (u, sigma, p / (p - 1.0))):
@@ -459,26 +434,23 @@ def test_testing_tree_pass_matches_per_square(J, j0, p, zero_share, seed,
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_stopping_pass_matches_walk(name, J, j0, zero_share, seed, data):
     """The array pass gives the walk's expectations and assignment
-    exactly, and the same generations, for roots at levels 0..2, level
-    caps around J and fields with zeros."""
+    exactly, and the same generations, for roots at levels 0..2 and
+    fields with zeros."""
     quad = oracle_quadrature(name, J, j0)
     level = data.draw(st.integers(0, min(2, J)), label="root level")
     s0 = dk.DyadicInterval(0.0, level, data.draw(
         st.integers(0, 2 ** level - 1), label="root index"))
-    level_cap = data.draw(st.integers(max(J - 1, level), J + 1),
-                          label="level_cap")
     rng = np.random.default_rng(seed)
     f = dk.Field(quad, zeroed(rng, rng.pareto(1.5, quad.size), zero_share))
     sigma = wt.WeightField(quad, np.exp(rng.normal(0.0, 1.0, quad.size)))
     try:
-        fam = tw.stopping_family(f, sigma, s0, level_cap=level_cap)
+        fam = tw.stopping_family(f, sigma, s0)
     except InvalidRangeError:
         # only a root with no |f| mass is refused
-        assert not stopping_walk(f, sigma, s0, level_cap)[1][
+        assert not stopping_walk(f, sigma, s0)[1][
             (s0.level, s0.index)] > 0.0
         return
-    generations, expectations, assignment = stopping_walk(f, sigma, s0,
-                                                          level_cap)
+    generations, expectations, assignment = stopping_walk(f, sigma, s0)
     assert fam.expectations == expectations
     assert fam.assignment == assignment
     assert [set(g) for g in fam.generations] == \

@@ -13,7 +13,8 @@ Two engines are provided, each with one job:
   grades toward 1 only as far as the pole's distance needs
   (argument_panels);
 * an adaptive composite Simpson rule (recursive bisection) to an
-  absolute tolerance, kept for the interval masses of a radial measure,
+  absolute tolerance, which raises on a non-finite integrand value,
+  kept for the interval masses of a radial measure,
   which set it relative to the interval: on polynomial densities its
   sums reproduce cell masses such as Lebesgue dyadic lengths exactly,
   which a Gauss-Legendre sum misses by an ulp. The test suite also uses
@@ -22,6 +23,8 @@ Two engines are provided, each with one job:
 Both are deterministic."""
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -48,15 +51,24 @@ def adaptive_simpson(f, a, b, tol=1e-12):
     """Integrate f on [a, b] to absolute tolerance tol.
 
     f maps a float to a float or complex. Deterministic: the refinement
-    path depends only on (f, a, b, tol).
+    path depends only on (f, a, b, tol). The first NaN or infinite value
+    of f raises InvalidRangeError: no refinement would meet tol.
     """
     if a == b:
         return 0.0
-    fa, fb = f(a), f(b)
+
+    def checked(x):
+        value = f(x)
+        if not cmath.isfinite(value):
+            raise InvalidRangeError(f"integrand not finite at {x}")
+        return value
+
+    fa, fb = checked(a), checked(b)
     m = 0.5 * (a + b)
-    fm = f(m)
+    fm = checked(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, fa, b, fb, tol, whole, m, fm, _MAX_DEPTH)
+    return _simpson_step(checked, a, fa, b, fb, tol, whole, m, fm,
+                         _MAX_DEPTH)
 
 
 _GL_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}

@@ -114,7 +114,7 @@ def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
     parent_ratio = 1.0
     root_selected = False
 
-    cells = quad.levels(beta, level)[level].cells(m).copy()
+    cells = quad.levels(beta, level)[level].cells(m).astype(np.int64)
     mass = float(quad.masses[cells].sum())
     if mass <= 0.0:
         f_parts.append(cells)

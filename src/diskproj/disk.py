@@ -16,22 +16,30 @@ so the cross-level algorithms work per level by index arithmetic. On
 the nested grid, arc m at level l has the children 2m and 2m + 1, and
 the stopping and testing passes carry arrays from one level to the next.
 
-That arithmetic lives in one cached index per quadrature and grid shift,
-DiskQuadrature.levels: the cells in some Carleson square of each level,
-a suffix of the band-major cell order, their arc indices and the square
-masses. Every per-level reduction (B_p, the dyadic maximal function, the
-dyadic operator, stopping and testing) runs on it: the dyadic layer's
-measure is the cell masses and its levels are 0..J. It is the one place
-that checks a grid shift and a level cap.
+That arithmetic lives in one cached incidence matrix per quadrature and
+grid shift, DiskQuadrature.incidence: S, squares by cells in CSR form,
+levels 0..J stacked (square (l, m) is row 2^l - 1 + m), its CSR
+transpose and the square masses. Every per-level reduction (B_p, the
+dyadic maximal function, the dyadic operator, stopping and testing) is
+then one product: S @ V sums every column of V over every square, and
+St @ y spreads per-square values back to the cells. Each product costs
+one pass over the nnz = sum over cells of their level counts, about
+cells x levels (196,616 entries at J=12, j0=1); S and St add in the
+order of a per-level bincount and gather, so their sums are those bit
+for bit. The indices are int32 and both grids share one array of ones,
+so the two grids hold 16 bytes per entry plus 8 per entry once: 5.0 MB
+at J=12, j0=1. DiskQuadrature.levels gives per-level views of the same
+matrices. The dyadic layer's measure is the cell masses and its levels
+are 0..J; the incidence is the one place that checks a grid shift.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import (BudgetExceededError, InvalidRangeError,
                      QuadratureMismatchError)
@@ -200,43 +208,73 @@ def carleson_square(interval) -> PolarRectangle:
 
 # -- quadrature ---------------------------------------------------------------
 
-def _arc_sums(arcs, member_values, count):
-    # float also on an empty level, where bincount gives int64 zeros
-    return np.bincount(arcs, weights=member_values,
-                       minlength=count).astype(float, copy=False)
+def square_row(level, index):
+    """The row of square (level, index) in a grid's incidence matrix: the
+    levels are stacked, so it is 2^level - 1 + index. Takes arrays too."""
+    return (1 << level) - 1 + index
+
+
+def square_rows(level):
+    """The rows of all the squares of a level."""
+    return slice(square_row(level, 0), square_row(level + 1, 0))
+
+
+def square_address(rows):
+    """(level, index) arrays of an array of incidence rows: the inverse
+    of square_row, as 2^level <= row + 1 < 2^(level + 1)."""
+    level = np.frexp(rows + 1)[1] - 1
+    return level, rows - square_row(level, 0)
+
+
+@dataclass(frozen=True, eq=False)
+class SquareIncidence:
+    """Grid beta's Carleson squares at levels 0..J against the cells.
+
+    S is the 0/1 square-by-cell incidence matrix in CSR form, levels
+    stacked: square (l, m) is row 2^l - 1 + m and holds the cells whose
+    nodes lie in it, in cell order. St is its CSR transpose: a cell's row
+    lists its squares level by level. Both share one array of ones. So
+    S @ V sums every column of V over every square at once, and St @ y
+    spreads per-square values back to the cells; each adds in the order
+    of a per-level bincount and gather, so the sums are bit for bit
+    theirs. masses is S @ quad.masses, mu(S) per row."""
+
+    S: csr_array
+    St: csr_array
+    masses: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class DyadicLevel:
     """The member cells of one grid level, those whose nodes lie in a
-    Carleson square of side 2^-level, and the arc index of each. Cells
-    are band-major, so the members are the suffix start..size-1 and arcs
-    lists their arc indices in cell order. masses is sums(quad.masses),
-    the quadrature's mass of each square."""
+    Carleson square of side 2^-level: cells are band-major, so they are
+    the suffix start..size-1. masses is the quadrature's mass of each
+    square, the level's rows of the incidence masses (zeros past J)."""
 
     level: int
     start: int
-    arcs: np.ndarray
     masses: np.ndarray
+    incidence: SquareIncidence
 
     @property
     def count(self):
         return 1 << self.level
 
-    def sums(self, cell_values):
-        """Per-arc sums of cell_values over the members, in cell order."""
-        return _arc_sums(self.arcs, cell_values[self.start:], self.count)
+    @property
+    def arcs(self):
+        """The arc index of each member cell, in cell order: the level-th
+        entry of the cell's row of St."""
+        St = self.incidence.St
+        return (St.indices[St.indptr[self.start:-1] + self.level]
+                - square_row(self.level, 0))
 
     def cells(self, m):
-        """The member cells in arc m, in cell order."""
-        by_arc, bounds = self._grouped
-        return by_arc[bounds[m]:bounds[m + 1]]
-
-    @functools.cached_property
-    def _grouped(self):
-        order = np.argsort(self.arcs, kind="stable")
-        bounds = np.searchsorted(self.arcs[order], np.arange(self.count + 1))
-        return self.start + order, bounds
+        """The member cells in arc m, in cell order: a row of S."""
+        S = self.incidence.S
+        row = square_row(self.level, m)
+        if row >= S.shape[0]:
+            return S.indices[:0]
+        return S.indices[S.indptr[row]:S.indptr[row + 1]]
 
 
 @dataclass(eq=False)
@@ -271,6 +309,7 @@ class DiskQuadrature:
     masses: np.ndarray
     cell_band: np.ndarray
     cell_arc: np.ndarray
+    _incidence: dict = field(default_factory=dict, init=False, repr=False)
     _level_index: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -293,20 +332,58 @@ class DiskQuadrature:
     def node_mask(self, region: PolarRectangle):
         return region.contains(self.nodes_r, self.nodes_t)
 
+    def _level_start(self, level):
+        """The first cell of the level's members: every cell at level 0,
+        the cells of annuli j >= level (nodes with r >= 1 - 2^-level)
+        after that, none past J."""
+        # band b >= 2 is annulus b - 1, after the two core rings
+        return (int(np.searchsorted(self.cell_band, level, side="right"))
+                if level else 0)
+
+    def incidence(self, beta):
+        """The SquareIncidence of grid beta, built once per grid shift on
+        first use, level by level from each level's members and their
+        arc indices. A cell of band b lies in one square at each level
+        0..max(b - 1, 0), so its row of St has that many entries and the
+        level-th is its square at that level; a stable sort of a level's
+        arcs lists each square's members in cell order."""
+        check_grid(beta, 0)
+        if beta not in self._incidence:
+            t_ptr = np.zeros(self.size + 1, dtype=np.int32)
+            np.cumsum(np.maximum(self.cell_band, 1), out=t_ptr[1:])
+            t_ind = np.empty(t_ptr[-1], dtype=np.int32)
+            s_ind = np.empty_like(t_ind)
+            s_ptr = np.zeros(2 << self.J, dtype=np.int32)
+            for level in range(self.J + 1):
+                start, rows = self._level_start(level), square_rows(level)
+                arcs = arc_index(beta, level, self.nodes_t[start:])
+                t_ind[t_ptr[start:-1] + level] = rows.start + arcs
+                first = s_ptr[rows.start]   # entries of the levels above
+                # arcs < 2^MAX_DEPTH: uint16 keys take numpy's radix sort
+                s_ind[first:first + arcs.size] = start + np.argsort(
+                    arcs.astype(np.uint16), kind="stable")
+                s_ptr[rows.start + 1:rows.stop + 1] = first + np.cumsum(
+                    np.bincount(arcs, minlength=1 << level))
+            # both grids have the same entries: one array of ones for all
+            built = list(self._incidence.values())
+            ones = built[0].S.data if built else np.ones(t_ind.size)
+            shape = (s_ptr.size - 1, self.size)
+            S = csr_array((ones, s_ind, s_ptr), shape=shape)
+            St = csr_array((ones, t_ind, t_ptr), shape=shape[::-1])
+            self._incidence[beta] = SquareIncidence(S, St, S @ self.masses)
+        return self._incidence[beta]
+
     def levels(self, beta, L_max):
-        """The DyadicLevel of grid beta at each level 0..L_max: every cell
-        at level 0, the cells of annuli j >= l (the nodes with
-        r >= 1 - 2^-l) at level l, none above J. Each level is built once
-        per grid shift, on first use."""
+        """The DyadicLevel of grid beta at each level 0..L_max, views of
+        the grid's incidence; levels past J hold no cell."""
         check_grid(beta, L_max)
+        inc = self.incidence(beta)
         index = self._level_index.setdefault(beta, [])
         for level in range(len(index), L_max + 1):
-            # band b >= 2 is annulus b - 1, after the two core rings
-            start = (int(np.searchsorted(self.cell_band, level, side="right"))
-                     if level else 0)
-            arcs = arc_index(beta, level, self.nodes_t[start:])
-            index.append(DyadicLevel(level, start, arcs, _arc_sums(
-                arcs, self.masses[start:], 1 << level)))
+            masses = (inc.masses[square_rows(level)] if level <= self.J
+                      else np.zeros(1 << level))
+            index.append(DyadicLevel(level, self._level_start(level), masses,
+                                     inc))
         return tuple(index[:L_max + 1])
 
     def same_as(self, other):

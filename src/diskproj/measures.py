@@ -38,16 +38,10 @@ _SUBSTITUTION_CUT = 0.875
 def _relative_simpson(f, a, b):
     """adaptive_simpson of f to DEFAULT_TOL relative to the whole-interval
     Simpson estimate, floored at the smallest normal double. A NaN or
-    infinite value of f raises: Simpson would never meet its tolerance."""
-    def checked(x):
-        value = f(x)
-        if not math.isfinite(value):
-            raise InvalidRangeError(f"density integrand not finite at {x}")
-        return value
-
-    whole = (b - a) / 6.0 * (checked(a) + 4.0 * checked(0.5 * (a + b)) +
-                             checked(b))
-    return adaptive_simpson(checked, a, b, tol=max(
+    infinite value of f raises, in adaptive_simpson; the floor also
+    stands in for a NaN estimate, since max keeps its first argument."""
+    whole = (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
+    return adaptive_simpson(f, a, b, tol=max(
         sys.float_info.min, DEFAULT_TOL * abs(whole)))
 
 
@@ -152,11 +146,17 @@ class RadialMeasure:
             nodes = a + (cut - a) * x
             dens = np.asarray(self.density(nodes), dtype=float)
             factor = np.asarray(self.endpoint_factor(gap), dtype=float)
-            return (np.concatenate((nodes, r_sub)),
-                    np.concatenate(((cut - a) * w * dens,
-                                    (u_hi - u_lo) / q * w * factor)))
-        nodes, weights = a + (b - a) * x, (b - a) * w
-        return nodes, weights * np.asarray(self.density(nodes), dtype=float)
+            nodes = np.concatenate((nodes, r_sub))
+            weights = np.concatenate(((cut - a) * w * dens,
+                                      (u_hi - u_lo) / q * w * factor))
+        else:
+            nodes = a + (b - a) * x
+            weights = (b - a) * w * np.asarray(self.density(nodes),
+                                               dtype=float)
+        if not np.all(np.isfinite(weights)):
+            raise InvalidRangeError(f"density of {self.name} is not finite "
+                                    f"on the rule's nodes in [{a}, {b}]")
+        return nodes, weights
 
     def _density_integral(self, fn, a, b):
         """Integrate fn(r) * density(r) over [a, b] by adaptive Simpson,

@@ -18,9 +18,12 @@ FFT per band. Kernel rows (apply with matrix_free=True) use the tables.
 
 The dyadic operators are SparseOperator instances, T f = sum_S tau_S
 (E^mu_S f) 1_S over the squares of one grid at levels 0..J, with mu the
-cell masses and tau_S = Psi(|I|) mu(S)/|I| by default. Apply and kernel
-rows (tau_S / mu(S) per square) reduce over the quadrature's per-level
-index, which caches every mu(S); they cost O(cells x levels).
+cell masses and tau_S = Psi(|I|) mu(S)/|I| by default. With S the
+grid's square-by-cell incidence matrix (disk.py), which caches every
+mu(S), an apply is S^T (tau (S (f mu)) / mu(S)): two sparse products of
+nnz = about cells x levels each, 0.2 ms apiece at J=12 (196,616
+entries). Kernel rows are the rows' squares, weighted by tau_S / mu(S),
+times S.
 
 Norms run on fast_apply and form no dense matrix; every kernel here is
 Hermitian, so the adjoint is the same apply. At p = 2 the norm is the
@@ -230,10 +233,11 @@ def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature
 class SparseOperator:
     """T f = sum_S tau_S (E^mu_S f) 1_S over the Carleson squares of one
     grid at levels 0..J, with tau[level][arc] >= 0 and mu the cell
-    masses: mu(S) is the square mass cached on the level index.
+    masses: mu(S) is the square mass cached on the grid's incidence.
 
     Its kernel is K_ij = sum over squares S holding both cells of
-    tau_S / mu(S), so that T f = K (f mu).
+    tau_S / mu(S), so that T f = K (f mu). With S the incidence matrix,
+    T f = S^T (tau (S (f mu)) / mu(S)): one product each way.
     """
 
     beta: float
@@ -241,39 +245,33 @@ class SparseOperator:
     tau: List[np.ndarray]              # tau[level][arc], levels 0..J
 
     def __post_init__(self):
-        self._levels = self.quad.levels(self.beta, self.quad.J)
-        if len(self.tau) != len(self._levels):
+        self._incidence = self.quad.incidence(self.beta)
+        if len(self.tau) != self.quad.J + 1:
             raise InvalidRangeError("need one tau array per level 0..J")
-        self.tau = [nonnegative_table(row, (lv.count,),
-                                      f"tau at level {lv.level}")
-                    for row, lv in zip(self.tau, self._levels)]
+        self.tau = [nonnegative_table(row, (1 << level,),
+                                      f"tau at level {level}")
+                    for level, row in enumerate(self.tau)]
+        self._tau = np.concatenate(self.tau)   # in the incidence's row order
 
     def apply(self, values):
         """T f for the cell values of f."""
         values = np.asarray(values)
-        if np.iscomplexobj(values):  # bincount takes no complex weights
+        if np.iscomplexobj(values):  # keep the products on real ones
             return self.apply(values.real) + 1j * self.apply(values.imag)
-        weighted = values * self.quad.masses
-        out = np.zeros(self.quad.size)
-        for lv, tau in zip(self._levels, self.tau):
-            avg = np.divide(lv.sums(weighted), lv.masses,
-                            out=np.zeros(lv.count), where=lv.masses > 0.0)
-            out[lv.start:] += (tau * avg)[lv.arcs]
-        return out
+        inc = self._incidence
+        avg = np.divide(inc.S @ (values * self.quad.masses), inc.masses,
+                        out=np.zeros(inc.masses.shape),
+                        where=inc.masses > 0.0)
+        return inc.St @ (self._tau * avg)
 
     def kernel_rows(self, rows):
-        """Kernel submatrix K[rows, :]."""
-        rows = np.asarray(rows)
-        out = np.zeros((rows.size, self.quad.size))
-        for lv, tau in zip(self._levels, self.tau):
-            weight = np.divide(tau, lv.masses, out=np.zeros(lv.count),
-                               where=lv.masses > 0.0)
-            arc_of = np.full(self.quad.size, -1)
-            arc_of[lv.start:] = lv.arcs
-            same = arc_of[rows][:, None] == lv.arcs[None, :]
-            tail = out[:, lv.start:]   # a view: add in place, no temporary
-            np.add(tail, weight[lv.arcs], out=tail, where=same)
-        return out
+        """Kernel submatrix K[rows, :]: the rows' squares, each weighted
+        by tau_S / mu(S), times S."""
+        inc = self._incidence
+        weight = np.divide(self._tau, inc.masses,
+                           out=np.zeros(inc.masses.shape),
+                           where=inc.masses > 0.0)
+        return (inc.St[np.asarray(rows)].multiply(weight) @ inc.S).toarray()
 
     def handle(self) -> OperatorHandle:
         return OperatorHandle(self.quad, self.kernel_rows, self.quad.masses,

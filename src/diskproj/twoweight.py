@@ -1,15 +1,19 @@
 """Stopping squares, testing constants and the one-weight experiment.
 
 They run on the sparse dyadic operator T f = sum_S tau_S (E^mu_S f) 1_S
-of operators.py, level by level over the quadrature's dyadic-level
-index: levels 0..J, mu the cell masses, each mu(S) cached on the index.
+of operators.py: levels 0..J, mu the cell masses, each mu(S) cached on
+the grid's square-by-cell incidence matrix S (disk.py). Every square
+sum they need is one product S @ V over all levels, for all the fields
+at once, and the stopped sum of the linearization one product with the
+transpose; each costs one pass over nnz = about cells x levels entries.
 On the nested beta = 0 grid, where arc m at level l has the children 2m
-and 2m + 1, the stopping squares take one top-down array pass, and the
-Sawyer testing constants one tree pass per side with no apply of T (see
-_testing_sup); each costs O(cells x levels). The half-shifted grid does
-not nest, so there the testing constants apply T once per square:
-2^(d+1) - 1 applies per side at depth d. The operator norms iterate on
-fast applies and form no dense matrix.
+and 2m + 1, the stopping squares take one top-down array pass over
+those sums, and the Sawyer testing constants one tree pass per side
+with no apply of T (see _testing_sup), whose suffix sums over levels
+still spread level by level. The half-shifted grid does not nest, so
+there the testing constants apply T once per square: 2^(d+1) - 1
+applies per side at depth d. The operator norms iterate on fast applies
+and form no dense matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .disk import (DiskQuadrature, DyadicInterval, Field, check_integer,
-                   finite_table, nonnegative_table, require_same_quadrature)
+                   finite_table, nonnegative_table, require_same_quadrature,
+                   square_address, square_row, square_rows)
 from .errors import InvalidRangeError
 from .kernels import KernelSpec
 from .operators import (PsiProfile, SparseOperator, apply_sparse,
@@ -82,29 +87,29 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval
 
     sm_cell = sigma.values * quad.masses
     f_abs = np.abs(finite_table(f.values, (quad.size,), "f"))
-    sm, ex = [], []
-    for lv in quad.levels(0.0, quad.J):
-        mass = lv.sums(sm_cell)
-        sm.append(mass)
-        ex.append(np.divide(lv.sums(f_abs * sm_cell), mass,
-                            out=np.zeros(lv.count), where=mass > 0.0))
+    # sigma mu and the average of |f| on every square, by incidence row
+    sm, sm_f = (quad.incidence(0.0).S @ np.column_stack(
+        (sm_cell, f_abs * sm_cell))).T
+    ex = np.divide(sm_f, sm, out=np.zeros(sm.shape), where=sm > 0.0)
 
     root = (s0.level, s0.index)
-    if not ex[root[0]][root[1]] > 0.0:
+    root_row = square_row(*root)
+    if not ex[root_row] > 0.0:
         raise InvalidRangeError("root average of |f| must be positive")
 
     squares, owners = [root], [root]                # assignment items
-    stopped, averages, gens = [root], [float(ex[root[0]][root[1]])], [0]
+    stopped, averages, gens = [root], [float(ex[root_row])], [0]
     # the stopping ancestor of each square at the current level under S0
     anc_lev, anc_idx = np.array([root[0]]), np.array([root[1]])
-    anc_e, gen = ex[root[0]][root[1]:root[1] + 1], np.zeros(1, np.int64)
+    anc_e, gen = ex[root_row:root_row + 1], np.zeros(1, np.int64)
     for lev in range(root[0] + 1, quad.J + 1):
         shift = lev - root[0]
         idx = np.arange(root[1] << shift, (root[1] + 1) << shift)
-        live = sm[lev][idx] > 0.0
+        rows = square_row(lev, idx)
+        live = sm[rows] > 0.0
         if not live.any():
             break                        # every deeper square is massless
-        e_here = ex[lev][idx]
+        e_here = ex[rows]
         anc_lev, anc_idx, anc_e, gen = (np.repeat(a, 2) for a in
                                         (anc_lev, anc_idx, anc_e, gen))
         stop = live & (e_here > 4.0 * anc_e)
@@ -127,20 +132,23 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval
                           quad=quad, sigma_mu=sm_cell, f_abs=f_abs)
 
 
+def _incidence_rows(squares):
+    """The incidence rows of (level, index) squares."""
+    level, index = np.array(list(squares), dtype=np.int64).reshape(-1, 2).T
+    return square_row(level, index)
+
+
 def pointwise_linearization(family: StoppingFamily):
     """(lhs, rhs) of the pointwise stopped-sum bound at the nodes:
     lhs(z) = sum of E_L over stopping L containing z, rhs = (4/3) M f(z)
     with M the dyadic maximal function of |f| in sigma*mu."""
     quad = family.quad
-    levels = quad.levels(0.0, quad.J)
-    stopped = [np.zeros(lv.count) for lv in levels]
-    for (lev, m), e_l in family.expectations.items():
-        stopped[lev][m] = e_l
-    # the stopping squares holding a node nest, one per generation, so
-    # adding them level by level keeps the order of the stopped sum
-    lhs = np.zeros(quad.size)
-    for lv, e_l in zip(levels, stopped):
-        lhs[lv.start:] += e_l[lv.arcs]
+    inc = quad.incidence(0.0)
+    stopped = np.zeros(inc.masses.shape)
+    stopped[_incidence_rows(family.expectations)] = list(
+        family.expectations.values())
+    # a cell's squares add level by level, the order of the stopped sum
+    lhs = inc.St @ stopped
     maximal = dyadic_maximal(quad, family.sigma_mu, 0.0, family.f_abs)
     return lhs, (4.0 / 3.0) * maximal
 
@@ -148,11 +156,11 @@ def pointwise_linearization(family: StoppingFamily):
 def carleson_embedding_sum(family: StoppingFamily, p) -> float:
     """sum_L (E^{sigma mu}_L |f|)^p (sigma mu)(L) over the stopping family."""
     _conjugate(p)
-    levels = family.quad.levels(0.0, family.quad.J)
+    masses = family.quad.incidence(0.0).S @ family.sigma_mu
     total = 0.0
-    for (lev, m), e_l in family.expectations.items():
-        cells = levels[lev].cells(m)
-        total += e_l ** p * float(family.sigma_mu[cells].sum())
+    for e_l, mass in zip(family.expectations.values(), masses[
+            _incidence_rows(family.expectations)].tolist()):
+        total += e_l ** p * mass
     return total
 
 
@@ -193,29 +201,35 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
     top = min(quad.J, depth)
     levels = quad.levels(0.0, quad.J)
     s_mu, t_mu = source_vals * quad.masses, target_vals * quad.masses
+    s_sq, t_sq = (quad.incidence(0.0).S @ np.column_stack((s_mu, t_mu))).T
     # top-down: A and W at every level to the depth
-    t_mass = [lv.sums(t_mu) for lv in levels[:top + 1]]
     A, W = [np.zeros(1)], [np.zeros(1)]
     for lev in range(top):
         mu_q = levels[lev].masses
+        t_mass = t_sq[square_rows(lev)]
         a_child = np.repeat(A[lev] + np.divide(
             T.tau[lev], mu_q, out=np.zeros_like(mu_q), where=mu_q > 0.0), 2)
         A.append(a_child)
         W.append(np.repeat(W[lev], 2) + a_child ** p * (
-            np.repeat(t_mass[lev], 2) - t_mass[lev + 1]))
-    # bottom-up: D_l, then each level's best square (>= keeps the first)
+            np.repeat(t_mass, 2) - t_sq[square_rows(lev + 1)]))
+    # bottom-up: D_l, then each level's best square (>= keeps the first).
+    # On the nested grid a cell's arc at level l is its arc index in its
+    # band of 2^e arcs shifted right by e - l.
+    e = np.array([b.arc_count.bit_length() - 1
+                  for b in quad.bands])[quad.cell_band]
     D = np.zeros(quad.size)
     best, witness = 0.0, (0, 0)
     for lev in range(quad.J, -1, -1):
         lv = levels[lev]
-        s_mass = lv.sums(s_mu)
+        arcs = quad.cell_arc[lv.start:] >> (e[lv.start:] - lev)
+        s_mass = s_sq[square_rows(lev)]
         avg = np.divide(s_mass, lv.masses, out=np.zeros(lv.count),
                         where=lv.masses > 0.0)
-        D[lv.start:] += (T.tau[lev] * avg)[lv.arcs]
+        D[lv.start:] += (T.tau[lev] * avg)[arcs]
         if lev > top:
             continue
-        on_q = np.abs(D[lv.start:] + (s_mass * A[lev])[lv.arcs]) ** p
-        norm = np.bincount(lv.arcs, weights=on_q * t_mu[lv.start:],
+        on_q = np.abs(D[lv.start:] + (s_mass * A[lev])[arcs]) ** p
+        norm = np.bincount(arcs, weights=on_q * t_mu[lv.start:],
                            minlength=lv.count) + s_mass ** p * W[lev]
         ratio = np.divide(norm, s_mass, out=np.zeros(lv.count),
                           where=s_mass > 0.0)
@@ -231,18 +245,18 @@ def _square_by_square_sup(T, source_vals, target_vals, p, depth):
     quad = T.quad
     best, witness = 0.0, (0, 0)
     tmu = target_vals * quad.masses
-    denom_cell = source_vals * quad.masses
+    denom = quad.incidence(T.beta).S @ (source_vals * quad.masses)
     for lv in quad.levels(T.beta, min(quad.J, depth)):
-        denom = lv.sums(denom_cell)
         for m in range(lv.count):
-            if denom[m] <= 0.0:
+            d = float(denom[square_row(lv.level, m)])
+            if d <= 0.0:
                 continue
             f_vals = np.zeros(quad.size)
             cells = lv.cells(m)
             f_vals[cells] = source_vals[cells]
             out = apply_sparse(T, Field(quad, f_vals)).values
             val = float(np.sum(np.abs(out) ** p * tmu))
-            ratio = val / denom[m]
+            ratio = val / d
             if ratio > best:
                 best, witness = ratio, (lv.level, m)
     return best, witness
@@ -282,26 +296,25 @@ def split_by_criterion(f: Field, g: Field, sigma: WeightField,
     (E^{mu sigma}_S f)^p (mu sigma)(S) >= (E^{mu u}_S g)^{p'} (mu u)(S),
     to S2 otherwise. Ties go to S1; massless squares are skipped."""
     q = _conjugate(p)
+    check_integer(depth, "depth")
     quad = f.quad
     require_same_quadrature(quad, g, sigma, u)
     fv, gv = (nonnegative_table(h.values, (quad.size,), name)
               for h, name in ((f, "f"), (g, "g")))
     mu = quad.masses
     sig_mu, u_mu = sigma.values * mu, u.values * mu
-    s1, s2 = [], []
-    for lv in quad.levels(beta, depth):
-        msig, m_u = lv.sums(sig_mu), lv.sums(u_mu)
-        e_f = np.divide(lv.sums(fv * sig_mu), msig,
-                        out=np.zeros(lv.count), where=msig > 0.0)
-        e_g = np.divide(lv.sums(gv * u_mu), m_u,
-                        out=np.zeros(lv.count), where=m_u > 0.0)
-        lhs = e_f ** p * msig
-        rhs = e_g ** q * m_u
-        live = np.flatnonzero(lv.masses > 0.0)
-        first = lhs[live] >= rhs[live]
-        s1 += zip(itertools.repeat(lv.level), live[first].tolist())
-        s2 += zip(itertools.repeat(lv.level), live[~first].tolist())
-    return s1, s2
+    inc = quad.incidence(beta)
+    rows = slice(0, square_rows(min(depth, quad.J)).stop)
+    msig, m_u, f_sig, g_u = (inc.S @ np.column_stack(
+        (sig_mu, u_mu, fv * sig_mu, gv * u_mu)))[rows].T
+    e_f = np.divide(f_sig, msig, out=np.zeros(msig.shape), where=msig > 0.0)
+    e_g = np.divide(g_u, m_u, out=np.zeros(m_u.shape), where=m_u > 0.0)
+    # massless squares are skipped, and every square past J is massless
+    live = np.flatnonzero(inc.masses[rows] > 0.0)
+    first = e_f[live] ** p * msig[live] >= e_g[live] ** q * m_u[live]
+    level, index = square_address(live)
+    return tuple(list(zip(level[part].tolist(), index[part].tolist()))
+                 for part in (first, ~first))
 
 
 # -- one-weight experiment -----------------------------------------------------

@@ -38,8 +38,9 @@ from typing import Optional
 
 import numpy as np
 
-from .disk import (GRID_SHIFTS, DiskQuadrature, Field, finite_table,
-                   nonnegative_table, require_same_quadrature)
+from .disk import (GRID_SHIFTS, DiskQuadrature, Field, check_integer,
+                   finite_table, nonnegative_table, require_same_quadrature,
+                   square_rows)
 from .errors import ConfigError, InvalidRangeError
 
 
@@ -123,34 +124,44 @@ class CharacteristicReport:
 
 
 def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
+    """B_p over both grids to the given depth: each grid's square sums of
+    v mu and v^(-p'/p) mu in one product, then the levels in order, the
+    grids in GRID_SHIFTS order within a level. The witness is the first
+    square of the largest value; squares without mass are skipped."""
     if not 1.0 < p < math.inf:
         raise InvalidRangeError("B_p needs p in (1, inf)")
+    check_integer(depth, "depth")
     quad = v.quad
     pprime = p / (p - 1.0)
     mass = quad.masses
-    mass_v = mass * v.values
-    mass_d = mass * np.power(v.values, -pprime / p)
-    grids = [(beta, quad.levels(beta, depth)) for beta in GRID_SHIFTS]
-    best, witness, skipped = 0.0, None, 0
+    fields = np.column_stack((mass * v.values,
+                              mass * np.power(v.values, -pprime / p)))
+    grids = []
+    for beta in GRID_SHIFTS:
+        inc = quad.incidence(beta)
+        num = inc.S @ fields
+        den = inc.masses
+        ok = den > 0.0
+        vals = np.full(den.shape, -math.inf)
+        vals[ok] = (num[ok, 0] / den[ok]) * (num[ok, 1] / den[ok]) ** (
+            p / pprime)
+        grids.append((beta, vals))
+    best, witness = 0.0, None
     per_depth = []
     for level in range(depth + 1):
-        for beta, levels in grids:
-            lv = levels[level]
-            den = lv.masses
-            num_v = lv.sums(mass_v)
-            num_d = lv.sums(mass_d)
-            ok = den > 0.0
-            skipped += int(lv.count - ok.sum())
-            if not ok.any():
-                continue
-            vals = (num_v[ok] / den[ok]) * (num_d[ok] / den[ok]) ** (p / pprime)
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best = float(vals[k])
-                witness = (beta, level, int(np.nonzero(ok)[0][k]))
+        for beta, vals in grids:
+            level_vals = vals[square_rows(level)]   # empty past J
+            if level_vals.size and level_vals.max() > best:
+                k = int(np.argmax(level_vals))
+                best = float(level_vals[k])
+                witness = (beta, level, k)
         per_depth.append(best)
+    rows = square_rows(depth).stop          # the squares at levels 0..depth
+    live = sum(int(np.count_nonzero(vals[:rows] > -math.inf))
+               for _, vals in grids)
     return CharacteristicReport(value=best, witness=witness, depth=depth,
-                                per_depth=tuple(per_depth), skipped=skipped)
+                                per_depth=tuple(per_depth),
+                                skipped=2 * rows - live)
 
 
 # -- disc maximal operator and B_1 ----------------------------------------------
@@ -260,18 +271,19 @@ def b1_characteristic(v: WeightField) -> CharacteristicReport:
 
 def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values):
     """M f(z) = max over grid squares S containing z of the nu-average
-    of |f| over S at levels 0..J; one pass per level."""
+    of |f| over S at levels 0..J: the square sums in one product (nu(S)
+    read from the incidence when nu is the cell masses), then a max
+    over each cell's row of the transpose."""
     nu = nonnegative_table(nu_masses, (quad.size,), "nu_masses")
     nu_f = nu * np.abs(finite_table(f_values, (quad.size,), "f"))
-    out = np.zeros(quad.size)
-    for lv in quad.levels(beta, quad.J):
-        den = lv.sums(nu)
-        avg = np.divide(lv.sums(nu_f), den, out=np.zeros(lv.count),
-                        where=den > 0.0)
-        # avg is 0 on massless squares, and out >= 0 already
-        tail = out[lv.start:]
-        np.maximum(tail, avg[lv.arcs], out=tail)
-    return out
+    inc = quad.incidence(beta)
+    if nu is quad.masses:
+        den, num = inc.masses, inc.S @ nu_f
+    else:
+        den, num = (inc.S @ np.column_stack((nu, nu_f))).T
+    # 0 on massless squares; every cell lies in the level-0 square
+    avg = np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
+    return np.maximum.reduceat(avg[inc.St.indices], inc.St.indptr[:-1])
 
 
 def _exact_weak_sup(values, measure_weights):

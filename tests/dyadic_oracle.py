@@ -1,0 +1,48 @@
+"""Per-level oracle for the dyadic layer: the bincount and the gather
+that summed over one grid level at a time and spread back to its cells,
+before the square-by-cell incidence matrices replaced them. Each level's
+member cells and arc indices come from the node radii and arc_index,
+not from the incidence."""
+
+import numpy as np
+
+from diskproj import disk as dk
+
+
+def arc_sums(arcs, member_values, count):
+    # float also on an empty level, where bincount gives int64 zeros
+    return np.bincount(arcs, weights=member_values,
+                       minlength=count).astype(float, copy=False)
+
+
+def level_arcs(quad, beta, level):
+    """(start, arcs): the level's members are the cells start..size-1,
+    the nodes with r >= 1 - 2^-level, and arcs their arc indices."""
+    start = quad.size - int(np.count_nonzero(
+        quad.nodes_r >= 1.0 - 2.0 ** -level))
+    return start, dk.arc_index(beta, level, quad.nodes_t[start:])
+
+
+def level_sums(quad, beta, level, cell_values):
+    """Per-arc sums of cell_values over the level's members, in cell
+    order."""
+    start, arcs = level_arcs(quad, beta, level)
+    return arc_sums(arcs, cell_values[start:], 1 << level)
+
+
+def incidence_sums(quad, beta, columns):
+    """S @ columns: every column's level sums, levels 0..J stacked."""
+    return np.column_stack([
+        np.concatenate([level_sums(quad, beta, level, col)
+                        for level in range(quad.J + 1)])
+        for col in np.asarray(columns).reshape(quad.size, -1).T])
+
+
+def incidence_spread(quad, beta, square_values):
+    """St @ square_values: level by level from level 0, each member
+    cell adds the value of its square."""
+    out = np.zeros(quad.size)
+    for level in range(quad.J + 1):
+        start, arcs = level_arcs(quad, beta, level)
+        out[start:] += square_values[dk.square_rows(level)][arcs]
+    return out

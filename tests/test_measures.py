@@ -165,3 +165,47 @@ def test_invalid_ranges():
         leb.tail(1.5)
     with pytest.raises(InvalidRangeError):
         leb.moment(-1.0)
+
+
+def test_density_not_finite_on_the_rule_raises():
+    """A density that is NaN (or infinite) above r = 0.99 leaves the
+    Simpson masses of [0, 1/2] alone, but every Gauss-Legendre rule over
+    [0, 1] has nodes there: the rule, the moments and the kernel layer's
+    moment table raise instead of returning NaN, as total_mass does."""
+    from diskproj import kernels as kn
+
+    for bad in (math.nan, math.inf):
+        meas = ms.RadialMeasure(
+            name="bad-tail",
+            density=lambda r, v=bad: np.where(np.asarray(r) > 0.99, v, 1.0))
+        assert meas.interval_mass(0.0, 0.5) == pytest.approx(0.5, rel=1e-12)
+        nodes, weights = meas.density_rule(0.0, 0.5)
+        assert np.all(np.isfinite(weights)) and nodes.max() < 0.5
+        with pytest.raises(InvalidRangeError):
+            meas.density_rule()
+        with pytest.raises(InvalidRangeError):
+            meas.moment(1.0)
+        with pytest.raises(InvalidRangeError):
+            kn.nu_moment_table(meas, 3)
+        with pytest.raises(InvalidRangeError):
+            meas.total_mass()
+
+
+def test_adaptive_simpson_raises_on_nonfinite_integrand():
+    """The first NaN or infinite value raises at once, real or complex;
+    without the check a NaN integrand recursed toward depth 48."""
+    from diskproj._integrate import adaptive_simpson
+
+    calls = []
+
+    def nan_above(x, v):
+        calls.append(x)
+        return v if x > 0.3 else x
+
+    for bad in (math.nan, math.inf, complex(math.nan, 0.0)):
+        calls.clear()
+        with pytest.raises(InvalidRangeError):
+            adaptive_simpson(lambda x: nan_above(x, bad), 0.0, 1.0)
+        assert len(calls) <= 3          # f(a), f(b): b = 1 > 0.3
+    assert adaptive_simpson(lambda x: 1j * x, 0.0, 1.0) == \
+        pytest.approx(0.5j, abs=1e-15)

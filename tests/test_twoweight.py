@@ -32,6 +32,7 @@ from diskproj.errors import InvalidRangeError, QuadratureMismatchError
 from diskproj.kernels import KernelSpec
 from diskproj.operators import (PsiProfile, bergman_handle,
                                 weighted_norm_bracket, weighted_norm_p2)
+from dyadic_oracle import level_sums
 
 ATOM1 = ms.point_mass(1.0, 1.0)
 
@@ -50,7 +51,8 @@ def test_default_tau_table(quad3):
     assert len(T.tau) == quad3.J + 1
     for lv in quad3.levels(0.0, quad3.J):
         # Psi(2^-l) = 2^l for the standard profile
-        want = 4.0 ** lv.level * lv.sums(quad3.masses)
+        want = 4.0 ** lv.level * level_sums(quad3, 0.0, lv.level,
+                                            quad3.masses)
         np.testing.assert_allclose(T.tau[lv.level], want, rtol=1e-13)
 
 
@@ -339,10 +341,10 @@ def stopping_walk(f, sigma, s0):
     f_abs = np.abs(f.values)
     sm, ex = [], []
     for lv in quad.levels(0.0, quad.J):
-        mass = lv.sums(sm_cell)
+        mass = level_sums(quad, 0.0, lv.level, sm_cell)
         sm.append(mass)
-        ex.append(np.divide(lv.sums(f_abs * sm_cell), mass,
-                            out=np.zeros(lv.count), where=mass > 0.0))
+        ex.append(np.divide(level_sums(quad, 0.0, lv.level, f_abs * sm_cell),
+                            mass, out=np.zeros(lv.count), where=mass > 0.0))
     root = (s0.level, s0.index)
     expectations = {root: float(ex[root[0]][root[1]])}
     assignment = {root: root}
@@ -483,3 +485,16 @@ def test_testing_constants_at_depth_twelve():
     assert rep.norm_exact and 0.0 < rep.norm_lower <= rep.norm_upper
     assert rep.c0_root <= rep.norm_upper
     assert rep.c0_star_root <= rep.norm_upper
+
+
+@pytest.mark.parametrize("beta", dk.GRID_SHIFTS)
+def test_testing_report_numbers_are_python_floats(quad3, beta):
+    """Both grids report Python floats: the per-square route of the
+    half-shifted grid used to hand back np.float64."""
+    T = tw.sparse_bergman_model(std_psi(), quad3, beta=beta)
+    sigma, u, _, _ = tw.random_instance(quad3, 5)
+    rep = tw.testing_constants(T, sigma, u, 2.0, 2)
+    for name in ("c0", "c0_star", "c0_root", "c0_star_root", "norm_lower",
+                 "norm_upper", "c1_measured"):
+        assert type(getattr(rep, name)) is float, name
+    assert rep.c0 > 0.0 and rep.c0_star > 0.0

@@ -40,7 +40,7 @@ from typing import List, Optional
 import numpy as np
 
 from .disk import (GRID_SHIFTS, Arc, Field, PolarRectangle,
-                   carleson_square, require_same_quadrature)
+                   carleson_square, require_same_quadrature, square_row)
 from .errors import InvalidRangeError
 from .kernels import KernelSpec
 from .weights import WeightField, b1_characteristic
@@ -114,7 +114,7 @@ def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
     parent_ratio = 1.0
     root_selected = False
 
-    cells = quad.levels(beta, level)[level].cells(m).astype(np.int64)
+    cells = quad.incidence(beta).cells(square_row(level, m)).astype(np.int64)
     mass = float(quad.masses[cells].sum())
     if mass <= 0.0:
         f_parts.append(cells)

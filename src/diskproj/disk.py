@@ -12,25 +12,29 @@ Grid convention: the arcs of grid beta in {0, 1/2} at level l are
 [(m + beta) 2^-l, (m + 1 + beta) 2^-l) mod 1. At each fixed level both
 families partition the circle; the beta = 0 family is nested across
 levels, the beta = 1/2 family is not (its shift halves with the level),
-so the cross-level algorithms work per level by index arithmetic. On
-the nested grid, arc m at level l has the children 2m and 2m + 1, and
-the stopping and testing passes carry arrays from one level to the next.
+so the cross-level algorithms work per level by index arithmetic.
 
 That arithmetic lives in one cached incidence matrix per quadrature and
 grid shift, DiskQuadrature.incidence: S, squares by cells in CSR form,
 levels 0..J stacked (square (l, m) is row 2^l - 1 + m), its CSR
-transpose and the square masses. Every per-level reduction (B_p, the
-dyadic maximal function, the dyadic operator, stopping and testing) is
-then one product: S @ V sums every column of V over every square, and
-St @ y spreads per-square values back to the cells. Each product costs
-one pass over the nnz = sum over cells of their level counts, about
-cells x levels (196,616 entries at J=12, j0=1); S and St add in the
-order of a per-level bincount and gather, so their sums are those bit
-for bit. The indices are int32 and both grids share one array of ones,
-so the two grids hold 16 bytes per entry plus 8 per entry once: 5.0 MB
-at J=12, j0=1. DiskQuadrature.levels gives per-level views of the same
-matrices. The dyadic layer's measure is the cell masses and its levels
-are 0..J; the incidence is the one place that checks a grid shift.
+transpose and the square masses. The row is a square's one address in
+the dyadic layer; (level, index) pairs appear only in what the layer
+returns. On the nested grid the rows are a binary heap: row r has the
+children 2r + 1 and 2r + 2 and the parent (r - 1) // 2, and the
+stopping and testing passes carry arrays from one level to the next.
+Every per-level reduction (B_p, the dyadic maximal function, the dyadic
+operator, stopping and testing) is then one product: S @ V sums every
+column of V over every square, and St @ y spreads per-square values
+back to the cells. Each product costs one pass over the nnz = sum over
+cells of their level counts, about cells x levels (196,616 entries at
+J=12, j0=1); S and St add in the order of a per-level bincount and
+gather, so their sums are those bit for bit. The indices are int32 and
+both grids share one array of ones, so the two grids hold 16 bytes per
+entry plus 8 per entry once: 5.0 MB at J=12, j0=1. A level's rows are
+square_rows(level), and its member cells the suffix from
+DiskQuadrature.level_start(level). The dyadic layer's measure is the
+cell masses and its levels are 0..J; the incidence is the one place
+that checks a grid shift.
 """
 
 from __future__ import annotations
@@ -135,16 +139,6 @@ class DyadicInterval:
     def arc(self):
         return Arc((self.index + self.beta) * self.length, self.length)
 
-    def children(self):
-        """The two level+1 grid arcs inside this one. Only the beta = 0
-        family is nested across levels; for beta = 1/2 the level+1 grid
-        is shifted by a quarter of this arc and no two grid arcs tile it."""
-        if self.beta != 0.0:
-            raise InvalidRangeError(
-                "half-shifted grid arcs have no same-grid children")
-        return (DyadicInterval(0.0, self.level + 1, 2 * self.index),
-                DyadicInterval(0.0, self.level + 1, 2 * self.index + 1))
-
 
 def containing_dyadic(arc: Arc) -> DyadicInterval:
     """Smallest grid arc (either shift) containing the given arc.
@@ -243,38 +237,9 @@ class SquareIncidence:
     St: csr_array
     masses: np.ndarray
 
-
-@dataclass(frozen=True, eq=False)
-class DyadicLevel:
-    """The member cells of one grid level, those whose nodes lie in a
-    Carleson square of side 2^-level: cells are band-major, so they are
-    the suffix start..size-1. masses is the quadrature's mass of each
-    square, the level's rows of the incidence masses (zeros past J)."""
-
-    level: int
-    start: int
-    masses: np.ndarray
-    incidence: SquareIncidence
-
-    @property
-    def count(self):
-        return 1 << self.level
-
-    @property
-    def arcs(self):
-        """The arc index of each member cell, in cell order: the level-th
-        entry of the cell's row of St."""
-        St = self.incidence.St
-        return (St.indices[St.indptr[self.start:-1] + self.level]
-                - square_row(self.level, 0))
-
-    def cells(self, m):
-        """The member cells in arc m, in cell order: a row of S."""
-        S = self.incidence.S
-        row = square_row(self.level, m)
-        if row >= S.shape[0]:
-            return S.indices[:0]
-        return S.indices[S.indptr[row]:S.indptr[row + 1]]
+    def cells(self, row):
+        """The cells of the square at an incidence row, in cell order."""
+        return self.S.indices[self.S.indptr[row]:self.S.indptr[row + 1]]
 
 
 @dataclass(eq=False)
@@ -310,7 +275,6 @@ class DiskQuadrature:
     cell_band: np.ndarray
     cell_arc: np.ndarray
     _incidence: dict = field(default_factory=dict, init=False, repr=False)
-    _level_index: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def size(self):
@@ -332,10 +296,12 @@ class DiskQuadrature:
     def node_mask(self, region: PolarRectangle):
         return region.contains(self.nodes_r, self.nodes_t)
 
-    def _level_start(self, level):
-        """The first cell of the level's members: every cell at level 0,
+    def level_start(self, level):
+        """The first cell of the level's members, those whose nodes lie
+        in a Carleson square of side 2^-level: cells are band-major, so
+        the members are the suffix start..size-1. Every cell at level 0,
         the cells of annuli j >= level (nodes with r >= 1 - 2^-level)
-        after that, none past J."""
+        after that, none past J (start = size)."""
         # band b >= 2 is annulus b - 1, after the two core rings
         return (int(np.searchsorted(self.cell_band, level, side="right"))
                 if level else 0)
@@ -355,7 +321,7 @@ class DiskQuadrature:
             s_ind = np.empty_like(t_ind)
             s_ptr = np.zeros(2 << self.J, dtype=np.int32)
             for level in range(self.J + 1):
-                start, rows = self._level_start(level), square_rows(level)
+                start, rows = self.level_start(level), square_rows(level)
                 arcs = arc_index(beta, level, self.nodes_t[start:])
                 t_ind[t_ptr[start:-1] + level] = rows.start + arcs
                 first = s_ptr[rows.start]   # entries of the levels above
@@ -372,19 +338,6 @@ class DiskQuadrature:
             St = csr_array((ones, t_ind, t_ptr), shape=shape[::-1])
             self._incidence[beta] = SquareIncidence(S, St, S @ self.masses)
         return self._incidence[beta]
-
-    def levels(self, beta, L_max):
-        """The DyadicLevel of grid beta at each level 0..L_max, views of
-        the grid's incidence; levels past J hold no cell."""
-        check_grid(beta, L_max)
-        inc = self.incidence(beta)
-        index = self._level_index.setdefault(beta, [])
-        for level in range(len(index), L_max + 1):
-            masses = (inc.masses[square_rows(level)] if level <= self.J
-                      else np.zeros(1 << level))
-            index.append(DyadicLevel(level, self._level_start(level), masses,
-                                     inc))
-        return tuple(index[:L_max + 1])
 
     def same_as(self, other):
         return self is other or (self.omega is other.omega and

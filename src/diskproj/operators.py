@@ -44,7 +44,8 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .disk import (GRID_SHIFTS, Arc, DiskQuadrature, Field, carleson_square,
-                   finite_table, nonnegative_table, require_same_quadrature)
+                   finite_table, nonnegative_table, require_same_quadrature,
+                   square_rows)
 from .errors import (InvalidRangeError, NoAdmissiblePairError,
                      NoConvergenceError)
 from .kernels import KernelSpec, kernel_integral_grid, nu_cauchy_grid
@@ -285,8 +286,9 @@ def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
     at levels 0..J. A custom tau table overrides the default."""
     if tau is None:
         psi_vals = psi(2.0 ** -np.arange(quad.J + 1))
-        tau = [psi_vals[lv.level] * lv.masses * 2.0 ** lv.level
-               for lv in quad.levels(beta, quad.J)]
+        masses = quad.incidence(beta).masses
+        tau = [psi_vals[level] * masses[square_rows(level)] * 2.0 ** level
+               for level in range(quad.J + 1)]
     return SparseOperator(beta, quad, tau)
 
 

@@ -6,21 +6,24 @@ the grid's square-by-cell incidence matrix S (disk.py). Every square
 sum they need is one product S @ V over all levels, for all the fields
 at once, and the stopped sum of the linearization one product with the
 transpose; each costs one pass over nnz = about cells x levels entries.
-On the nested beta = 0 grid, where arc m at level l has the children 2m
-and 2m + 1, the stopping squares take one top-down array pass over
-those sums, and the Sawyer testing constants one tree pass per side
-with no apply of T (see _testing_sup), whose suffix sums over levels
-still spread level by level. The half-shifted grid does not nest, so
-there the testing constants apply T once per square: 2^(d+1) - 1
-applies per side at depth d. The operator norms iterate on fast applies
-and form no dense matrix.
+A square is addressed by its row of S; (level, index) pairs appear only
+in what this module returns. On the nested beta = 0 grid, where row r
+has the children 2r + 1 and 2r + 2, the stopping squares take one
+top-down array pass over those sums, and StoppingFamily keeps the
+pass's arrays over the rows, from which the linearization and the
+Carleson embedding sum read; the Sawyer testing constants take one tree
+pass per side with no apply of T (see _testing_sup), whose suffix sums
+over levels still spread level by level. The half-shifted grid does
+not nest, so there the testing constants apply T once per square:
+2^(d+1) - 1 applies per side at depth d. The operator norms iterate on
+fast applies and form no dense matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -33,8 +36,7 @@ from .kernels import KernelSpec
 from .operators import (PsiProfile, SparseOperator, apply_sparse,
                         positive_handle, sparse_bergman_model,
                         weighted_norm_bracket)
-from .weights import (WeightField, bp_characteristic, dual_weight,
-                      dyadic_maximal)
+from .weights import WeightField, bp_characteristic, dual_weight
 
 Square = Tuple[int, int]          # (level, arc index) on a fixed grid
 
@@ -49,17 +51,50 @@ def _conjugate(p):
 
 @dataclass(eq=False)
 class StoppingFamily:
-    root: Square
-    generations: List[List[Square]]
-    expectations: Dict[Square, float]       # stopped E^{sigma mu}_L |f|
-    assignment: Dict[Square, Square]        # lambda(S): minimal stopping
-    #                                         ancestor, over positive-mass S
+    """Stopping squares under a root on the unshifted grid, as arrays
+    over the rows of its incidence (disk.SquareIncidence): sums is
+    (sigma mu)(S), averages the sigma mu average of |f| on S (0 on
+    massless squares), owner the row of lambda(S), the minimal stopping
+    ancestor of a positive-mass square S under the root, and generation
+    the generation of a stopping square; both are -1 elsewhere. The
+    (level, index) views are built on first read."""
+
     quad: DiskQuadrature
+    sums: np.ndarray
+    averages: np.ndarray
+    owner: np.ndarray
+    generation: np.ndarray
     sigma_mu: np.ndarray
     f_abs: np.ndarray
 
+    @cached_property
+    def generations(self) -> List[List[Square]]:
+        """The stopping squares of each generation, in level-then-index
+        order."""
+        stops = np.flatnonzero(self.generation >= 0)
+        gen = self.generation[stops]
+        return [_squares(stops[gen == g]) for g in range(gen.max() + 1)]
+
+    @cached_property
+    def expectations(self) -> Dict[Square, float]:
+        """The stopped E^{sigma mu}_L |f| of each stopping square L."""
+        stops = np.flatnonzero(self.generation >= 0)
+        return dict(zip(_squares(stops), self.averages[stops].tolist()))
+
+    @cached_property
+    def assignment(self) -> Dict[Square, Square]:
+        """lambda(S) of each positive-mass square S under the root."""
+        rows = np.flatnonzero(self.owner >= 0)
+        return dict(zip(_squares(rows), _squares(self.owner[rows])))
+
     def stopping_squares(self):
         return [L for gen in self.generations for L in gen]
+
+
+def _squares(rows):
+    """The (level, index) of each incidence row, as Python ints."""
+    level, index = square_address(rows)
+    return list(zip(level.tolist(), index.tolist()))
 
 
 def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval
@@ -73,9 +108,8 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval
     under S0 to its minimal stopping ancestor.
 
     One top-down pass over the levels: the squares under S0 at a level
-    are one index range, and each carries the (level, index), average
-    and generation of its minimal stopping ancestor. Each generation
-    lists its squares in level-then-index order.
+    are one range of rows, the children of the range above, and each
+    takes its parent's owner unless it stops itself.
     """
     quad = f.quad
     require_same_quadrature(quad, sigma)
@@ -88,78 +122,58 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval
     sm_cell = sigma.values * quad.masses
     f_abs = np.abs(finite_table(f.values, (quad.size,), "f"))
     # sigma mu and the average of |f| on every square, by incidence row
-    sm, sm_f = (quad.incidence(0.0).S @ np.column_stack(
+    sums, sm_f = (quad.incidence(0.0).S @ np.column_stack(
         (sm_cell, f_abs * sm_cell))).T
-    ex = np.divide(sm_f, sm, out=np.zeros(sm.shape), where=sm > 0.0)
+    # in place, sharing the product's buffer with sums: sm_f is already
+    # 0 on the massless squares, where the average is 0
+    averages = np.divide(sm_f, sums, out=sm_f, where=sums > 0.0)
 
-    root = (s0.level, s0.index)
-    root_row = square_row(*root)
-    if not ex[root_row] > 0.0:
+    root = square_row(s0.level, s0.index)
+    if not averages[root] > 0.0:
         raise InvalidRangeError("root average of |f| must be positive")
-
-    squares, owners = [root], [root]                # assignment items
-    stopped, averages, gens = [root], [float(ex[root_row])], [0]
-    # the stopping ancestor of each square at the current level under S0
-    anc_lev, anc_idx = np.array([root[0]]), np.array([root[1]])
-    anc_e, gen = ex[root_row:root_row + 1], np.zeros(1, np.int64)
-    for lev in range(root[0] + 1, quad.J + 1):
-        shift = lev - root[0]
-        idx = np.arange(root[1] << shift, (root[1] + 1) << shift)
-        rows = square_row(lev, idx)
-        live = sm[rows] > 0.0
+    owner = np.full(sums.shape, -1, dtype=np.int32)
+    generation = owner.copy()
+    owner[root] = root
+    generation[root] = 0
+    lo, hi = root, root + 1          # the rows under S0 at a level
+    for _ in range(quad.J - s0.level):
+        lo, hi = 2 * lo + 1, 2 * hi + 1
+        rows = np.arange(lo, hi)
+        live = sums[rows] > 0.0
         if not live.any():
             break                        # every deeper square is massless
-        e_here = ex[rows]
-        anc_lev, anc_idx, anc_e, gen = (np.repeat(a, 2) for a in
-                                        (anc_lev, anc_idx, anc_e, gen))
-        stop = live & (e_here > 4.0 * anc_e)
-        gen = gen + stop
-        anc_lev = np.where(stop, lev, anc_lev)
-        anc_idx = np.where(stop, idx, anc_idx)
-        anc_e = np.where(stop, e_here, anc_e)
-        squares += zip(itertools.repeat(lev), idx[live].tolist())
-        owners += zip(anc_lev[live].tolist(), anc_idx[live].tolist())
-        stopped += zip(itertools.repeat(lev), idx[stop].tolist())
-        averages += e_here[stop].tolist()
-        gens += gen[stop].tolist()
-
-    generations = [[] for _ in range(max(gens) + 1)]
-    for L, g in zip(stopped, gens):
-        generations[g].append(L)
-    return StoppingFamily(root=root, generations=generations,
-                          expectations=dict(zip(stopped, averages)),
-                          assignment=dict(zip(squares, owners)),
-                          quad=quad, sigma_mu=sm_cell, f_abs=f_abs)
-
-
-def _incidence_rows(squares):
-    """The incidence rows of (level, index) squares."""
-    level, index = np.array(list(squares), dtype=np.int64).reshape(-1, 2).T
-    return square_row(level, index)
+        anc = owner[(rows - 1) >> 1]
+        stop = live & (averages[rows] > 4.0 * averages[anc])
+        owner[rows] = np.where(stop, rows, np.where(live, anc, -1))
+        generation[rows] = np.where(stop, generation[anc] + 1, -1)
+    return StoppingFamily(quad=quad, sums=sums, averages=averages,
+                          owner=owner, generation=generation,
+                          sigma_mu=sm_cell, f_abs=f_abs)
 
 
 def pointwise_linearization(family: StoppingFamily):
     """(lhs, rhs) of the pointwise stopped-sum bound at the nodes:
     lhs(z) = sum of E_L over stopping L containing z, rhs = (4/3) M f(z)
-    with M the dyadic maximal function of |f| in sigma*mu."""
-    quad = family.quad
-    inc = quad.incidence(0.0)
-    stopped = np.zeros(inc.masses.shape)
-    stopped[_incidence_rows(family.expectations)] = list(
-        family.expectations.values())
+    with M the dyadic maximal function of |f| in sigma*mu: the max of
+    the family's averages over each cell's row of St, as in
+    weights.dyadic_maximal."""
+    St = family.quad.incidence(0.0).St
+    stopped = np.where(family.generation >= 0, family.averages, 0.0)
     # a cell's squares add level by level, the order of the stopped sum
-    lhs = inc.St @ stopped
-    maximal = dyadic_maximal(quad, family.sigma_mu, 0.0, family.f_abs)
+    lhs = St @ stopped
+    maximal = np.maximum.reduceat(family.averages[St.indices],
+                                  St.indptr[:-1])
     return lhs, (4.0 / 3.0) * maximal
 
 
 def carleson_embedding_sum(family: StoppingFamily, p) -> float:
-    """sum_L (E^{sigma mu}_L |f|)^p (sigma mu)(L) over the stopping family."""
+    """sum_L (E^{sigma mu}_L |f|)^p (sigma mu)(L) over the stopping family,
+    in level-then-index order."""
     _conjugate(p)
-    masses = family.quad.incidence(0.0).S @ family.sigma_mu
+    stops = np.flatnonzero(family.generation >= 0)
     total = 0.0
-    for e_l, mass in zip(family.expectations.values(), masses[
-            _incidence_rows(family.expectations)].tolist()):
+    for e_l, mass in zip(family.averages[stops].tolist(),
+                         family.sums[stops].tolist()):
         total += e_l ** p * mass
     return total
 
@@ -199,13 +213,13 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
         return _square_by_square_sup(T, source_vals, target_vals, p, depth)
     quad = T.quad
     top = min(quad.J, depth)
-    levels = quad.levels(0.0, quad.J)
+    inc = quad.incidence(0.0)
     s_mu, t_mu = source_vals * quad.masses, target_vals * quad.masses
-    s_sq, t_sq = (quad.incidence(0.0).S @ np.column_stack((s_mu, t_mu))).T
+    s_sq, t_sq = (inc.S @ np.column_stack((s_mu, t_mu))).T
     # top-down: A and W at every level to the depth
     A, W = [np.zeros(1)], [np.zeros(1)]
     for lev in range(top):
-        mu_q = levels[lev].masses
+        mu_q = inc.masses[square_rows(lev)]
         t_mass = t_sq[square_rows(lev)]
         a_child = np.repeat(A[lev] + np.divide(
             T.tau[lev], mu_q, out=np.zeros_like(mu_q), where=mu_q > 0.0), 2)
@@ -220,18 +234,18 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
     D = np.zeros(quad.size)
     best, witness = 0.0, (0, 0)
     for lev in range(quad.J, -1, -1):
-        lv = levels[lev]
-        arcs = quad.cell_arc[lv.start:] >> (e[lv.start:] - lev)
-        s_mass = s_sq[square_rows(lev)]
-        avg = np.divide(s_mass, lv.masses, out=np.zeros(lv.count),
-                        where=lv.masses > 0.0)
-        D[lv.start:] += (T.tau[lev] * avg)[arcs]
+        start, count = quad.level_start(lev), 1 << lev
+        arcs = quad.cell_arc[start:] >> (e[start:] - lev)
+        rows = square_rows(lev)
+        s_mass, mu_q = s_sq[rows], inc.masses[rows]
+        avg = np.divide(s_mass, mu_q, out=np.zeros(count), where=mu_q > 0.0)
+        D[start:] += (T.tau[lev] * avg)[arcs]
         if lev > top:
             continue
-        on_q = np.abs(D[lv.start:] + (s_mass * A[lev])[arcs]) ** p
-        norm = np.bincount(arcs, weights=on_q * t_mu[lv.start:],
-                           minlength=lv.count) + s_mass ** p * W[lev]
-        ratio = np.divide(norm, s_mass, out=np.zeros(lv.count),
+        on_q = np.abs(D[start:] + (s_mass * A[lev])[arcs]) ** p
+        norm = np.bincount(arcs, weights=on_q * t_mu[start:],
+                           minlength=count) + s_mass ** p * W[lev]
+        ratio = np.divide(norm, s_mass, out=np.zeros(count),
                           where=s_mass > 0.0)
         k = int(np.argmax(ratio))
         if ratio[k] > 0.0 and ratio[k] >= best:
@@ -245,20 +259,22 @@ def _square_by_square_sup(T, source_vals, target_vals, p, depth):
     quad = T.quad
     best, witness = 0.0, (0, 0)
     tmu = target_vals * quad.masses
-    denom = quad.incidence(T.beta).S @ (source_vals * quad.masses)
-    for lv in quad.levels(T.beta, min(quad.J, depth)):
-        for m in range(lv.count):
-            d = float(denom[square_row(lv.level, m)])
+    inc = quad.incidence(T.beta)
+    denom = inc.S @ (source_vals * quad.masses)
+    for lev in range(min(quad.J, depth) + 1):
+        for m in range(1 << lev):
+            row = square_row(lev, m)
+            d = float(denom[row])
             if d <= 0.0:
                 continue
             f_vals = np.zeros(quad.size)
-            cells = lv.cells(m)
+            cells = inc.cells(row)
             f_vals[cells] = source_vals[cells]
             out = apply_sparse(T, Field(quad, f_vals)).values
             val = float(np.sum(np.abs(out) ** p * tmu))
             ratio = val / d
             if ratio > best:
-                best, witness = ratio, (lv.level, m)
+                best, witness = ratio, (lev, m)
     return best, witness
 
 
@@ -291,8 +307,9 @@ def testing_constants(T: SparseOperator, sigma: WeightField, u: WeightField,
 
 
 def split_by_criterion(f: Field, g: Field, sigma: WeightField,
-                       u: WeightField, p, depth, beta=0.0):
-    """Partition squares to the given depth: S goes to S1 when
+                       u: WeightField, p, depth):
+    """Partition the unshifted grid's squares to the given depth: S
+    goes to S1 when
     (E^{mu sigma}_S f)^p (mu sigma)(S) >= (E^{mu u}_S g)^{p'} (mu u)(S),
     to S2 otherwise. Ties go to S1; massless squares are skipped."""
     q = _conjugate(p)
@@ -303,7 +320,7 @@ def split_by_criterion(f: Field, g: Field, sigma: WeightField,
               for h, name in ((f, "f"), (g, "g")))
     mu = quad.masses
     sig_mu, u_mu = sigma.values * mu, u.values * mu
-    inc = quad.incidence(beta)
+    inc = quad.incidence(0.0)
     rows = slice(0, square_rows(min(depth, quad.J)).stop)
     msig, m_u, f_sig, g_u = (inc.S @ np.column_stack(
         (sig_mu, u_mu, fv * sig_mu, gv * u_mu)))[rows].T
@@ -312,9 +329,7 @@ def split_by_criterion(f: Field, g: Field, sigma: WeightField,
     # massless squares are skipped, and every square past J is massless
     live = np.flatnonzero(inc.masses[rows] > 0.0)
     first = e_f[live] ** p * msig[live] >= e_g[live] ** q * m_u[live]
-    level, index = square_address(live)
-    return tuple(list(zip(level[part].tolist(), index[part].tolist()))
-                 for part in (first, ~first))
+    return _squares(live[first]), _squares(live[~first])
 
 
 # -- one-weight experiment -----------------------------------------------------
@@ -349,10 +364,9 @@ def one_weight_norm_experiment(spec: KernelSpec, v: WeightField, p,
 
     psi = PsiProfile(spec.gamma, spec.nu)
     psi_vals = psi(2.0 ** -np.arange(depth + 1))
-    levels = quad.levels(0.0, depth + 1)
     ratios, shares = [], []
     for lev in range(depth + 1):
-        start = levels[lev].start
+        start = quad.level_start(lev)
         tail = float(mu[start:].sum()) / 2 ** lev
         if tail <= 0.0:
             ratios.append(0.0)
@@ -360,7 +374,7 @@ def one_weight_norm_experiment(spec: KernelSpec, v: WeightField, p,
         ratios.append(psi_vals[lev] * tail * 2.0 ** lev)
         # the members are a suffix of the cells (cells are band-major),
         # and so is the next level's; what lies between is the top half
-        top = float(mu[start:levels[lev + 1].start].sum()) / 2 ** lev
+        top = float(mu[start:quad.level_start(lev + 1)].sum()) / 2 ** lev
         if top > 0.0:
             shares.append(tail / top)
     live = [x for x in ratios if x > 0.0]

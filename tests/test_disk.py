@@ -48,15 +48,17 @@ def test_arc_index_definition():
 
 
 def test_dyadic_children_nest_only_unshifted():
+    # on the unshifted grid the incidence rows 2r + 1 and 2r + 2 are the
+    # squares that tile the square of row r
     parent = dk.DyadicInterval(0.0, 2, 3)
-    kids = parent.children()
+    row = dk.square_row(parent.level, parent.index)
+    level, index = dk.square_address(np.array([2 * row + 1, 2 * row + 2]))
+    kids = [dk.DyadicInterval(0.0, int(lev), int(m))
+            for lev, m in zip(level, index)]
     assert [(k.level, k.index) for k in kids] == [(3, 6), (3, 7)]
-    # children tile the parent
     for t in np.linspace(0.0, 1.0, 257, endpoint=False):
         inside = parent.arc.contains(t)
         assert inside == (kids[0].arc.contains(t) or kids[1].arc.contains(t))
-    with pytest.raises(InvalidRangeError):
-        dk.DyadicInterval(0.5, 2, 3).children()
     with pytest.raises(InvalidRangeError):
         dk.DyadicInterval(0.25, 2, 3)
     with pytest.raises(InvalidRangeError):
@@ -115,44 +117,45 @@ def test_quadrature_masses_exact():
 
 def test_dyadic_level_index():
     """Level l holds the cells of annuli j >= l (every cell at l = 0),
-    which are the nodes with r >= 1 - 2^-l, each with the grid arc that
-    contains its angle, and the mass of each square; levels past J hold
-    no cell, and the index is built once per grid shift."""
+    which are the nodes with r >= 1 - 2^-l; the level-th entry of a
+    member's row of St is the grid square that contains its angle, a
+    row of S lists the square's members, and the incidence holds the
+    mass of each square; levels past J hold no cell."""
     for J, j0 in ((4, 0), (6, 1)):
         quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
         annulus = np.array([b.j for b in quad.bands])[quad.cell_band]
         for beta in dk.GRID_SHIFTS:
-            levels = quad.levels(beta, J + 2)
-            assert [lv.level for lv in levels] == list(range(J + 3))
-            for level, lv in enumerate(levels):
-                members = np.arange(lv.start, quad.size)
-                assert lv.arcs.shape == members.shape
+            inc = quad.incidence(beta)
+            for level in range(J + 3):
+                start = quad.level_start(level)
+                members = np.arange(start, quad.size)
                 want = np.arange(quad.size) if level == 0 else \
                     np.nonzero(annulus >= level)[0]
                 np.testing.assert_array_equal(members, want)
                 np.testing.assert_array_equal(
                     members,
                     np.nonzero(quad.nodes_r >= 1.0 - 2.0 ** -level)[0])
-                for cell, m in zip(members, lv.arcs):
+                if level > J:
+                    assert start == quad.size
+                    continue
+                arcs = (inc.St.indices[inc.St.indptr[start:-1] + level]
+                        - dk.square_row(level, 0))
+                for cell, m in zip(members, arcs):
                     arc = dk.DyadicInterval(beta, level, int(m)).arc
                     assert arc.contains(quad.nodes_t[cell])
-                for m in range(lv.count):
-                    np.testing.assert_array_equal(lv.cells(m),
-                                                  members[lv.arcs == m])
+                for m in range(1 << level):
+                    np.testing.assert_array_equal(
+                        inc.cells(dk.square_row(level, m)),
+                        members[arcs == m])
                 # the cached square masses: mu(S) of every grid square
+                masses = inc.masses[dk.square_rows(level)]
                 np.testing.assert_allclose(
-                    lv.masses, [quad.masses[members[lv.arcs == m]].sum()
-                                for m in range(lv.count)], rtol=1e-14)
+                    masses, [quad.masses[members[arcs == m]].sum()
+                             for m in range(1 << level)], rtol=1e-14)
                 np.testing.assert_array_equal(
-                    lv.masses, level_sums(quad, beta, level, quad.masses))
-            assert all(lv.start == quad.size and lv.arcs.size == 0
-                       for lv in levels[J + 1:])
-            again = quad.levels(beta, 2)
-            assert all(a is b for a, b in zip(again, levels))
+                    masses, level_sums(quad, beta, level, quad.masses))
     with pytest.raises(InvalidRangeError):
-        quad.levels(0.25, 2)
-    with pytest.raises(InvalidRangeError):
-        quad.levels(0.0, -1)
+        quad.incidence(0.25)
 
 
 def test_quadrature_band_structure(leb_quad6):

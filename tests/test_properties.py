@@ -170,11 +170,19 @@ def test_dyadic_layer_matches_brute_force(J, j0, beta, p, seed, data):
     mu = quad.masses
     # levels past J hold no node, so the sums below may run to J + 2
     labels = [square_labels(quad, beta, level) for level in range(J + 3)]
-    # the level index: members are the suffix of labelled cells, in order
-    for lv, lab in zip(quad.levels(beta, depth), labels):
+    # the level index: members are the suffix of labelled cells, in order,
+    # and the level's rows of S list each square's members
+    inc = quad.incidence(beta)
+    for level, lab in enumerate(labels[:depth + 1]):
+        start = quad.level_start(level)
         np.testing.assert_array_equal(np.flatnonzero(lab >= 0),
-                                      np.arange(lv.start, quad.size))
-        np.testing.assert_array_equal(lv.arcs, lab[lv.start:])
+                                      np.arange(start, quad.size))
+        got = np.full(quad.size, -1)
+        for m in range(1 << level) if level <= J else ():
+            cells = inc.cells(dk.square_row(level, m))
+            assert np.all(got[cells] == -1)
+            got[cells] = m
+        np.testing.assert_array_equal(got, lab)
 
     kernel = np.zeros((quad.size, quad.size))
     for level, lab in enumerate(labels):

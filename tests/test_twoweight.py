@@ -32,7 +32,7 @@ from diskproj.errors import InvalidRangeError, QuadratureMismatchError
 from diskproj.kernels import KernelSpec
 from diskproj.operators import (PsiProfile, bergman_handle,
                                 weighted_norm_bracket, weighted_norm_p2)
-from dyadic_oracle import level_sums
+from dyadic_oracle import incidence_spread, level_sums
 
 ATOM1 = ms.point_mass(1.0, 1.0)
 
@@ -49,11 +49,10 @@ def quad3():
 def test_default_tau_table(quad3):
     T = tw.sparse_bergman_model(std_psi(), quad3)
     assert len(T.tau) == quad3.J + 1
-    for lv in quad3.levels(0.0, quad3.J):
+    for level in range(quad3.J + 1):
         # Psi(2^-l) = 2^l for the standard profile
-        want = 4.0 ** lv.level * level_sums(quad3, 0.0, lv.level,
-                                            quad3.masses)
-        np.testing.assert_allclose(T.tau[lv.level], want, rtol=1e-13)
+        want = 4.0 ** level * level_sums(quad3, 0.0, level, quad3.masses)
+        np.testing.assert_allclose(T.tau[level], want, rtol=1e-13)
 
 
 def test_single_square_apply(quad3):
@@ -340,11 +339,11 @@ def stopping_walk(f, sigma, s0):
     sm_cell = sigma.values * quad.masses
     f_abs = np.abs(f.values)
     sm, ex = [], []
-    for lv in quad.levels(0.0, quad.J):
-        mass = level_sums(quad, 0.0, lv.level, sm_cell)
+    for level in range(quad.J + 1):
+        mass = level_sums(quad, 0.0, level, sm_cell)
         sm.append(mass)
-        ex.append(np.divide(level_sums(quad, 0.0, lv.level, f_abs * sm_cell),
-                            mass, out=np.zeros(lv.count), where=mass > 0.0))
+        ex.append(np.divide(level_sums(quad, 0.0, level, f_abs * sm_cell),
+                            mass, out=np.zeros(1 << level), where=mass > 0.0))
     root = (s0.level, s0.index)
     expectations = {root: float(ex[root[0]][root[1]])}
     assignment = {root: root}
@@ -389,7 +388,7 @@ def zeroed(rng, values, share):
 def square_ratio(T, source, target, p, square):
     """||T(s 1_Q)||^p_{L^p(t mu)} / (s mu)(Q) for one square Q."""
     lev, m = square
-    cells = T.quad.levels(T.beta, lev)[lev].cells(m)
+    cells = T.quad.incidence(T.beta).cells(dk.square_row(lev, m))
     f_vals = np.zeros(T.quad.size)
     f_vals[cells] = source[cells]
     out = T.apply(f_vals)
@@ -437,7 +436,9 @@ def test_testing_tree_pass_matches_per_square(name, J, j0, p, zero_share,
 def test_stopping_pass_matches_walk(name, J, j0, zero_share, seed, data):
     """The array pass gives the walk's expectations and assignment
     exactly, and the same generations, for roots at levels 0..2 and
-    fields with zeros."""
+    fields with zeros; the stopped sum, the maximal bound and the
+    Carleson embedding sums read from the family equal those built from
+    the walk's expectations and the per-level square sums."""
     quad = oracle_quadrature(name, J, j0)
     level = data.draw(st.integers(0, min(2, J)), label="root level")
     s0 = dk.DyadicInterval(0.0, level, data.draw(
@@ -458,6 +459,21 @@ def test_stopping_pass_matches_walk(name, J, j0, zero_share, seed, data):
     assert [set(g) for g in fam.generations] == \
         [set(g) for g in generations]
     assert all(g == sorted(g) for g in fam.generations)
+
+    lhs, rhs = tw.pointwise_linearization(fam)
+    stopped = np.zeros(dk.square_row(quad.J + 1, 0))
+    for (lev, m), e_l in expectations.items():
+        stopped[dk.square_row(lev, m)] = e_l
+    np.testing.assert_array_equal(
+        lhs, incidence_spread(quad, 0.0, stopped))
+    sm_cell = sigma.values * quad.masses
+    np.testing.assert_array_equal(rhs, (4.0 / 3.0) * wt.dyadic_maximal(
+        quad, sm_cell, 0.0, np.abs(f.values)))
+    for p in (1.5, 2.0, 3.0):
+        total = 0.0
+        for (lev, m), e_l in sorted(expectations.items()):
+            total += e_l ** p * float(level_sums(quad, 0.0, lev, sm_cell)[m])
+        assert tw.carleson_embedding_sum(fam, p) == total
 
 
 def test_testing_ties_go_to_the_first_square():

@@ -83,11 +83,10 @@ def check_integer(value, name, low=0):
         raise InvalidRangeError(f"{name} must be an integer >= {low}: {value}")
 
 
-def check_grid(beta, L_max):
-    """Reject a grid shift outside GRID_SHIFTS or a level cap below 0."""
+def check_grid(beta):
+    """Reject a grid shift outside GRID_SHIFTS."""
     if beta not in GRID_SHIFTS:
         raise InvalidRangeError(f"grid shift {beta} is not in {GRID_SHIFTS}")
-    check_integer(L_max, "level cap")
 
 
 def finite_table(values, shape, name):
@@ -126,7 +125,8 @@ class DyadicInterval:
     index: int
 
     def __post_init__(self):
-        check_grid(self.beta, self.level)
+        check_grid(self.beta)
+        check_integer(self.level, "level")
         if not 0 <= self.index < (1 << self.level):
             raise InvalidRangeError(
                 f"bad dyadic address level={self.level} index={self.index}")
@@ -313,7 +313,7 @@ class DiskQuadrature:
         0..max(b - 1, 0), so its row of St has that many entries and the
         level-th is its square at that level; a stable sort of a level's
         arcs lists each square's members in cell order."""
-        check_grid(beta, 0)
+        check_grid(beta)
         if beta not in self._incidence:
             t_ptr = np.zeros(self.size + 1, dtype=np.int32)
             np.cumsum(np.maximum(self.cell_band, 1), out=t_ptr[1:])

@@ -196,11 +196,7 @@ class RadialMeasure:
 
     def interval_mass(self, a, b):
         """omega([a, b]), atoms on [a, b) except b = 1 (and a = b) closed."""
-        if not (0.0 <= a <= b <= 1.0):
-            raise InvalidRangeError(f"bad interval [{a}, {b}]")
-        include_right = (b == 1.0) or (a == b)
-        return self._density_integral(lambda r: 1.0, a, b) + \
-            self._atom_sum(lambda r: 1.0, a, b, include_right)
+        return self.weighted_interval_mass(a, b, exponent=0)
 
     def tail(self, r):
         """omega-hat(r) = omega([r, 1])."""

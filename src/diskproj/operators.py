@@ -1,35 +1,39 @@
 """Projection-type operators on disk quadratures.
 
-Four operator kinds share one handle type: the reproducing projection
-(complex kernel conj(B_z(zeta))), its absolute-kernel majorant, the
-positive integral operator with kernel K_Psi(z, zeta) =
-Psi(|1 - conj(zeta) z|)/|1 - conj(zeta) z|, and the positive dyadic
-operators sum_I (Psi(|I|)/|I|) <f, 1_S(I)>_mu 1_S(I) on either shifted
-grid.
+Four operator kinds share one base class, OperatorHandle: the
+reproducing projection (complex kernel conj(B_z(zeta))), its
+absolute-kernel majorant, the positive integral operator with kernel
+K_Psi(z, zeta) = Psi(|1 - conj(zeta) z|)/|1 - conj(zeta) z|, and the
+positive dyadic operators sum_I (Psi(|I|)/|I|) <f, 1_S(I)>_mu 1_S(I) on
+either shifted grid. Each kind is its own handle: it defines
+fast_apply(g), the product K @ g with the mass-weighted vector
+g = f mu, and kernel_block(rows), and the base's apply forms g.
 
 The three integral kernels depend on a node pair only through
 w = zeta conj(z). Every band of the quadrature holds a power-of-two
 number of equally spaced nodes, so between a row band and a column band
 w takes only max(n_a, n_b) distinct values: each band-pair block is
-circulant up to index striding. A handle evaluates its kernel once at
-those values on first use, and applies it in the mode domain (Davis,
-Circulant Matrices): an FFT per band, one sparse product and an inverse
-FFT per band. Kernel rows (apply with matrix_free=True) use the tables.
+circulant up to index striding. The three integral kinds are one
+class, _BandPairTable, that evaluates its kernel once at those values on
+first use, and applies it in the mode domain (Davis, Circulant
+Matrices): an FFT per band, one sparse product and an inverse FFT per
+band. Kernel rows (apply with matrix_free=True) use the tables.
 
 The dyadic operators are SparseOperator instances, T f = sum_S tau_S
 (E^mu_S f) 1_S over the squares of one grid at levels 0..J, with mu the
 cell masses and tau_S = Psi(|I|) mu(S)/|I| by default. With S the
 grid's square-by-cell incidence matrix (disk.py), which caches every
-mu(S), an apply is S^T (tau (S (f mu)) / mu(S)): two sparse products of
+mu(S), fast_apply(g) is S^T (tau (S g) / mu(S)): two sparse products of
 nnz = about cells x levels each, 0.2 ms apiece at J=12 (196,616
 entries). Kernel rows are the rows' squares, weighted by tau_S / mu(S),
 times S.
 
-Norms run on fast_apply and form no dense matrix; every kernel here is
-Hermitian, so the adjoint is the same apply. At p = 2 the norm is the
-top singular value of D(sqrt(u mu)) K D(sqrt(sigma mu)), by Lanczos. At
-p != 2, for a nonnegative kernel, it is bracketed by Boyd's power
-iteration below and the Schur test above.
+Norms run on fast_apply and form no dense matrix: the weighted operator
+D((u mu)^(1/p)) K D((sigma mu)^(1/p')) is left * fast_apply(x * right),
+with mu inside the two diagonals. Every kernel here is Hermitian, so
+the adjoint is the same apply. At p = 2 the norm is the top singular
+value, by Lanczos. At p != 2, for a nonnegative kernel, it is bracketed
+by Boyd's power iteration below and the Schur test above.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.optimize import bisect
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
@@ -85,37 +88,35 @@ class PsiProfile:
 
 # -- operator handles ---------------------------------------------------------
 
-@dataclass(eq=False)
 class OperatorHandle:
-    """A linear operator bound to one quadrature.
+    """A linear operator bound to one quadrature: out = K @ (f * mu), mu
+    the cell masses.
 
-    Application is out = K @ (f * mu). fast_apply computes it without
-    forming K (in the mode domain or by per-level sums);
-    kernel_block(rows) returns the pure kernel submatrix K[rows, :] (no
-    masses), which the matrix-free route gathers block by block.
+    A subclass sets quad and positive (K >= 0 entrywise) and defines
+    fast_apply(g), the product K @ g computed without forming K (in the
+    mode domain or by square sums), and kernel_block(rows), the pure
+    kernel submatrix K[rows, :] (no masses), which the matrix-free route
+    gathers block by block.
     """
 
-    quad: DiskQuadrature
-    kernel_block: Callable
-    mu: np.ndarray
-    positive: bool
-    fast_apply: Callable
+    @property
+    def mu(self):
+        return self.quad.masses
 
     def apply(self, values, matrix_free=False):
         """K @ (values * mu) by fast_apply; with matrix_free=True, by
         kernel rows gathered block by block instead."""
-        v = finite_table(values, self.mu.shape, "values")
+        g = finite_table(values, self.mu.shape, "values") * self.mu
         if not matrix_free:
-            return self.fast_apply(v)
-        weighted = v * self.mu
+            return self.fast_apply(g)
         n = self.quad.size
         step = max(1, _GATHER_ENTRIES // n)
         return np.concatenate([
-            self.kernel_block(np.arange(s, min(s + step, n))) @ weighted
+            self.kernel_block(np.arange(s, min(s + step, n))) @ g
             for s in range(0, n, step)])
 
 
-class _BandPairTable:
+class _BandPairTable(OperatorHandle):
     """A kernel k(w), w = z_j conj(z_i), tabulated once per ordered band pair.
 
     For row band a and column band b with n_a and n_b arcs, let
@@ -129,13 +130,16 @@ class _BandPairTable:
     m mod n_a of band a times S_ab[m] n_a / N, S_ab = ifft(T_ab), m < N.
     """
 
-    def __init__(self, quad: DiskQuadrature, kernel_of_w: Callable):
+    def __init__(self, quad: DiskQuadrature, kernel_of_w: Callable,
+                 positive: bool):
         self.quad = quad
+        self.positive = positive
         self._kernel_of_w = kernel_of_w
         self._arcs = np.array([b.arc_count for b in quad.bands])
         self._slices = [slice(b.start, b.start + b.arc_count)
                         for b in quad.bands]
         self._span = np.maximum.outer(self._arcs, self._arcs)
+        self._step = self._span // self._arcs[:, None]   # s_a of pair (a, b)
         sizes = self._span.ravel()
         self._offset = (np.cumsum(sizes) - sizes).reshape(self._span.shape)
         self._values = None
@@ -162,16 +166,17 @@ class _BandPairTable:
             self._values = np.concatenate(tables.ravel())
         return self._values
 
-    def rows(self, rows):
-        """Kernel submatrix K[rows, :], gathered from the tables."""
+    def kernel_block(self, rows):
+        """Kernel submatrix K[rows, :], gathered from the tables by the
+        flat band-pair index: s_a is _step[a, b], s_b is _step[b, a],
+        and as every span is a power of two, mod span is a mask."""
         q = self.quad
         rows = np.asarray(rows)
-        a = q.cell_band[rows][:, None]
-        b = q.cell_band[None, :]
-        span = self._span[a, b]
-        pos = (q.cell_arc[None, :] * (span // self._arcs[b])
-               - q.cell_arc[rows][:, None] * (span // self._arcs[a])) % span
-        return self.values[self._offset[a, b] + pos]
+        pair = q.cell_band[rows][:, None] * self._arcs.size + q.cell_band
+        pos = (q.cell_arc * self._step.T.ravel()[pair]
+               - q.cell_arc[rows][:, None] * self._step.ravel()[pair]) \
+            & (self._span - 1).ravel()[pair]
+        return self.values[self._offset.ravel()[pair] + pos]
 
     @property
     def modes(self):
@@ -190,34 +195,25 @@ class _BandPairTable:
                 np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
         return self._modes
 
-    def correlate(self, g):
-        """K @ g through the mode-domain matrix."""
+    def fast_apply(self, g):
+        """K @ g through the mode-domain matrix; real for a positive
+        kernel on a real g."""
         g_hat = np.concatenate([np.fft.fft(g[s]) for s in self._slices])
         acc = self.modes @ g_hat
-        return np.concatenate([np.fft.ifft(acc[s]) for s in self._slices])
-
-
-def _table_handle(quad, kernel_of_w, positive):
-    table = _BandPairTable(quad, kernel_of_w)
-    mu = quad.masses.copy()
-
-    def fast(values):
-        out = table.correlate(values * mu)
-        return out.real if positive and not np.iscomplexobj(values) else out
-
-    return OperatorHandle(quad, table.rows, mu, positive, fast_apply=fast)
+        out = np.concatenate([np.fft.ifft(acc[s]) for s in self._slices])
+        return out.real if self.positive and not np.iscomplexobj(g) else out
 
 
 def bergman_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P_omega: out(z_i) = sum_j f(z_j) conj(B_{z_i}(z_j)) mass_j."""
-    return _table_handle(quad, lambda w: np.conj(kernel_integral_grid(spec, w)),
-                         positive=False)
+    return _BandPairTable(
+        quad, lambda w: np.conj(kernel_integral_grid(spec, w)), positive=False)
 
 
 def positive_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P+_omega: absolute kernel |B_{z_i}(z_j)|."""
-    return _table_handle(quad, lambda w: np.abs(kernel_integral_grid(spec, w)),
-                         positive=True)
+    return _BandPairTable(
+        quad, lambda w: np.abs(kernel_integral_grid(spec, w)), positive=True)
 
 
 def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature
@@ -225,25 +221,26 @@ def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature
     """P+_{Psi} with kernel K_Psi against the cell masses."""
     # K_Psi(z_i, z_j) depends only on |1 - conj(z_j) z_i| = |1 - w|,
     # which is also the separation K_Psi sees at the pair (w, 1)
-    return _table_handle(quad, lambda w: psi.kernel(w, 1.0), positive=True)
+    return _BandPairTable(quad, lambda w: psi.kernel(w, 1.0), positive=True)
 
 
 # -- the dyadic model operator -------------------------------------------------
 
 @dataclass(eq=False)
-class SparseOperator:
+class SparseOperator(OperatorHandle):
     """T f = sum_S tau_S (E^mu_S f) 1_S over the Carleson squares of one
     grid at levels 0..J, with tau[level][arc] >= 0 and mu the cell
     masses: mu(S) is the square mass cached on the grid's incidence.
 
     Its kernel is K_ij = sum over squares S holding both cells of
     tau_S / mu(S), so that T f = K (f mu). With S the incidence matrix,
-    T f = S^T (tau (S (f mu)) / mu(S)): one product each way.
+    K g = S^T (tau (S g) / mu(S)): one product each way.
     """
 
     beta: float
     quad: DiskQuadrature
     tau: List[np.ndarray]              # tau[level][arc], levels 0..J
+    positive = True
 
     def __post_init__(self):
         self._incidence = self.quad.incidence(self.beta)
@@ -254,18 +251,17 @@ class SparseOperator:
                     for level, row in enumerate(self.tau)]
         self._tau = np.concatenate(self.tau)   # in the incidence's row order
 
-    def apply(self, values):
-        """T f for the cell values of f."""
-        values = np.asarray(values)
-        if np.iscomplexobj(values):  # keep the products on real ones
-            return self.apply(values.real) + 1j * self.apply(values.imag)
+    def fast_apply(self, g):
+        """K @ g for the mass-weighted cell values g = f mu."""
+        g = np.asarray(g)
+        if np.iscomplexobj(g):  # keep the products on real ones
+            return self.fast_apply(g.real) + 1j * self.fast_apply(g.imag)
         inc = self._incidence
-        avg = np.divide(inc.S @ (values * self.quad.masses), inc.masses,
-                        out=np.zeros(inc.masses.shape),
+        avg = np.divide(inc.S @ g, inc.masses, out=np.zeros(inc.masses.shape),
                         where=inc.masses > 0.0)
         return inc.St @ (self._tau * avg)
 
-    def kernel_rows(self, rows):
+    def kernel_block(self, rows):
         """Kernel submatrix K[rows, :]: the rows' squares, each weighted
         by tau_S / mu(S), times S."""
         inc = self._incidence
@@ -273,10 +269,6 @@ class SparseOperator:
                            out=np.zeros(inc.masses.shape),
                            where=inc.masses > 0.0)
         return (inc.St[np.asarray(rows)].multiply(weight) @ inc.S).toarray()
-
-    def handle(self) -> OperatorHandle:
-        return OperatorHandle(self.quad, self.kernel_rows, self.quad.masses,
-                              positive=True, fast_apply=self.apply)
 
 
 def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
@@ -295,14 +287,15 @@ def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
 def apply_sparse(T: SparseOperator, f: Field) -> Field:
     """Evaluate sum_S tau_S (E^mu_S f) 1_S; linear, positive on f >= 0."""
     require_same_quadrature(T.quad, f)
-    return Field(T.quad, T.apply(finite_table(f.values, f.values.shape, "f")))
+    g = finite_table(f.values, f.values.shape, "f") * T.quad.masses
+    return Field(T.quad, T.fast_apply(g))
 
 
 def dyadic_handle(beta, psi: PsiProfile, quad: DiskQuadrature
-                  ) -> OperatorHandle:
+                  ) -> SparseOperator:
     """P^beta_{Psi} = sum over grid squares of (Psi(|I|)/|I|) <f,1_S>_mu 1_S:
-    the handle of sparse_bergman_model's operator."""
-    return sparse_bergman_model(psi, quad, beta).handle()
+    sparse_bergman_model's operator."""
+    return sparse_bergman_model(psi, quad, beta)
 
 
 def projection_identity_error(spec: KernelSpec, quad: DiskQuadrature,
@@ -351,7 +344,10 @@ def separation_thresholds(gamma):
     sqrt(2)(2+gamma) c^gamma (3c+1)/(c-1)^(gamma+2) <= 1/2 at
     c = (1/3 + D1)/sqrt(2); D2 = D1 + 2. Found by bisection (the left
     side is strictly decreasing in c on (1, inf)), on its logarithm,
-    which has the same sign and does not overflow at large gamma."""
+    which has the same sign and does not overflow at large gamma. The
+    halving stops when the midpoint is an end, that is, at adjacent
+    doubles: a fixed gap would never close where they are farther
+    apart (about 1.9e-9 near D1 = 1.3e7, at gamma = 1e6)."""
     if not 1.0 <= gamma < math.inf:
         raise InvalidRangeError(f"gamma must be finite and >= 1: {gamma}")
 
@@ -369,8 +365,12 @@ def separation_thresholds(gamma):
         hi *= 2.0
         if hi > 1e9:
             raise InvalidRangeError("no separation threshold found")
-    d1 = bisect(g, lo, hi, xtol=1e-12)
-    return d1, d1 + 2.0
+    # g(lo) > 0 >= g(hi); halve until the midpoint is an end
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return hi, hi + 2.0
 
 
 def _square_pair_at_level(quad: DiskQuadrature, level, gamma):
@@ -436,10 +436,8 @@ def _weighted_operator(handle: OperatorHandle, u, sigma, p):
     mu = handle.mu
     left = (nonnegative_table(u, mu.shape, "u") * mu) ** (1.0 / p)
     right = (nonnegative_table(sigma, mu.shape, "sigma") * mu) ** (1 - 1 / p)
-    # fast_apply multiplies by mu again; a massless cell drops out
-    inv_mu = np.divide(1.0, mu, out=np.zeros(mu.shape), where=mu > 0.0)
-    return (lambda x: left * handle.fast_apply(np.ravel(x) * right * inv_mu),
-            lambda y: right * handle.fast_apply(np.ravel(y) * left * inv_mu))
+    return (lambda x: left * handle.fast_apply(np.ravel(x) * right),
+            lambda y: right * handle.fast_apply(np.ravel(y) * left))
 
 
 def weighted_norm_p2(handle: OperatorHandle, u, sigma):

@@ -227,16 +227,15 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
         W.append(np.repeat(W[lev], 2) + a_child ** p * (
             np.repeat(t_mass, 2) - t_sq[square_rows(lev + 1)]))
     # bottom-up: D_l, then each level's best square (>= keeps the first).
-    # On the nested grid a cell's arc at level l is its arc index in its
-    # band of 2^e arcs shifted right by e - l.
-    e = np.array([b.arc_count.bit_length() - 1
-                  for b in quad.bands])[quad.cell_band]
+    # A member's square at level l is entry l of its row of St; as intp,
+    # the gathers and the bincount below index with it without a copy.
     D = np.zeros(quad.size)
     best, witness = 0.0, (0, 0)
     for lev in range(quad.J, -1, -1):
         start, count = quad.level_start(lev), 1 << lev
-        arcs = quad.cell_arc[start:] >> (e[start:] - lev)
         rows = square_rows(lev)
+        arcs = inc.St.indices[inc.St.indptr[start:-1] + lev].astype(
+            np.intp) - rows.start
         s_mass, mu_q = s_sq[rows], inc.masses[rows]
         avg = np.divide(s_mass, mu_q, out=np.zeros(count), where=mu_q > 0.0)
         D[start:] += (T.tau[lev] * avg)[arcs]
@@ -293,8 +292,7 @@ def testing_constants(T: SparseOperator, sigma: WeightField, u: WeightField,
     c0, wit0 = _testing_sup(T, sigma.values, u.values, p, depth)
     c0s, wits = _testing_sup(T, u.values, sigma.values, q, depth)
 
-    norm, upper, exact = weighted_norm_bracket(T.handle(), u.values,
-                                               sigma.values, p)
+    norm, upper, exact = weighted_norm_bracket(T, u.values, sigma.values, p)
     c0_root = c0 ** (1.0 / p)
     c0s_root = c0s ** (1.0 / q)
     denom = c0_root + c0s_root

@@ -27,6 +27,10 @@ were computed once and frozen.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -162,11 +166,6 @@ def test_table_evaluates_each_band_pair_offset_once(monkeypatch):
     assert sizes == [distinct]
 
 
-def table_of(h):
-    """The band-pair table behind a kernel handle."""
-    return h.kernel_block.__self__
-
-
 def table_cases(gamma, nu, quad):
     """(name, handle, kernel of w) for the three kernel handles."""
     spec = KernelSpec(gamma=gamma, nu=nu)
@@ -210,10 +209,9 @@ def test_mode_matrix_has_one_nonzero_per_table_value(J, j0):
     arcs = [b.arc_count for b in quad.bands]
     size = sum(max(a, b) for a in arcs for b in arcs)
     for _, h, _ in table_cases(1.0, ATOM1, quad):
-        table = table_of(h)
-        assert table.values.size == size
-        assert table.modes.shape == (quad.size, quad.size)
-        assert table.modes.nnz == size
+        assert h.values.size == size
+        assert h.modes.shape == (quad.size, quad.size)
+        assert h.modes.nnz == size
 
 
 @pytest.mark.parametrize("J, j0", [(6, 0), (5, 2)])
@@ -226,7 +224,7 @@ def test_filled_tables_match_direct_evaluation(nu_name, J, j0):
     arcs = [b.arc_count for b in quad.bands]
     radius = [0.5 * (b.r_lo + b.r_hi) for b in quad.bands]
     for name, h, kernel in table_cases(2.0, NUS[nu_name], quad):
-        values = table_of(h).values
+        values = h.values
         scale = np.max(np.abs(values))
         offset = 0
         for b, n_b in enumerate(arcs):
@@ -276,7 +274,7 @@ def test_dyadic_handle_fast_matches_matrix(leb_quad5):
         np.array([quad.total_mass()])] + [np.zeros(2 ** lev)
                                           for lev in range(1, quad.J + 1)])
     want = float(np.sum(f * quad.masses))
-    np.testing.assert_allclose(root.handle().apply(f), want, rtol=1e-13)
+    np.testing.assert_allclose(root.apply(f), want, rtol=1e-13)
     h_half = op.dyadic_handle(0.5, std_psi(), quad)
     np.testing.assert_allclose(h_half.apply(f),
                                gather(h_half) @ (f * quad.masses),
@@ -292,10 +290,10 @@ def test_sparse_apply_complex_field(beta, J):
     T = tw.sparse_bergman_model(std_psi(), quad, beta=beta)
     rng = np.random.default_rng(J)
     f = rng.standard_normal(quad.size) + 1j * rng.standard_normal(quad.size)
-    want = T.kernel_rows(np.arange(quad.size)) @ (f * quad.masses)
+    want = T.kernel_block(np.arange(quad.size)) @ (f * quad.masses)
     got = tw.apply_sparse(T, dk.Field(quad, f)).values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    np.testing.assert_allclose(T.handle().apply(f), got, rtol=0.0, atol=0.0)
+    np.testing.assert_allclose(T.apply(f), got, rtol=0.0, atol=0.0)
     assert np.isrealobj(T.apply(f.real))
 
 
@@ -588,6 +586,17 @@ def test_separation_thresholds():
             op.separation_thresholds(gamma)
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    """separation_thresholds bisects in place: importing the package, in
+    a fresh interpreter, does not load scipy.optimize."""
+    src = str(pathlib.Path(op.__file__).resolve().parents[1])
+    code = "import sys, diskproj; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_separated_square_lower_bound():
     quad = dk.build_quadrature(ms.lebesgue(), J=8, j0=1)
     ratios = []
@@ -648,9 +657,19 @@ def test_handle_kernels_are_hermitian(J):
 def matrix_handle(K, mu):
     """A handle that applies a given kernel matrix: K @ (x mu)."""
     K = np.asarray(K)
-    return op.OperatorHandle(None, lambda rows: K[rows], mu,
-                             positive=bool(np.isrealobj(K) and K.min() >= 0.0),
-                             fast_apply=lambda x: K @ (x * mu))
+    masses = mu
+
+    class MatrixHandle(op.OperatorHandle):
+        mu = masses
+        positive = bool(np.isrealobj(K) and K.min() >= 0.0)
+
+        def fast_apply(self, g):
+            return K @ g
+
+        def kernel_block(self, rows):
+            return K[rows]
+
+    return MatrixHandle()
 
 
 def weighted_matrix(K, mu, u, sigma, p):

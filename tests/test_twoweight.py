@@ -70,7 +70,7 @@ def test_single_square_apply(quad3):
 def test_matrix_matches_apply(leb_quad5):
     quad = leb_quad5
     T = tw.sparse_bergman_model(std_psi(), quad, beta=0.5)
-    K = T.kernel_rows(np.arange(quad.size))
+    K = T.kernel_block(np.arange(quad.size))
     assert np.array_equal(K, K.T)
     rng = np.random.default_rng(17)
     f = rng.uniform(0.0, 2.0, size=quad.size)

@@ -150,20 +150,45 @@ def containing_dyadic(arc: Arc) -> DyadicInterval:
     Arcs shorter than 2^-52 turns, the spacing of double angles near 1,
     raise: a grid level past 52 resolves nothing more.
     """
-    if arc.length > 0.25:
+    beta, level, index = containing_dyadics([arc.start], [arc.length])
+    return DyadicInterval(float(beta[0]), int(level[0]), int(index[0]))
+
+
+def containing_dyadics(starts, lengths):
+    """containing_dyadic of the arcs [starts, starts + lengths), as
+    (beta, level, index) arrays: one array pass per level, from the
+    finest level the shortest arc fits down to 0, over the arcs no finer
+    grid arc contains. A grid arc shorter than an arc cannot contain
+    it, so the levels above an arc's own finest one leave it open."""
+    starts = np.asarray(starts, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
+    if not np.all(np.isfinite(starts)):
+        raise InvalidRangeError("arc starts must be finite")
+    if np.any(lengths > 0.25):
         raise InvalidRangeError("arc longer than 1/4; use the full circle")
-    if arc.length < np.finfo(float).eps:
-        raise InvalidRangeError(f"arc length {arc.length} below the "
+    short = ~(lengths >= np.finfo(float).eps)
+    if np.any(short):
+        raise InvalidRangeError(f"arc length {lengths[short][0]} below the "
                                 "resolution of a double angle")
-    top = int(math.floor(math.log2(1.0 / arc.length)))
-    for level in range(top, -1, -1):
-        width = 2.0 ** -level
-        for beta in GRID_SHIFTS:
-            m = int(arc_index(beta, level, arc.start))
-            start = (m + beta) * width
-            if (arc.start - start) % 1.0 + arc.length <= width:
-                return DyadicInterval(beta, level, m)
-    raise InvalidRangeError("no containing arc found (unreachable)")
+    starts = starts % 1.0
+    beta = np.zeros(lengths.shape)
+    level = np.zeros(lengths.shape, dtype=np.int64)
+    index = np.zeros(lengths.shape, dtype=np.int64)
+    unresolved = np.arange(lengths.size)
+    top = int(math.floor(math.log2(1.0 / lengths.min()))) if lengths.size \
+        else -1
+    for lev in range(top, -1, -1):
+        width = 2.0 ** -lev
+        for b in GRID_SHIFTS:
+            t, length = starts[unresolved], lengths[unresolved]
+            m = arc_index(b, lev, t)
+            fits = (t - (m + b) * width) % 1.0 + length <= width
+            hit = unresolved[fits]
+            beta[hit], level[hit], index[hit] = b, lev, m[fits]
+            unresolved = unresolved[~fits]
+    if unresolved.size:
+        raise InvalidRangeError("no containing arc found (unreachable)")
+    return beta, level, index
 
 
 # -- polar regions ------------------------------------------------------------

@@ -32,8 +32,9 @@ Norms run on fast_apply and form no dense matrix: the weighted operator
 D((u mu)^(1/p)) K D((sigma mu)^(1/p')) is left * fast_apply(x * right),
 with mu inside the two diagonals. Every kernel here is Hermitian, so
 the adjoint is the same apply. At p = 2 the norm is the top singular
-value, by Lanczos. At p != 2, for a nonnegative kernel, it is bracketed
-by Boyd's power iteration below and the Schur test above.
+value, by Golub-Kahan-Lanczos bidiagonalization in numpy, with no
+ARPACK. At p != 2, for a nonnegative kernel, it is bracketed by Boyd's
+power iteration below and the Schur test above.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .disk import (GRID_SHIFTS, Arc, DiskQuadrature, Field, carleson_square,
                    finite_table, nonnegative_table, require_same_quadrature,
@@ -427,7 +427,8 @@ def separated_square_lower_bound(spec: KernelSpec, quad: DiskQuadrature,
 # -- weighted operator norms ---------------------------------------------------
 
 NORM_RTOL = 1e-12        # a bracket is closed when its gap is this, relative
-NORM_MAX_STEPS = 500     # Boyd steps before an open bracket is returned
+NORM_MAX_STEPS = 500     # Boyd steps before an open bracket is returned,
+                         # and the cap on Lanczos steps
 
 
 def _weighted_operator(handle: OperatorHandle, u, sigma, p):
@@ -441,30 +442,81 @@ def _weighted_operator(handle: OperatorHandle, u, sigma, p):
 
 
 def weighted_norm_p2(handle: OperatorHandle, u, sigma):
-    """Exact L^2(sigma mu) -> L^2(u mu) norm of f -> K (sigma mu f):
-    the largest singular value of D(sqrt(u mu)) K D(sqrt(sigma mu)), by
-    Lanczos from the constant vector, so that a result repeats exactly."""
+    """Exact L^2(sigma mu) -> L^2(u mu) norm of f -> K (sigma mu f): the
+    largest singular value of A = D(sqrt(u mu)) K D(sqrt(sigma mu)).
+
+    Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan, SIAM J.
+    Numer. Anal. B 2, 1965) from the constant vector, so that a result
+    repeats exactly: u_k = A v_k - beta_(k-1) u_(k-1) and
+    v_(k+1) = A^H u_k - alpha_k v_k, both bases fully reorthogonalized,
+    give A V_k = U_k B_k with B_k upper bidiagonal (alpha on the
+    diagonal, beta above it). For B_k's top triplet (s, p, q),
+    A V_k q = s U_k p and ||A^H U_k p - s V_k q|| = beta_k |p_k|. The
+    iteration stops when that residual is at most eps s, or when V_k
+    spans the space; it raises NoConvergenceError after NORM_MAX_STEPS
+    steps.
+
+    A zero u or sigma gives 0. When alpha_k = 0 or beta_k <= eps s the
+    Krylov space of the constant vector is invariant, to rounding. For a
+    nonnegative kernel s is then the norm: A has a nonnegative top right
+    singular vector (Perron-Frobenius), which is not orthogonal to the
+    constant vector, so its projection on the space is a top singular
+    vector as well. A zero first product A 1 thus gives 0. For any other
+    kernel the space may miss the top singular vector, and a breakdown
+    raises NoConvergenceError.
+    """
     matvec, rmatvec = _weighted_operator(handle, u, sigma, 2.0)
     mu = handle.mu
     if not (np.any(np.asarray(u) * mu) and np.any(np.asarray(sigma) * mu)):
         return 0.0  # a zero weighted diagonal: the operator is zero
     n = mu.size
-    A = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec,
-                       dtype=float if handle.positive else complex)
-    try:
-        s = svds(A, k=1, tol=0, v0=np.ones(n), return_singular_vectors=False)
-    except ArpackError as exc:
-        if handle.positive and not np.any(matvec(np.ones(n))):
-            return 0.0  # A >= 0 with A 1 = 0 is zero; Lanczos breaks down
-        raise NoConvergenceError(f"Lanczos norm: {exc}") from None
-    return float(s[0])
+    steps = min(n, NORM_MAX_STEPS)
+    eps = np.finfo(float).eps
+    # rows are only paged in as they are written
+    dtype = float if handle.positive else complex
+    U, V = np.empty((steps, n), dtype), np.empty((steps + 1, n), dtype)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    V[0] = n ** -0.5
+    for k in range(steps):
+        x = matvec(V[k])
+        if k:
+            x = x - beta[k - 1] * U[k - 1]
+        x = _orthogonalize(x, U[:k])
+        alpha[k] = np.linalg.norm(x)
+        if alpha[k] > 0.0:
+            U[k] = x / alpha[k]
+            y = _orthogonalize(rmatvec(U[k]) - alpha[k] * V[k], V[:k + 1])
+            beta[k] = np.linalg.norm(y)
+        P, s, _ = np.linalg.svd(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1))
+        if k + 1 == n:
+            return float(s[0])  # V spans the space: B_n has A's spectrum
+        if beta[k] <= eps * s[0]:   # an invariant space; also when alpha_k = 0
+            if handle.positive:
+                return float(s[0])
+            raise NoConvergenceError(
+                f"Lanczos norm: the Krylov space of the constant vector is "
+                f"invariant after {k + 1} steps, and the kernel is not "
+                f"nonnegative")
+        if beta[k] * abs(P[-1, 0]) <= eps * s[0]:
+            return float(s[0])
+        V[k + 1] = y / beta[k]
+    raise NoConvergenceError(f"Lanczos norm: residual above eps times the "
+                             f"norm after {steps} steps")
+
+
+def _orthogonalize(x, basis):
+    """x less its projection on the orthonormal rows of basis, taken
+    twice (classical Gram-Schmidt with reorthogonalization)."""
+    for _ in range(2):
+        x = x - np.conj(basis @ np.conj(x)) @ basis
+    return x
 
 
 def weighted_norm_bracket(handle: OperatorHandle, u, sigma, p):
     """(lower, upper, closed) for the L^p(sigma mu) -> L^p(u mu) norm of
     f -> K (sigma mu f); closed means a gap of at most NORM_RTOL relative.
 
-    At p = 2 the bracket is one point, by Lanczos. Otherwise, for a
+    At p = 2 the bracket is one point (weighted_norm_p2). Otherwise, for a
     nonnegative kernel, Boyd's iteration runs from the constant vector:
     y = A x, z = A^T y^(p-1), x <- z^(p'-1) normalized in l^p, at most
     NORM_MAX_STEPS times. ||y||_p bounds ||A|| below, and the Schur test

@@ -3,7 +3,9 @@
 Mass oracles: with omega = Lebesgue the quadrature total is exactly
 (1 - 2^-(J+1))^2 (it integrates 2 r dr over the truncated disk), so
 J = 1 gives 9/16. Containment minimality is checked by brute-force
-scan of every grid arc one level finer than the returned one.
+scan of every grid arc one level finer than the returned one, and the
+array search containing_dyadics against the arc-at-a-time loop it
+replaced.
 """
 
 import math
@@ -89,6 +91,48 @@ def test_containing_dyadic_bound_and_minimality():
     for length in (2.0 ** -53, 1e-300, 5e-324):
         with pytest.raises(InvalidRangeError):
             dk.containing_dyadic(dk.Arc(0.3, length))
+
+
+def containing_dyadic_loop(arc):
+    """The arc-at-a-time search containing_dyadics replaces: from the
+    arc's finest level down, beta = 0 first, the first grid arc that
+    holds it."""
+    top = int(math.floor(math.log2(1.0 / arc.length)))
+    for level in range(top, -1, -1):
+        width = 2.0 ** -level
+        for beta in dk.GRID_SHIFTS:
+            m = int(dk.arc_index(beta, level, arc.start))
+            start = (m + beta) * width
+            if (arc.start - start) % 1.0 + arc.length <= width:
+                return dk.DyadicInterval(beta, level, m)
+    raise AssertionError("unreachable")
+
+
+def test_containing_dyadics_match_the_loop():
+    rng = np.random.default_rng(11)
+    arcs = [dk.Arc(float(rng.random()), float(rng.uniform(1e-6, 0.25)))
+            for _ in range(3000)]
+    # boundary arcs: grid-aligned starts and ends, power-of-two lengths,
+    # wrap-around starts, the longest and shortest accepted lengths
+    for level in range(1, 53, 3):
+        w = 2.0 ** -level
+        for start in (0.0, 0.5, 0.75, 1.0 - w, 0.5 - w / 2, 3 * w,
+                      1.0 - 2.0 ** -53):
+            for length in (w, w / 2, 0.75 * w, w * (1 - 2.0 ** -52)):
+                if np.finfo(float).eps <= length <= 0.25:
+                    arcs.append(dk.Arc(start, length))
+    arcs += [dk.Arc(0.9, 0.25), dk.Arc(0.75, 2.0 ** -52)]
+    beta, level, index = dk.containing_dyadics(
+        [a.start for a in arcs], [a.length for a in arcs])
+    got = [dk.DyadicInterval(float(b), int(lv), int(m))
+           for b, lv, m in zip(beta, level, index)]
+    assert got == [containing_dyadic_loop(a) for a in arcs]
+    assert [dk.containing_dyadic(a) for a in arcs[:200]] == got[:200]
+    for bad in (0.3, 2.0 ** -53, math.nan):
+        with pytest.raises(InvalidRangeError):
+            dk.containing_dyadics([0.1, 0.2], [0.1, bad])
+    with pytest.raises(InvalidRangeError):
+        dk.containing_dyadics([math.inf], [0.1])
 
 
 def test_carleson_square_and_top_half():

@@ -16,6 +16,8 @@ Oracles used here:
   * the matrix-free norms are pinned against dense oracles on the
     gathered kernel: svdvals at p = 2, and at p != 2 a nonlinear power
     iteration from random starts, which must land inside the bracket.
+    At J = 10 the p = 2 norm is also pinned against ARPACK (svds) on
+    the same applies, the route the library's Lanczos replaced.
   * the comparability constants, the extremes over node pairs of
     K_Psi / (K^0 + K^(1/2)), are pinned against the pointwise route the
     library used to sample: psi at |1 - conj(zeta) z| over dyadic
@@ -36,7 +38,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import svdvals
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import LinearOperator, svds
 
 from diskproj import czd
 from diskproj import disk as dk
@@ -587,14 +589,16 @@ def test_separation_thresholds():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """separation_thresholds bisects in place: importing the package, in
-    a fresh interpreter, does not load scipy.optimize."""
+    """separation_thresholds bisects in place and weighted_norm_p2 runs
+    its own Lanczos: importing the package, in a fresh interpreter, loads
+    none of scipy.optimize, scipy.sparse.linalg and scipy.linalg."""
     src = str(pathlib.Path(op.__file__).resolve().parents[1])
-    code = "import sys, diskproj; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, diskproj; print([m for m in ('scipy.optimize', "
+            "'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_separated_square_lower_bound():
@@ -774,10 +778,55 @@ def test_weighted_norm_lp_lower():
 
 
 def test_lanczos_failure_is_a_diskproj_error(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-
-    monkeypatch.setattr(op, "svds", no_convergence)
-    h = matrix_handle(np.eye(3), np.ones(3))
+    """A residual still above eps times the norm at the step cap raises."""
+    h = matrix_handle(np.diag([1.0, 2.0, 3.0]), np.ones(3))
+    assert op.weighted_norm_p2(h, np.ones(3), np.ones(3)) == \
+        pytest.approx(3.0, rel=1e-14)
+    monkeypatch.setattr(op, "NORM_MAX_STEPS", 1)
     with pytest.raises(NoConvergenceError):
         op.weighted_norm_p2(h, np.ones(3), np.ones(3))
+
+
+def test_lanczos_breakdown():
+    """An invariant Krylov space of the constant vector gives the norm for
+    a nonnegative kernel (it holds the Perron vector) and raises for any
+    other kernel, whose top singular vector it may miss."""
+    one = np.ones(3)
+    assert op.weighted_norm_p2(matrix_handle(np.eye(3), one), one, one) \
+        == pytest.approx(1.0, rel=1e-14)
+    assert op.weighted_norm_p2(matrix_handle(np.ones((3, 3)), one), one,
+                               one) == pytest.approx(3.0, rel=1e-14)
+    assert op.weighted_norm_p2(matrix_handle(np.zeros((3, 3)), one), one,
+                               one) == 0.0
+    one = np.ones(2)
+    # A 1 = 0, and the norm is 2
+    with pytest.raises(NoConvergenceError):
+        op.weighted_norm_p2(matrix_handle([[1.0, -1.0], [-1.0, 1.0]], one),
+                            one, one)
+    # A 1 = 2 * 1, and the norm is 4
+    with pytest.raises(NoConvergenceError):
+        op.weighted_norm_p2(matrix_handle([[3.0, -1.0], [-1.0, 3.0]], one),
+                            one, one)
+    # A 1 = 0.4 * 1 up to rounding, so beta_1 is about 4e-17, not 0, and
+    # the norm is 0.7
+    one = np.ones(3)
+    with pytest.raises(NoConvergenceError):
+        op.weighted_norm_p2(matrix_handle(0.7 * np.eye(3) - 0.1, one), one,
+                            one)
+
+
+@pytest.mark.parametrize("kind", ["positive", "dyadic-0", "dyadic-1/2"])
+def test_weighted_norm_p2_matches_arpack(kind):
+    """At J = 10 (4,100 cells) against ARPACK's svds on the same applies."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=10)
+    sigma, u, _, _ = tw.random_instance(quad, 10)
+    h = handle_kinds(quad)[kind]
+    left = np.sqrt(u.values * h.mu)
+    right = np.sqrt(sigma.values * h.mu)
+    n = quad.size
+    A = LinearOperator((n, n), dtype=float,
+                       matvec=lambda x: left * h.fast_apply(x.ravel() * right),
+                       rmatvec=lambda y: right * h.fast_apply(y.ravel() * left))
+    want = svds(A, k=1, tol=0, v0=np.ones(n), return_singular_vectors=False)[0]
+    assert op.weighted_norm_p2(h, u.values, sigma.values) == \
+        pytest.approx(want, rel=1e-13)

@@ -419,8 +419,8 @@ def run_twoweight(cfg: ExperimentConfig):
     ratios = []
     for i in range(20):
         sub = np.random.default_rng(cfg.seed * 77 + i)
-        tau = [row * sub.uniform(0.25, 2.0, row.shape) for row in base.tau]
-        T = tw.sparse_bergman_model(psi, quad2, tau=tau)
+        T = tw.sparse_bergman_model(
+            psi, quad2, tau=base.tau * sub.uniform(0.25, 2.0, base.tau.shape))
         sigma, u, _, _ = tw.random_instance(quad2, cfg.seed * 77 + i)
         rep = tw.testing_constants(T, sigma, u, 2.0, cfg.dyadic_depth)
         necessity_ok &= rep.c0_root <= rep.norm_lower * (1.0 + 1e-8)

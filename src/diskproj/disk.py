@@ -15,9 +15,10 @@ levels, the beta = 1/2 family is not (its shift halves with the level),
 so the cross-level algorithms work per level by index arithmetic.
 
 That arithmetic lives in one cached incidence matrix per quadrature and
-grid shift, DiskQuadrature.incidence: S, squares by cells in CSR form,
-levels 0..J stacked (square (l, m) is row 2^l - 1 + m), its CSR
-transpose and the square masses. The row is a square's one address in
+grid shift, DiskQuadrature.incidence: St, cells by squares in CSR form,
+built level by level from each cell's arc indices; S, squares by cells,
+its CSR transpose, with levels 0..J stacked (square (l, m) is row
+2^l - 1 + m); and the square masses. The row is a square's one address in
 the dyadic layer; (level, index) pairs appear only in what the layer
 returns. On the nested grid the rows are a binary heap: row r has the
 children 2r + 1 and 2r + 2 and the parent (r - 1) // 2, and the
@@ -333,34 +334,27 @@ class DiskQuadrature:
 
     def incidence(self, beta):
         """The SquareIncidence of grid beta, built once per grid shift on
-        first use, level by level from each level's members and their
-        arc indices. A cell of band b lies in one square at each level
-        0..max(b - 1, 0), so its row of St has that many entries and the
-        level-th is its square at that level; a stable sort of a level's
-        arcs lists each square's members in cell order."""
+        first use. St comes level by level from each level's members and
+        their arc indices: a cell of band b lies in one square at each
+        level 0..max(b - 1, 0), so its row of St has that many entries
+        and the level-th is its square at that level. S is St's CSR
+        transpose, whose rows list each square's cells in cell order."""
         check_grid(beta)
         if beta not in self._incidence:
             t_ptr = np.zeros(self.size + 1, dtype=np.int32)
             np.cumsum(np.maximum(self.cell_band, 1), out=t_ptr[1:])
             t_ind = np.empty(t_ptr[-1], dtype=np.int32)
-            s_ind = np.empty_like(t_ind)
-            s_ptr = np.zeros(2 << self.J, dtype=np.int32)
             for level in range(self.J + 1):
-                start, rows = self.level_start(level), square_rows(level)
-                arcs = arc_index(beta, level, self.nodes_t[start:])
-                t_ind[t_ptr[start:-1] + level] = rows.start + arcs
-                first = s_ptr[rows.start]   # entries of the levels above
-                # arcs < 2^MAX_DEPTH: uint16 keys take numpy's radix sort
-                s_ind[first:first + arcs.size] = start + np.argsort(
-                    arcs.astype(np.uint16), kind="stable")
-                s_ptr[rows.start + 1:rows.stop + 1] = first + np.cumsum(
-                    np.bincount(arcs, minlength=1 << level))
+                start = self.level_start(level)
+                t_ind[t_ptr[start:-1] + level] = square_row(
+                    level, arc_index(beta, level, self.nodes_t[start:]))
             # both grids have the same entries: one array of ones for all
             built = list(self._incidence.values())
-            ones = built[0].S.data if built else np.ones(t_ind.size)
-            shape = (s_ptr.size - 1, self.size)
-            S = csr_array((ones, s_ind, s_ptr), shape=shape)
-            St = csr_array((ones, t_ind, t_ptr), shape=shape[::-1])
+            ones = built[0].St.data if built else np.ones(t_ind.size)
+            St = csr_array((ones, t_ind, t_ptr),
+                           shape=(self.size, square_row(self.J + 1, 0)))
+            S = St.T.tocsr()
+            S = csr_array((ones, S.indices, S.indptr), shape=S.shape)
             self._incidence[beta] = SquareIncidence(S, St, S @ self.masses)
         return self._incidence[beta]
 

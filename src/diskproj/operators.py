@@ -21,12 +21,14 @@ band. Kernel rows (apply with matrix_free=True) use the tables.
 
 The dyadic operators are SparseOperator instances, T f = sum_S tau_S
 (E^mu_S f) 1_S over the squares of one grid at levels 0..J, with mu the
-cell masses and tau_S = Psi(|I|) mu(S)/|I| by default. With S the
-grid's square-by-cell incidence matrix (disk.py), which caches every
-mu(S), fast_apply(g) is S^T (tau (S g) / mu(S)): two sparse products of
-nnz = about cells x levels each, 0.2 ms apiece at J=12 (196,616
-entries). Kernel rows are the rows' squares, weighted by tau_S / mu(S),
-times S.
+cell masses and tau_S = Psi(|I|) mu(S)/|I| by default. tau has one
+entry per row of the grid's square-by-cell incidence matrix S (disk.py),
+which caches every mu(S), and the kernel's value on each square,
+square_kernel = tau / mu(S) (0 on a massless square), is divided once
+per operator. fast_apply(g) is S^T (square_kernel (S g)): two sparse
+products of nnz = about cells x levels each, 0.2 ms apiece at J=12
+(196,616 entries). Kernel rows are the rows' squares, weighted by
+square_kernel, times S.
 
 Norms run on fast_apply and form no dense matrix: the weighted operator
 D((u mu)^(1/p)) K D((sigma mu)^(1/p')) is left * fast_apply(x * right),
@@ -41,14 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse import csr_array
 
 from .disk import (GRID_SHIFTS, Arc, DiskQuadrature, Field, carleson_square,
-                   finite_table, nonnegative_table, require_same_quadrature,
-                   square_rows)
+                   finite_table, nonnegative_table, require_same_quadrature)
 from .errors import (InvalidRangeError, NoAdmissiblePairError,
                      NoConvergenceError)
 from .kernels import KernelSpec, kernel_integral_grid, nu_cauchy_grid
@@ -147,7 +148,8 @@ class _BandPairTable(OperatorHandle):
 
     @property
     def values(self):
-        """All band-pair tables, concatenated pair-major."""
+        """All band-pair tables, concatenated pair-major. A table entry
+        that overflows the double range raises InvalidRangeError."""
         if self._values is None:
             radius = self.quad.nodes_r[[s.start for s in self._slices]]
             upper = np.triu_indices(self._arcs.size)
@@ -157,7 +159,12 @@ class _BandPairTable(OperatorHandle):
                 delta = 0.5 * (span // self._arcs[b] - span // self._arcs[a])
                 angle = (np.arange(span) + delta) / span
                 w.append(radius[a] * radius[b] * np.exp(2j * np.pi * angle))
-            k = np.asarray(self._kernel_of_w(np.concatenate(w)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                k = np.asarray(self._kernel_of_w(np.concatenate(w)))
+            if not np.all(np.isfinite(k)):
+                raise InvalidRangeError(
+                    f"the kernel table overflows: {np.sum(~np.isfinite(k))} "
+                    f"of {k.size} entries are not finite")
             tables = np.empty(self._span.shape, dtype=object)
             for a, b, t in zip(*upper, np.split(
                     k, np.cumsum(self._span[upper])[:-1])):
@@ -229,27 +236,27 @@ def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature
 @dataclass(eq=False)
 class SparseOperator(OperatorHandle):
     """T f = sum_S tau_S (E^mu_S f) 1_S over the Carleson squares of one
-    grid at levels 0..J, with tau[level][arc] >= 0 and mu the cell
-    masses: mu(S) is the square mass cached on the grid's incidence.
+    grid at levels 0..J, with mu the cell masses: mu(S) is the square
+    mass cached on the grid's incidence. tau >= 0 has one entry per
+    incidence row, levels 0..J stacked like the incidence's masses.
 
     Its kernel is K_ij = sum over squares S holding both cells of
-    tau_S / mu(S), so that T f = K (f mu). With S the incidence matrix,
-    K g = S^T (tau (S g) / mu(S)): one product each way.
+    square_kernel[S] = tau_S / mu(S), 0 on a massless square, so that
+    T f = K (f mu). With S the incidence matrix,
+    K g = S^T (square_kernel (S g)): one product each way.
     """
 
     beta: float
     quad: DiskQuadrature
-    tau: List[np.ndarray]              # tau[level][arc], levels 0..J
+    tau: np.ndarray                    # tau per incidence row
     positive = True
 
     def __post_init__(self):
-        self._incidence = self.quad.incidence(self.beta)
-        if len(self.tau) != self.quad.J + 1:
-            raise InvalidRangeError("need one tau array per level 0..J")
-        self.tau = [nonnegative_table(row, (1 << level,),
-                                      f"tau at level {level}")
-                    for level, row in enumerate(self.tau)]
-        self._tau = np.concatenate(self.tau)   # in the incidence's row order
+        self._incidence = inc = self.quad.incidence(self.beta)
+        self.tau = nonnegative_table(self.tau, inc.masses.shape, "tau")
+        self.square_kernel = np.divide(self.tau, inc.masses,
+                                       out=np.zeros(inc.masses.shape),
+                                       where=inc.masses > 0.0)
 
     def fast_apply(self, g):
         """K @ g for the mass-weighted cell values g = f mu."""
@@ -257,30 +264,27 @@ class SparseOperator(OperatorHandle):
         if np.iscomplexobj(g):  # keep the products on real ones
             return self.fast_apply(g.real) + 1j * self.fast_apply(g.imag)
         inc = self._incidence
-        avg = np.divide(inc.S @ g, inc.masses, out=np.zeros(inc.masses.shape),
-                        where=inc.masses > 0.0)
-        return inc.St @ (self._tau * avg)
+        return inc.St @ (self.square_kernel * (inc.S @ g))
 
     def kernel_block(self, rows):
         """Kernel submatrix K[rows, :]: the rows' squares, each weighted
-        by tau_S / mu(S), times S."""
+        by square_kernel, times S."""
         inc = self._incidence
-        weight = np.divide(self._tau, inc.masses,
-                           out=np.zeros(inc.masses.shape),
-                           where=inc.masses > 0.0)
-        return (inc.St[np.asarray(rows)].multiply(weight) @ inc.S).toarray()
+        return (inc.St[np.asarray(rows)].multiply(self.square_kernel)
+                @ inc.S).toarray()
 
 
 def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
-                         tau: Optional[List[np.ndarray]] = None
+                         tau: Optional[np.ndarray] = None
                          ) -> SparseOperator:
     """The dyadic model of the kernel profile: tau_S = Psi(|I|) mu(S)/|I|
-    at levels 0..J. A custom tau table overrides the default."""
+    at levels 0..J. A custom tau, one entry per incidence row, overrides
+    the default."""
     if tau is None:
-        psi_vals = psi(2.0 ** -np.arange(quad.J + 1))
-        masses = quad.incidence(beta).masses
-        tau = [psi_vals[level] * masses[square_rows(level)] * 2.0 ** level
-               for level in range(quad.J + 1)]
+        levels = np.arange(quad.J + 1)
+        # psi * 2^l is exact, so tau rounds as Psi(|I|) mu(S) / |I| does
+        tau = np.repeat(psi(2.0 ** -levels) * 2.0 ** levels,
+                        1 << levels) * quad.incidence(beta).masses
     return SparseOperator(beta, quad, tau)
 
 
@@ -482,11 +486,11 @@ def weighted_norm_p2(handle: OperatorHandle, u, sigma):
         if k:
             x = x - beta[k - 1] * U[k - 1]
         x = _orthogonalize(x, U[:k])
-        alpha[k] = np.linalg.norm(x)
+        alpha[k] = _product_norm(x)
         if alpha[k] > 0.0:
             U[k] = x / alpha[k]
             y = _orthogonalize(rmatvec(U[k]) - alpha[k] * V[k], V[:k + 1])
-            beta[k] = np.linalg.norm(y)
+            beta[k] = _product_norm(y)
         P, s, _ = np.linalg.svd(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1))
         if k + 1 == n:
             return float(s[0])  # V spans the space: B_n has A's spectrum
@@ -502,6 +506,17 @@ def weighted_norm_p2(handle: OperatorHandle, u, sigma):
         V[k + 1] = y / beta[k]
     raise NoConvergenceError(f"Lanczos norm: residual above eps times the "
                              f"norm after {steps} steps")
+
+
+def _product_norm(x, ord=None):
+    """The ord-norm of a product of the weighted operator; a norm past
+    the double range raises InvalidRangeError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(x, ord=ord))
+    if not math.isfinite(norm):
+        raise InvalidRangeError("the weighted operator overflows: a "
+                                "product's norm is not finite")
+    return norm
 
 
 def _orthogonalize(x, basis):
@@ -535,7 +550,7 @@ def weighted_norm_bracket(handle: OperatorHandle, u, sigma, p):
     for _ in range(NORM_MAX_STEPS):
         # clip FFT round-off below zero before the fractional powers
         y = np.maximum(matvec(x), 0.0)
-        lower = max(lower, float(np.linalg.norm(y, ord=p)))
+        lower = max(lower, _product_norm(y, p))
         z = np.maximum(rmatvec(y ** (p - 1.0)), 0.0)
         xp = x ** (p - 1.0)
         ratio = np.divide(z, xp, out=np.where(z > 0.0, math.inf, 0.0),

@@ -2,10 +2,12 @@
 
 They run on the sparse dyadic operator T f = sum_S tau_S (E^mu_S f) 1_S
 of operators.py: levels 0..J, mu the cell masses, each mu(S) cached on
-the grid's square-by-cell incidence matrix S (disk.py). Every square
-sum they need is one product S @ V over all levels, for all the fields
-at once, and the stopped sum of the linearization one product with the
-transpose; each costs one pass over nnz = about cells x levels entries.
+the grid's square-by-cell incidence matrix S (disk.py), and the
+operator's square_kernel = tau / mu(S), its kernel's value on each
+square, divided once when it is built. Every square sum they need is
+one product S @ V over all levels, for all the fields at once, and the
+stopped sum of the linearization one product with the transpose; each
+costs one pass over nnz = about cells x levels entries.
 A square is addressed by its row of S; (level, index) pairs appear only
 in what this module returns. On the nested beta = 0 grid, where row r
 has the children 2r + 1 and 2r + 2, the stopping squares take one
@@ -203,9 +205,10 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
     count as 0.
 
     On the nested grid, for Q at level l, T(s 1_Q) = D_l + (s mu)(Q) A(Q)
-    on Q, where D_l(z) sums tau_S <s>_S over the squares S at levels
-    >= l holding z, and A(Q) sums tau_S / mu(S) over the strict
-    ancestors of Q. Off Q it is (s mu)(Q) A(C) on C's parent minus C,
+    on Q. With k_S = T.square_kernel, tau_S / mu(S) and 0 on a massless
+    square, D_l(z) sums k_S (s mu)(S) = tau_S <s>_S over the squares S at
+    levels >= l holding z, and A(Q) sums k_S over the strict ancestors
+    of Q. Off Q it is (s mu)(Q) A(C) on C's parent minus C,
     for each ancestor-or-self C of Q below the root, so the norm off Q
     is (s mu)(Q)^p W(Q), W(C) = W(parent) + A(C)^p (t mu)(parent minus C).
     """
@@ -219,10 +222,8 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
     # top-down: A and W at every level to the depth
     A, W = [np.zeros(1)], [np.zeros(1)]
     for lev in range(top):
-        mu_q = inc.masses[square_rows(lev)]
         t_mass = t_sq[square_rows(lev)]
-        a_child = np.repeat(A[lev] + np.divide(
-            T.tau[lev], mu_q, out=np.zeros_like(mu_q), where=mu_q > 0.0), 2)
+        a_child = np.repeat(A[lev] + T.square_kernel[square_rows(lev)], 2)
         A.append(a_child)
         W.append(np.repeat(W[lev], 2) + a_child ** p * (
             np.repeat(t_mass, 2) - t_sq[square_rows(lev + 1)]))
@@ -236,9 +237,8 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
         rows = square_rows(lev)
         arcs = inc.St.indices[inc.St.indptr[start:-1] + lev].astype(
             np.intp) - rows.start
-        s_mass, mu_q = s_sq[rows], inc.masses[rows]
-        avg = np.divide(s_mass, mu_q, out=np.zeros(count), where=mu_q > 0.0)
-        D[start:] += (T.tau[lev] * avg)[arcs]
+        s_mass = s_sq[rows]
+        D[start:] += (T.square_kernel[rows] * s_mass)[arcs]
         if lev > top:
             continue
         on_q = np.abs(D[start:] + (s_mass * A[lev])[arcs]) ** p

@@ -272,9 +272,9 @@ def test_dyadic_handle_fast_matches_matrix(leb_quad5):
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
     np.testing.assert_allclose(K, K.T)
     # tau on the root square alone, which holds every node
-    root = tw.sparse_bergman_model(std_psi(), quad, tau=[
+    root = tw.sparse_bergman_model(std_psi(), quad, tau=np.concatenate([
         np.array([quad.total_mass()])] + [np.zeros(2 ** lev)
-                                          for lev in range(1, quad.J + 1)])
+                                          for lev in range(1, quad.J + 1)]))
     want = float(np.sum(f * quad.masses))
     np.testing.assert_allclose(root.apply(f), want, rtol=1e-13)
     h_half = op.dyadic_handle(0.5, std_psi(), quad)
@@ -436,9 +436,9 @@ def test_dyadic_kernel_symmetries(j0):
 
 
 BAD_DYADIC_INPUTS = {
-    "tau-nan": lambda q: tw.sparse_bergman_model(std_psi(), q, tau=[
-        np.full(2 ** lev, np.nan if lev == 1 else 1.0)
-        for lev in range(q.J + 1)]),
+    "tau-nan": lambda q: tw.sparse_bergman_model(std_psi(), q, tau=(
+        np.concatenate([np.full(2 ** lev, np.nan if lev == 1 else 1.0)
+                        for lev in range(q.J + 1)]))),
     "bp-depth-negative": lambda q: wt.bp_characteristic(
         wt.weight_field(q), 2.0, -1),
     "maximal-shift-off-grid": lambda q: wt.dyadic_maximal(
@@ -775,6 +775,45 @@ def test_weighted_norm_lp_lower():
         op.weighted_norm_p2(h, u[:-1], sigma)
     with pytest.raises(InvalidRangeError):
         op.weighted_norm_bracket(h, u, np.full(30, np.nan), 3.0)
+
+
+OVERFLOWING_TABLE_CALLS = {
+    "bergman-apply": lambda spec, q: op.bergman_handle(spec, q).apply(
+        np.ones(q.size)),
+    "positive-apply": lambda spec, q: op.positive_handle(spec, q).apply(
+        np.ones(q.size)),
+    "psi-apply": lambda spec, q: op.psi_positive_handle(
+        op.PsiProfile(spec.gamma, spec.nu), q).apply(np.ones(q.size)),
+    "identity-error": op.projection_identity_error,
+    "one-weight": lambda spec, q: tw.one_weight_norm_experiment(
+        spec, wt.weight_field(q), 2.0, 3),
+}
+
+
+@pytest.mark.parametrize("gamma, J, kind", [
+    *((150.0, 8, kind) for kind in OVERFLOWING_TABLE_CALLS),
+    (100.0, 12, "positive-apply")])
+def test_overflowing_kernel_tables_raise(gamma, J, kind):
+    """A kernel table with an entry past the double range raises instead
+    of giving inf or NaN applies, a 1e26 identity error or a crash in
+    the SVD of the norm."""
+    spec = KernelSpec(gamma=gamma, nu=ms.lebesgue())
+    quad = dk.build_quadrature(ms.lebesgue(), J=J)
+    with pytest.raises(InvalidRangeError, match="overflows"):
+        OVERFLOWING_TABLE_CALLS[kind](spec, quad)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_overflowing_norms_raise(p):
+    """A finite table (largest entry 9.8e223) whose weighted products
+    overflow raises at p = 2, where the SVD failed to converge, and at
+    p = 3, where the bracket read (inf, 0, closed)."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=8)
+    h = op.positive_handle(KernelSpec(gamma=100.0, nu=ms.lebesgue()), quad)
+    assert np.all(np.isfinite(h.values))
+    one = np.ones(quad.size)
+    with pytest.raises(InvalidRangeError, match="overflows"):
+        op.weighted_norm_bracket(h, one, one, p)
 
 
 def test_lanczos_failure_is_a_diskproj_error(monkeypatch):

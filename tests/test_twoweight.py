@@ -48,17 +48,18 @@ def quad3():
 
 def test_default_tau_table(quad3):
     T = tw.sparse_bergman_model(std_psi(), quad3)
-    assert len(T.tau) == quad3.J + 1
+    assert T.tau.shape == (dk.square_row(quad3.J + 1, 0),)
     for level in range(quad3.J + 1):
         # Psi(2^-l) = 2^l for the standard profile
         want = 4.0 ** level * level_sums(quad3, 0.0, level, quad3.masses)
-        np.testing.assert_allclose(T.tau[level], want, rtol=1e-13)
+        np.testing.assert_allclose(T.tau[dk.square_rows(level)], want,
+                                   rtol=1e-13)
 
 
 def test_single_square_apply(quad3):
     quad = quad3
-    tau = [np.zeros(1), np.zeros(2), np.array([0.0, 5.0, 0.0, 0.0]),
-           np.zeros(8)]
+    tau = np.concatenate([np.zeros(1), np.zeros(2),
+                          np.array([0.0, 5.0, 0.0, 0.0]), np.zeros(8)])
     T = tw.sparse_bergman_model(std_psi(), quad, tau=tau)
     out = tw.apply_sparse(T, dk.Field.constant(quad, 1.0))
     members = (quad.nodes_r >= 0.75) & \
@@ -79,18 +80,41 @@ def test_matrix_matches_apply(leb_quad5):
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("beta", dk.GRID_SHIFTS)
+def test_square_kernel_massless_rule(beta):
+    """square_kernel is tau / mu(S), and 0 where mu(S) = 0: atom(0.9)
+    leaves every square past level 3 massless. The kernel rows built
+    from it give apply on either grid, with tau zeroed on some squares
+    and on all of level 2."""
+    quad = dk.build_quadrature(ms.point_mass(0.9), J=5)
+    rng = np.random.default_rng(5)
+    mu = quad.incidence(beta).masses
+    tau = rng.pareto(1.0, mu.size) * (rng.random(mu.size) > 0.3)
+    tau[dk.square_rows(2)] = 0.0
+    T = tw.sparse_bergman_model(std_psi(), quad, beta=beta, tau=tau)
+    live = mu > 0.0
+    assert live.any() and not live.all() and (live & (tau == 0.0)).any()
+    np.testing.assert_array_equal(T.square_kernel[live],
+                                  tau[live] / mu[live])
+    np.testing.assert_array_equal(T.square_kernel[~live], 0.0)
+    f = rng.uniform(0.0, 2.0, size=quad.size)
+    np.testing.assert_allclose(
+        T.kernel_block(np.arange(quad.size)) @ (f * quad.masses), T.apply(f),
+        rtol=1e-12)
+
+
 def test_sparse_validation(quad3, leb_quad5):
     psi = std_psi()
     deeper = [np.zeros(4), np.zeros(8)]   # levels 2 and 3 of quad3
     with pytest.raises(InvalidRangeError):
-        tw.sparse_bergman_model(psi, quad3, tau=[np.zeros(1), np.zeros(2),
-                                                 np.zeros(4)])
+        tw.sparse_bergman_model(psi, quad3, tau=np.concatenate(
+            [np.zeros(1), np.zeros(2), np.zeros(4)]))
     with pytest.raises(InvalidRangeError):
-        tw.sparse_bergman_model(psi, quad3,
-                                tau=[np.zeros(1), np.zeros(3)] + deeper)
+        tw.sparse_bergman_model(psi, quad3, tau=np.concatenate(
+            [np.zeros(1), np.zeros(3)] + deeper))
     with pytest.raises(InvalidRangeError):
-        tw.sparse_bergman_model(psi, quad3,
-                                tau=[np.zeros(1), -np.ones(2)] + deeper)
+        tw.sparse_bergman_model(psi, quad3, tau=np.concatenate(
+            [np.zeros(1), -np.ones(2)] + deeper))
     T = tw.sparse_bergman_model(psi, quad3)
     with pytest.raises(QuadratureMismatchError):
         tw.apply_sparse(T, dk.Field.constant(leb_quad5, 1.0))
@@ -187,7 +211,8 @@ def test_testing_root_only_oracle(quad3):
     sigma = wt.weight_field(quad, eta=-0.25, name="sigma")
     u = wt.weight_field(quad, eta=0.25, name="u")
     rho = 0.7
-    tau = [np.array([rho])] + [np.zeros(2 ** lev) for lev in range(1, 4)]
+    tau = np.concatenate([np.array([rho])] +
+                         [np.zeros(2 ** lev) for lev in range(1, 4)])
     T = tw.sparse_bergman_model(std_psi(), quad, tau=tau)
     rep = tw.testing_constants(T, sigma, u, p=2.0, depth=3)
     mu_total = quad.total_mass()
@@ -208,7 +233,7 @@ def test_testing_zero_operator(quad3):
     breaks down: the norm is 0 at p = 2 and p != 2."""
     sigma = wt.weight_field(quad3, eta=-0.25)
     u = wt.weight_field(quad3, eta=0.25)
-    tau = [np.zeros(2 ** lev) for lev in range(4)]
+    tau = np.concatenate([np.zeros(2 ** lev) for lev in range(4)])
     T = tw.sparse_bergman_model(std_psi(), quad3, tau=tau)
     for p in (2.0, 3.0):
         rep = tw.testing_constants(T, sigma, u, p, depth=3)
@@ -410,8 +435,8 @@ def test_testing_tree_pass_matches_per_square(name, J, j0, p, zero_share,
     quad = oracle_quadrature(name, J, j0)
     depth = data.draw(st.integers(0, J + 2), label="depth")
     rng = np.random.default_rng(seed)
-    tau = [zeroed(rng, rng.pareto(1.0, 2 ** lev), zero_share) *
-           (rng.random() > 0.25) for lev in range(J + 1)]
+    tau = np.concatenate([zeroed(rng, rng.pareto(1.0, 2 ** lev), zero_share)
+                          * (rng.random() > 0.25) for lev in range(J + 1)])
     T = tw.sparse_bergman_model(std_psi(), quad, tau=tau)
     sigma = wt.WeightField(quad, np.exp(rng.normal(0.0, 1.0, quad.size)))
     u = wt.WeightField(quad, np.exp(rng.normal(0.0, 1.0, quad.size)))

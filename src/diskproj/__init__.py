@@ -3,10 +3,9 @@ operators on the unit disk, with the identity and inequality suites
 that exercise them at desk scale."""
 
 from .errors import (BudgetExceededError, ConfigError, DiskprojError,
-                     InvalidRangeError, NoAdmissiblePairError,
-                     NoConvergenceError, QuadratureMismatchError,
-                     SeparationError, TailVanishedError,
-                     TruncationInfeasibleError)
+                     InvalidRangeError, NoConvergenceError,
+                     QuadratureMismatchError, SeparationError,
+                     TailVanishedError, TruncationInfeasibleError)
 from .measures import (RadialMeasure, catalog, expinv, half_atom_mix,
                        lebesgue, loginv, point_mass, power_measure)
 from .kernels import (KernelSpec, MomentConstruction, check_completely_monotone,
@@ -18,8 +17,7 @@ from .disk import (Arc, DiskQuadrature, DyadicInterval, Field,
                    containing_dyadic)
 from .operators import (OperatorHandle, PsiProfile, bergman_handle,
                         comparability_constants, dyadic_handle,
-                        positive_handle, projection_identity_error,
-                        separation_thresholds)
+                        positive_handle, projection_identity_error)
 from .weights import (CharacteristicReport, WeightField, b1_characteristic,
                       bp_characteristic, dual_weight, dyadic_maximal,
                       weak11_maximal_check, weak11_projection_check,

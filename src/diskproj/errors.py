@@ -30,10 +30,6 @@ class QuadratureMismatchError(DiskprojError, ValueError):
     cross-check between two quadrature routes failed."""
 
 
-class NoAdmissiblePairError(DiskprojError, ValueError):
-    """No square pair satisfies the requested distance window."""
-
-
 class TailVanishedError(DiskprojError, ValueError):
     """A tail value needed as a denominator is zero."""
 

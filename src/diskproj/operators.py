@@ -48,10 +48,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.sparse import csr_array
 
-from .disk import (GRID_SHIFTS, Arc, DiskQuadrature, Field, carleson_square,
-                   finite_table, nonnegative_table, require_same_quadrature)
-from .errors import (InvalidRangeError, NoAdmissiblePairError,
-                     NoConvergenceError)
+from .disk import (GRID_SHIFTS, DiskQuadrature, Field, finite_table,
+                   nonnegative_table, require_same_quadrature)
+from .errors import InvalidRangeError, NoConvergenceError
 from .kernels import KernelSpec, kernel_integral_grid, nu_cauchy_grid
 from .measures import RadialMeasure
 
@@ -341,93 +340,6 @@ def comparability_constants(psi: PsiProfile, quad: DiskQuadrature):
     return float(lo), float(hi)
 
 
-# -- lower-bound lemmas --------------------------------------------------------
-
-def separation_thresholds(gamma):
-    """(D1, D2): D1 is the smallest separation multiple with
-    sqrt(2)(2+gamma) c^gamma (3c+1)/(c-1)^(gamma+2) <= 1/2 at
-    c = (1/3 + D1)/sqrt(2); D2 = D1 + 2. Found by bisection (the left
-    side is strictly decreasing in c on (1, inf)), on its logarithm,
-    which has the same sign and does not overflow at large gamma. The
-    halving stops when the midpoint is an end, that is, at adjacent
-    doubles: a fixed gap would never close where they are farther
-    apart (about 1.9e-9 near D1 = 1.3e7, at gamma = 1e6)."""
-    if not 1.0 <= gamma < math.inf:
-        raise InvalidRangeError(f"gamma must be finite and >= 1: {gamma}")
-
-    def g(d):
-        c = (1.0 / 3.0 + d) / math.sqrt(2.0)
-        if c <= 1.0:
-            return math.inf
-        return math.log(2.0 * math.sqrt(2.0) * (2.0 + gamma) *
-                        (3.0 * c + 1.0)) \
-            + gamma * math.log(c / (c - 1.0)) - 2.0 * math.log(c - 1.0)
-
-    lo = math.sqrt(2.0) - 1.0 / 3.0 + 1e-9
-    hi = 10.0
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise InvalidRangeError("no separation threshold found")
-    # g(lo) > 0 >= g(hi); halve until the midpoint is an end
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    return hi, hi + 2.0
-
-
-def _square_pair_at_level(quad: DiskQuadrature, level, gamma):
-    """Two side-2^-level Carleson squares with Euclidean separation at
-    the midpoint of [D1 l, D2 l], placed by solving for the angular gap
-    directly. Grid squares cannot realize the window: the admissible
-    edge gap is about (D1/2pi, D2/2pi) ~ (6.4, 6.7) arcs, which holds
-    no integer, so the pair comes from the continuum square family.
-    Raises when the target separation exceeds the chord reachable at
-    this level."""
-    d1, d2 = separation_thresholds(gamma)
-    side = 2.0 ** -level
-    r_lo = 1.0 - side
-    target = 0.5 * (d1 + d2) * side
-    if target > 2.0 * r_lo:
-        raise NoAdmissiblePairError(
-            f"separation {target:.3g} is out of reach at level {level}")
-    # both squares span radii [1-side, 1), so the set distance is the
-    # chord between the near edges at the inner radius
-    gap = math.asin(target / (2.0 * r_lo)) / math.pi
-    if gap > 0.5 - side:
-        raise NoAdmissiblePairError(
-            f"no room for two side-{side:g} squares with gap {gap:.3g}")
-    s1 = carleson_square(Arc(0.0, side))
-    s2 = carleson_square(Arc(side + gap, side))
-    return s1, s2, target
-
-
-def separated_square_lower_bound(spec: KernelSpec, quad: DiskQuadrature,
-                                 level, f: Optional[Field] = None):
-    """(min over S2 nodes of |P_omega f|, average of f over S1) for a
-    nonnegative f supported on S1; the pair is auto-selected at the
-    requested level with the derived separation window."""
-    s1, s2, dist = _square_pair_at_level(quad, level, spec.gamma)
-    m1 = quad.node_mask(s1)
-    m2 = quad.node_mask(s2)
-    if not m1.any() or not m2.any():
-        raise NoAdmissiblePairError(
-            f"level {level} squares contain no quadrature nodes at J={quad.J}")
-    if f is None:
-        f = Field(quad, m1.astype(float))
-    vals = np.asarray(f.values, dtype=float)
-    if np.any(vals < 0.0) or np.any(vals[~m1] != 0.0):
-        raise InvalidRangeError("f must be nonnegative and supported on S1")
-    z = quad.nodes_z
-    w = z[None, m1] * np.conj(z[m2, None])
-    kern = np.conj(kernel_integral_grid(spec, w))
-    out = kern @ (vals[m1] * quad.masses[m1])
-    mass1 = quad.masses[m1].sum()
-    avg = float((vals[m1] * quad.masses[m1]).sum() / mass1)
-    return float(np.min(np.abs(out))), avg
-
-
 # -- weighted operator norms ---------------------------------------------------
 
 NORM_RTOL = 1e-12        # a bracket is closed when its gap is this, relative
@@ -509,10 +421,14 @@ def weighted_norm_p2(handle: OperatorHandle, u, sigma):
 
 
 def _product_norm(x, ord=None):
-    """The ord-norm of a product of the weighted operator; a norm past
-    the double range raises InvalidRangeError."""
+    """The ord-norm of a product of the weighted operator. When the plain
+    norm overflows on finite entries, it is max|x| times the norm of
+    x / max|x|; a norm past the double range raises InvalidRangeError."""
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(np.linalg.norm(x, ord=ord))
+        if not math.isfinite(norm) and np.all(np.isfinite(x)):
+            scale = float(np.max(np.abs(x)))
+            norm = scale * float(np.linalg.norm(x / scale, ord=ord))
     if not math.isfinite(norm):
         raise InvalidRangeError("the weighted operator overflows: a "
                                 "product's norm is not finite")
@@ -536,7 +452,9 @@ def weighted_norm_bracket(handle: OperatorHandle, u, sigma, p):
     y = A x, z = A^T y^(p-1), x <- z^(p'-1) normalized in l^p, at most
     NORM_MAX_STEPS times. ||y||_p bounds ||A|| below, and the Schur test
     bounds it above by max_j (z_j / x_j^(p-1))^(1/p) over x_j > 0 (the
-    other cells are zero columns of A)."""
+    other cells are zero columns of A). Only a finite upper end closes
+    the bracket, and a power past the double range raises
+    InvalidRangeError."""
     if p == 2.0:
         s = weighted_norm_p2(handle, u, sigma)
         return s, s, True
@@ -551,13 +469,25 @@ def weighted_norm_bracket(handle: OperatorHandle, u, sigma, p):
         # clip FFT round-off below zero before the fractional powers
         y = np.maximum(matvec(x), 0.0)
         lower = max(lower, _product_norm(y, p))
-        z = np.maximum(rmatvec(y ** (p - 1.0)), 0.0)
+        z = np.maximum(rmatvec(_boyd_power(y, p - 1.0)), 0.0)
         xp = x ** (p - 1.0)
         ratio = np.divide(z, xp, out=np.where(z > 0.0, math.inf, 0.0),
                           where=xp > 0.0)
         upper = min(upper, float(np.max(ratio)) ** (1.0 / p))
-        if upper - lower <= NORM_RTOL * upper:
+        closed = math.isfinite(upper) and upper - lower <= NORM_RTOL * upper
+        if closed:
             break
-        x = z ** (1.0 / (p - 1.0))
-        x /= np.linalg.norm(x, ord=p)
-    return lower, upper, upper - lower <= NORM_RTOL * upper
+        x = _boyd_power(z, 1.0 / (p - 1.0))
+        x /= _product_norm(x, p)
+    return lower, upper, closed
+
+
+def _boyd_power(x, exponent):
+    """x ** exponent; a power past the double range raises
+    InvalidRangeError."""
+    with np.errstate(over="ignore"):
+        out = x ** exponent
+    if not np.all(np.isfinite(out)):
+        raise InvalidRangeError(f"the weighted operator overflows: a power "
+                                f"^{exponent:g} of a product is not finite")
+    return out

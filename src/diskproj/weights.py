@@ -287,16 +287,17 @@ def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values):
 
 
 def _exact_weak_sup(values, measure_weights):
-    """sup over lambda of lambda * mu({values > lambda}), computed at
-    the level-set jumps of the sorted values."""
+    """sup over lambda of lambda * mu({values > lambda}) along the last
+    axis, computed at the level-set jumps of the sorted values: a float
+    for one row of values, an array for a stack of rows."""
     v = np.asarray(values, dtype=float)
-    w = np.asarray(measure_weights, dtype=float)
-    order = np.argsort(v)[::-1]
-    vs, ws = v[order], np.cumsum(w[order])
-    pos = vs > 0.0
-    if not pos.any():
-        return 0.0
-    return float(np.max(vs[pos] * ws[pos]))
+    order = np.argsort(v, axis=-1)[..., ::-1]
+    vs = np.take_along_axis(v, order, axis=-1)
+    ws = np.cumsum(np.asarray(measure_weights, dtype=float)[order], axis=-1)
+    # the products at positive values are >= 0, so the zeros below
+    # leave a row's max alone unless no value is positive
+    sup = np.max(np.where(vs > 0.0, vs * ws, 0.0), axis=-1)
+    return float(sup) if sup.ndim == 0 else sup
 
 
 def weak11_maximal_check(quad: DiskQuadrature, nu_masses, beta, f: Field):

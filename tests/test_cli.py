@@ -135,6 +135,26 @@ def test_comparability_honors_j0(tmp_path):
         psi, dk.build_quadrature(ms.lebesgue(), J=8))[0]
 
 
+def projection_weak11_rows(out):
+    with open(out / "weak11.csv", newline="") as fh:
+        return [r for r in csv.DictReader(fh) if r["check"] in (
+            "projection-weak11-bounded", "projection-weak11-divergent")]
+
+
+def test_weak11_projection_rows_are_seed_free(tmp_path):
+    """The projection rows read point masses, so no seed enters them; at
+    seeds 34, 43 and 61 the random-field rows used to fail."""
+    code, out = run_main(tmp_path / "s0", "--suite", "weak11")
+    assert code == 0
+    rows = projection_weak11_rows(out)
+    assert [r["bound"] for r in rows] == ["2", "1.5"]
+    for seed in ("34", "43", "61"):
+        code, out = run_main(tmp_path / seed, "--suite", "weak11",
+                             "--seed", seed)
+        assert code == 0
+        assert projection_weak11_rows(out) == rows
+
+
 def test_depth_out_of_range(tmp_path):
     assert cli.main(["--suite", "czd", "--depth", "13",
                      "--out", str(tmp_path)]) == 2

@@ -46,8 +46,8 @@ from diskproj import measures as ms
 from diskproj import operators as op
 from diskproj import twoweight as tw
 from diskproj import weights as wt
-from diskproj.errors import (InvalidRangeError, NoAdmissiblePairError,
-                             NoConvergenceError, QuadratureMismatchError)
+from diskproj.errors import (InvalidRangeError, NoConvergenceError,
+                             QuadratureMismatchError)
 from diskproj.kernels import KernelSpec, kernel_integral_grid
 
 ATOM1 = ms.point_mass(1.0, 1.0)
@@ -563,35 +563,10 @@ def test_comparability_constants():
     assert hi == pytest.approx(1.2614771880125706, rel=1e-12)
 
 
-def margin(d, gamma):
-    c = (1.0 / 3.0 + d) / math.sqrt(2.0)
-    return math.sqrt(2.0) * (2.0 + gamma) * c ** gamma * (3.0 * c + 1.0) \
-        / (c - 1.0) ** (gamma + 2.0) - 0.5
-
-
-def test_separation_thresholds():
-    d1, d2 = op.separation_thresholds(1.0)
-    assert d1 == pytest.approx(40.18180731748611, abs=1e-6)
-    assert d2 == d1 + 2.0
-    # independent recomputation of the defining margin
-    assert abs(margin(d1, 1.0)) < 1e-8
-    assert margin(d1 - 0.5, 1.0) > 0.0 > margin(d1 + 0.5, 1.0)
-    d1b, _ = op.separation_thresholds(2.0)
-    assert d1b == pytest.approx(53.524718378458054, abs=1e-6)
-    assert d1b > d1
-    # the bisection runs on the log of the margin, so a large gamma
-    # does not overflow; gamma outside [1, inf) is rejected
-    d1c, _ = op.separation_thresholds(1e6)
-    assert math.isfinite(d1c) and d1c > d1b
-    for gamma in (math.nan, math.inf, 0.5, -3.0):
-        with pytest.raises(InvalidRangeError):
-            op.separation_thresholds(gamma)
-
-
 def test_import_leaves_scipy_optimize_unloaded():
-    """separation_thresholds bisects in place and weighted_norm_p2 runs
-    its own Lanczos: importing the package, in a fresh interpreter, loads
-    none of scipy.optimize, scipy.sparse.linalg and scipy.linalg."""
+    """weighted_norm_p2 runs its own Lanczos: importing the package, in a
+    fresh interpreter, loads none of scipy.optimize, scipy.sparse.linalg
+    and scipy.linalg."""
     src = str(pathlib.Path(op.__file__).resolve().parents[1])
     code = ("import sys, diskproj; print([m for m in ('scipy.optimize', "
             "'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])")
@@ -599,40 +574,6 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
-
-
-def test_separated_square_lower_bound():
-    quad = dk.build_quadrature(ms.lebesgue(), J=8, j0=1)
-    ratios = []
-    for level in (5, 6, 7, 8):
-        lower, avg = op.separated_square_lower_bound(STD, quad, level)
-        assert avg == 1.0  # default f is the S1 indicator
-        assert lower > 0.0
-        ratios.append(lower / avg)
-    assert max(ratios) / min(ratios) < 3.0
-    # too coarse: the required separation exceeds any chord
-    with pytest.raises(NoAdmissiblePairError):
-        op.separated_square_lower_bound(STD, quad, 4)
-    # too fine: the squares hold no quadrature nodes
-    with pytest.raises(NoAdmissiblePairError):
-        op.separated_square_lower_bound(STD, quad, 9)
-    # the derived example: log-type kernel, positive as well
-    spec_log = KernelSpec(gamma=1.0, nu=ms.lebesgue(), name="log")
-    lower, avg = op.separated_square_lower_bound(spec_log, quad, 8)
-    assert lower > 0.0 and avg == 1.0
-    # f must be nonnegative and live on S1
-    s1, _, _ = op._square_pair_at_level(quad, 6, 1.0)
-    m1 = quad.node_mask(s1)
-    off = np.ones(quad.size)
-    with pytest.raises(InvalidRangeError):
-        op.separated_square_lower_bound(STD, quad, 6, dk.Field(quad, off))
-    neg = np.zeros(quad.size)
-    neg[np.nonzero(m1)[0][0]] = -1.0
-    with pytest.raises(InvalidRangeError):
-        op.separated_square_lower_bound(STD, quad, 6, dk.Field(quad, neg))
-    both = op.separated_square_lower_bound(
-        STD, quad, 6, dk.Field(quad, np.zeros(quad.size)))
-    assert both == (0.0, 0.0)
 
 
 def handle_kinds(quad):
@@ -803,15 +744,35 @@ def test_overflowing_kernel_tables_raise(gamma, J, kind):
         OVERFLOWING_TABLE_CALLS[kind](spec, quad)
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_overflowing_norms_raise(p):
+def overflowing_products_handle():
     """A finite table (largest entry 9.8e223) whose weighted products
-    overflow raises at p = 2, where the SVD failed to converge, and at
-    p = 3, where the bracket read (inf, 0, closed)."""
+    pass sqrt(DBL_MAX), about 1.3e154."""
     quad = dk.build_quadrature(ms.lebesgue(), J=8)
     h = op.positive_handle(KernelSpec(gamma=100.0, nu=ms.lebesgue()), quad)
     assert np.all(np.isfinite(h.values))
-    one = np.ones(quad.size)
+    return h, np.ones(quad.size)
+
+
+def test_overflowing_products_keep_a_finite_p2_norm():
+    """Norms of products past sqrt(DBL_MAX) are taken on the product
+    over its largest entry, so the p = 2 norm is finite: it matches the
+    norm with u scaled by 2^-800, whose products do not overflow, times
+    2^400."""
+    h, one = overflowing_products_handle()
+    lower, upper, closed = op.weighted_norm_bracket(h, one, one, 2.0)
+    assert closed and lower == upper and math.isfinite(upper)
+    assert upper > 1e200
+    scaled = op.weighted_norm_p2(h, one * 2.0 ** -800, one)
+    assert upper == pytest.approx(scaled * 2.0 ** 400, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_overflowing_norms_raise(p):
+    """At p != 2 a Boyd power past the double range raises, with no
+    RuntimeWarning (the run turns those into errors). Without that check
+    p = 3 read (5.9e218, inf, closed): an infinite upper end passed the
+    gap test."""
+    h, one = overflowing_products_handle()
     with pytest.raises(InvalidRangeError, match="overflows"):
         op.weighted_norm_bracket(h, one, one, p)
 

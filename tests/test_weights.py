@@ -20,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from diskproj import disk as dk
 from diskproj import measures as ms
+from diskproj import operators as op
 from diskproj import weights as wt
+from diskproj.kernels import KernelSpec
 from diskproj.errors import ConfigError, InvalidRangeError
 
 
@@ -317,6 +319,65 @@ def test_weak11_projection_check(leb_quad5):
     ratio = wt.weak11_projection_check(v, f, f)
     assert ratio == pytest.approx(1.0, rel=1e-12)
     assert wt.weak11_projection_check(v, dk.Field.constant(quad, 0.0), f) == 0.0
+
+
+def test_exact_weak_sup_rows_match_single_rows():
+    """Along the last axis, each row's sup is the 1-D call's, bit for
+    bit, with ties, zeros and an all-zero row among the rows."""
+    rng = np.random.default_rng(5)
+    rows = rng.pareto(1.2, (7, 300))
+    rows[1, ::3] = rows[1, 0]          # ties
+    rows[2, :150] = 0.0
+    rows[3] = 0.0
+    weights = rng.random(300)
+    got = wt._exact_weak_sup(rows, weights)
+    assert got.shape == (7,)
+    assert got.tolist() == [wt._exact_weak_sup(r, weights) for r in rows]
+    assert got[3] == 0.0
+
+
+ATOM_SPEC = KernelSpec(gamma=1.0, nu=ms.point_mass(1.0, 1.0), name="a1")
+
+
+def point_mass_ratios(quad, cells, eta):
+    """The weak11 suite's projection ratio at each point mass 1_c: the
+    weak sup of the kernel row |K[c, :]| in v mu, over v_c."""
+    v = wt.weight_field(quad, eta=eta)
+    rows = np.abs(op.bergman_handle(ATOM_SPEC, quad).kernel_block(cells))
+    return wt._exact_weak_sup(rows, v.values * quad.masses) / v.values[cells]
+
+
+def test_point_mass_ratio_matches_projection_check():
+    """The kernel row route equals weak11_projection_check on the one-hot
+    field and its projection by apply."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=6, j0=1)
+    handle = op.bergman_handle(ATOM_SPEC, quad)
+    deep = np.flatnonzero(quad.cell_band == quad.cell_band[-1])
+    cells = np.concatenate([deep[[0, 5, 77]], [0, quad.size // 3]])
+    for eta in (-0.25, 1.5):
+        v = wt.weight_field(quad, eta=eta)
+        want = []
+        for c in cells:
+            one = np.zeros(quad.size)
+            one[c] = 1.0
+            want.append(wt.weak11_projection_check(
+                v, dk.Field(quad, one), dk.Field(quad, handle.apply(one))))
+        np.testing.assert_allclose(point_mass_ratios(quad, cells, eta),
+                                   want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("J", [6, 7])
+@pytest.mark.parametrize("j0", [0, 1, 2])
+def test_point_mass_ratio_turn_reduction(J, j0):
+    """The deepest band's cells t < 1/4 (t < 1/2 at j0 = 0) hold its
+    largest point-mass ratio, bit for bit."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+    deep = quad.cell_band == quad.cell_band[-1]
+    part = deep & (quad.nodes_t < (0.25 if j0 else 0.5))
+    assert 0 < part.sum() < deep.sum()
+    for eta in (-0.25, 1.5):
+        assert np.max(point_mass_ratios(quad, np.flatnonzero(part), eta)) \
+            == np.max(point_mass_ratios(quad, np.flatnonzero(deep), eta))
 
 
 def test_weight_from_config(leb_quad5):

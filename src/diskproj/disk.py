@@ -301,6 +301,9 @@ class DiskQuadrature:
     cell_band: np.ndarray
     cell_arc: np.ndarray
     _incidence: dict = field(default_factory=dict, init=False, repr=False)
+    # kernel tables at the band-pair arguments, by KernelSpec (operators.py)
+    _kernel_tables: dict = field(default_factory=dict, init=False,
+                                 repr=False)
 
     @property
     def size(self):

@@ -137,14 +137,25 @@ def kernel_series(moments: Sequence[float], x, tol=1e-12):
 def _rule_sums(rule, flat, integrand):
     """sum_i c_i integrand(r_i, w) for the rule (r, c) at each w in the
     1-d array flat, in blocks of at most _GRID_BLOCK_ENTRIES node x
-    argument products."""
+    argument products.
+
+    Each block is summed by einsum over real arrays, a complex block
+    through its float view (real and imaginary parts interleaved), not
+    by matmul: c @ block is a BLAS matrix-vector product, which OpenBLAS
+    spreads over its thread pool, and on a 2-core machine that about
+    doubled the CPU time of a table build without making it faster.
+    einsum calls no BLAS; on the float view it costs a small fraction of
+    building the block, where a complex einsum costs several times more.
+    """
     nodes, dens_w = rule
     out = np.zeros(flat.shape, dtype=complex)
     block = max(1, _GRID_BLOCK_ENTRIES // max(nodes.size, 1))
     for start in range(0, flat.size, block):
         seg = flat[start:start + block]
-        out[start:start + block] = dens_w @ integrand(nodes[:, None],
-                                                      seg[None, :])
+        vals = integrand(nodes[:, None], seg[None, :])
+        sums = np.einsum("i,ij->j", dens_w, vals.view(float))
+        out[start:start + block] = (sums.view(complex)
+                                    if np.iscomplexobj(vals) else sums)
     return out
 
 
@@ -264,7 +275,7 @@ def _construction_F_table(nu: RadialMeasure, x):
     orders = (np.asarray(x, dtype=float) + 0.5) / 2.0
     nodes, dens_w = nu.density_rule()
     quot = -np.expm1(np.outer(orders, np.log(nodes))) / (1.0 - nodes)
-    out = quot @ dens_w
+    out = np.einsum("ij,j->i", quot, dens_w)   # no BLAS, as in _rule_sums
     for loc, mass in nu.atoms:
         out += mass * _stable_power_quotient(1.0 - loc, orders)
     return out

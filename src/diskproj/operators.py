@@ -17,7 +17,10 @@ circulant up to index striding. The three integral kinds are one
 class, _BandPairTable, that evaluates its kernel once at those values on
 first use, and applies it in the mode domain (Davis, Circulant
 Matrices): an FFT per band, one sparse product and an inverse FFT per
-band. Kernel rows (apply with matrix_free=True) use the tables.
+band. Kernel rows (apply with matrix_free=True) use the tables. The
+Bergman and absolute-kernel handles of one KernelSpec on one quadrature
+share one evaluated table of B, kept on the quadrature: the first takes
+its conjugate and the second its absolute value.
 
 The dyadic operators are SparseOperator instances, T f = sum_S tau_S
 (E^mu_S f) 1_S over the squares of one grid at levels 0..J, with mu the
@@ -210,16 +213,25 @@ class _BandPairTable(OperatorHandle):
         return out.real if self.positive and not np.iscomplexobj(g) else out
 
 
+def _spec_table(spec: KernelSpec, quad: DiskQuadrature, w):
+    """kernel_integral_grid(spec, w) at a handle's band-pair arguments w,
+    which depend on quad alone: evaluated once per spec object and kept
+    on quad, so that every handle of spec on quad reads one table."""
+    if spec not in quad._kernel_tables:
+        quad._kernel_tables[spec] = kernel_integral_grid(spec, w)
+    return quad._kernel_tables[spec]
+
+
 def bergman_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P_omega: out(z_i) = sum_j f(z_j) conj(B_{z_i}(z_j)) mass_j."""
     return _BandPairTable(
-        quad, lambda w: np.conj(kernel_integral_grid(spec, w)), positive=False)
+        quad, lambda w: np.conj(_spec_table(spec, quad, w)), positive=False)
 
 
 def positive_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P+_omega: absolute kernel |B_{z_i}(z_j)|."""
     return _BandPairTable(
-        quad, lambda w: np.abs(kernel_integral_grid(spec, w)), positive=True)
+        quad, lambda w: np.abs(_spec_table(spec, quad, w)), positive=True)
 
 
 def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature

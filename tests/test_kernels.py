@@ -60,14 +60,17 @@ def simpson_kernel(spec, w):
 
 def full_rule_sums(nu, flat, integrand):
     """sum_i c_i integrand(r_i, w) on the full density rule, in the
-    library's blocks of node x argument products."""
+    library's blocks of node x argument products, each summed by the
+    library's product: einsum over the block's float view."""
     nodes, dens_w = nu.density_rule()
     out = np.zeros(flat.shape, dtype=complex)
     block = max(1, kn._GRID_BLOCK_ENTRIES // max(nodes.size, 1))
     for start in range(0, flat.size, block):
         seg = flat[start:start + block]
-        out[start:start + block] = dens_w @ integrand(nodes[:, None],
-                                                      seg[None, :])
+        vals = integrand(nodes[:, None], seg[None, :])
+        sums = np.einsum("i,ij->j", dens_w, vals.view(float))
+        out[start:start + block] = (sums.view(complex)
+                                    if np.iscomplexobj(vals) else sums)
     return out
 
 

@@ -168,6 +168,60 @@ def test_table_evaluates_each_band_pair_offset_once(monkeypatch):
     assert sizes == [distinct]
 
 
+def test_bergman_and_positive_handles_share_one_table(monkeypatch):
+    """A Bergman and a positive handle on one spec and quadrature
+    evaluate the kernel once, and their tables are bit for bit those of
+    lone handles; another spec object, or another quadrature, evaluates
+    again."""
+    def fresh():
+        return (KernelSpec(gamma=1.0, nu=ms.lebesgue()),
+                dk.build_quadrature(ms.lebesgue(), J=5, j0=0))
+
+    lone_conj = op.bergman_handle(*fresh()).values
+    lone_abs = op.positive_handle(*fresh()).values
+    specs = []
+    evaluate = op.kernel_integral_grid
+
+    def counted(spec, w):
+        specs.append(spec)
+        return evaluate(spec, w)
+
+    monkeypatch.setattr(op, "kernel_integral_grid", counted)
+    spec, quad = fresh()
+    bergman = op.bergman_handle(spec, quad)
+    positive = op.positive_handle(spec, quad)
+    assert np.array_equal(positive.values, lone_abs)
+    assert np.array_equal(bergman.values, lone_conj)
+    assert specs == [spec]
+    other_spec, other_quad = fresh()
+    op.bergman_handle(other_spec, quad).values
+    op.positive_handle(spec, other_quad).values
+    op.bergman_handle(spec, quad).values
+    assert specs == [spec, other_spec, spec]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="a second BLAS thread needs a second CPU")
+def test_table_builds_run_no_blas_worker_threads():
+    """A power(1/2)-nu Bergman first apply at J=8, which sums the nu
+    integral on the full density rule, in a fresh interpreter allowed
+    two OpenBLAS threads: its CPU time stays near its wall time. A BLAS
+    product in the rule sums runs on both threads and reads about 2."""
+    src = str(pathlib.Path(op.__file__).resolve().parents[1])
+    code = ("import time, numpy as np; "
+            "from diskproj import disk, kernels, measures, operators; "
+            "q = disk.build_quadrature(measures.lebesgue(), J=8); "
+            "h = operators.bergman_handle(kernels.KernelSpec("
+            "1.0, measures.power_measure(0.5)), q); f = np.ones(q.size); "
+            "w, c = time.perf_counter(), time.process_time(); h.apply(f); "
+            "print((time.process_time() - c) / (time.perf_counter() - w))")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert float(out) <= 1.3
+
+
 def table_cases(gamma, nu, quad):
     """(name, handle, kernel of w) for the three kernel handles."""
     spec = KernelSpec(gamma=gamma, nu=nu)

@@ -37,6 +37,8 @@ from .errors import (BudgetExceededError, ConfigError, DiskprojError,
                      InvalidRangeError)
 
 COLUMNS = ("suite", "check", "inputs", "value", "bound", "status")
+# the depths J of the weak11 and oneweight sweeps: the x axis of their SVGs
+SWEEP_DEPTHS = (6, 7, 8)
 
 
 @dataclass
@@ -97,7 +99,7 @@ def run_kernel_identities(cfg: ExperimentConfig):
         moments = list(kn.nu_moment_table(meas, 2 * n_terms - 1)[1::2])
         worst = 0.0
         for x in xs:
-            val = kn.kernel_series(moments, float(x), tol=1e-12)
+            val = kn.kernel_series(moments, float(x))
             target = (1.0 - x) ** -(alpha + 2.0)
             worst = max(worst, abs(val - target) / target)
         ok &= _row(rows, suite, "standard-weight-kernel",
@@ -107,7 +109,7 @@ def run_kernel_identities(cfg: ExperimentConfig):
     moments = list(mc.constructed_moments[1::2])
     worst = 0.0
     for x in xs[1:]:
-        val = kn.kernel_series(moments, float(x), tol=1e-12)
+        val = kn.kernel_series(moments, float(x))
         target = math.log(1.0 / (1.0 - x)) / (x * (1.0 - x))
         worst = max(worst, abs(val - target) / target)
     at_zero = abs(kn.kernel_series(moments, 0.0) - 1.0)
@@ -263,8 +265,8 @@ def run_weak11(cfg: ExperimentConfig):
     # cells t < 1/4 (t < 1/2) hold every ratio.
     spec = kn.KernelSpec(gamma=1.0, nu=ms.point_mass(1.0, 1.0), name="a1")
     depths = []
-    for J in (6, 7, 8):
-        q = quad if J == 8 else dk.build_quadrature(leb, J=J, j0=cfg.j0)
+    for J in SWEEP_DEPTHS:
+        q = quad if J == quad.J else dk.build_quadrature(leb, J=J, j0=cfg.j0)
         cells = np.flatnonzero((q.cell_band == q.cell_band[-1]) &
                                (q.nodes_t < (0.25 if q.j0 else 0.5)))
         depths.append((q, cells, np.abs(
@@ -453,12 +455,11 @@ def run_oneweight(cfg: ExperimentConfig):
         _row(rows, suite, "norm", v.name, rep.norm, "reported", True)
         return rows, ok, {}
 
-    depths = (6, 7, 8)
     series = {}
     ratios_top = {}
     for eta in (-0.5, 0.0, 0.5, 1.0):
         bs, rats = [], []
-        for J in depths:
+        for J in SWEEP_DEPTHS:
             quad = dk.build_quadrature(leb, J=J, j0=cfg.j0)
             v = wt.weight_field(quad, eta=eta, name=f"(1-r)^{eta:g}")
             rep = tw.one_weight_norm_experiment(spec, v, 2.0, min(J, 6))
@@ -598,23 +599,23 @@ def load_config(args) -> ExperimentConfig:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; known: "
                           + ", ".join(SUITES))
+    # only the values given are passed: the defaults are ExperimentConfig's
+    flags = {"seed": args.seed, "depth": args.depth}
+    given = {}
     try:
-        cfg = ExperimentConfig(
-            suite=suite,
-            seed=args.seed if args.seed is not None
-            else int(values.get("seed", "0")),
-            depth=args.depth if args.depth is not None
-            else int(values.get("depth", "8")),
-            j0=int(values.get("j0", "1")),
-            p=float(values.get("p", "2")),
-            dyadic_depth=int(values.get("dyadic_depth", "6")),
-            out_dir=Path(args.out or values.get("out", "diskproj-out")),
-            timestamp=not args.no_timestamp,
-            svg=args.svg,
-            sections=sections)
+        for key, kind in (("seed", int), ("depth", int), ("j0", int),
+                          ("p", float), ("dyadic_depth", int)):
+            if flags.get(key) is not None:
+                given[key] = flags[key]
+            elif key in values:
+                given[key] = kind(values[key])
     except ValueError as exc:
         raise ConfigError(f"bad numeric value in config: {exc}") from None
-    return cfg
+    out = args.out or values.get("out")
+    if out is not None:
+        given["out_dir"] = Path(out)
+    return ExperimentConfig(suite=suite, timestamp=not args.no_timestamp,
+                            svg=args.svg, sections=sections, **given)
 
 
 def run_suite(cfg: ExperimentConfig):
@@ -668,7 +669,7 @@ def main(argv=None) -> int:
     _write_csv(out_csv, rows, cfg.timestamp, time.time() - start)
     if cfg.svg and series:
         _write_svg(cfg.out_dir / f"{cfg.suite}.svg",
-                   f"{cfg.suite}: value vs depth", series, (6, 7, 8))
+                   f"{cfg.suite}: value vs depth", series, SWEEP_DEPTHS)
     failed = [r["check"] for r in rows if r["status"] == "fail"]
     print(f"{cfg.suite}: {len(rows)} checks, "
           f"{len(rows) - len(failed)} passed, {len(failed)} failed "

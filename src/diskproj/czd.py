@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -211,16 +211,16 @@ class CZWeakReport:
 
 
 def cz_reconstruct_weak11_bound(spec: KernelSpec, v: WeightField, f: Field,
-                                lam, region: Optional[PolarRectangle] = None
-                                ) -> CZWeakReport:
+                                lam) -> CZWeakReport:
     """The weak-(1,1) proof's intermediate quantities, each as a ratio
-    against the bound it is compared to in the argument."""
+    against the bound it is compared to in the argument, on the region
+    R1 = level_one_regions()[0]: the Carleson square over the arc
+    [0, 1/2)."""
     from .operators import bergman_handle  # local: czd -> operators only here
 
     quad = f.quad
     require_same_quadrature(quad, v)
-    if region is None:
-        region = level_one_regions()[0]
+    region = level_one_regions()[0]
     dec = cz_decompose(f, lam, region)
     b1 = b1_characteristic(v).value
     vmass = v.values * quad.masses

@@ -84,6 +84,14 @@ def check_integer(value, name, low=0):
         raise InvalidRangeError(f"{name} must be an integer >= {low}: {value}")
 
 
+def conjugate_exponent(p):
+    """p' = p / (p - 1), for an exponent p in (1, inf); any other p
+    raises InvalidRangeError."""
+    if not 1.0 < p < math.inf:
+        raise InvalidRangeError(f"exponent p={p} must lie in (1, inf)")
+    return p / (p - 1.0)
+
+
 def check_grid(beta):
     """Reject a grid shift outside GRID_SHIFTS."""
     if beta not in GRID_SHIFTS:
@@ -435,14 +443,8 @@ class Field:
     def constant(cls, quad, value=1.0):
         return cls(quad, np.full(quad.size, value))
 
-    def integral(self, weight=None):
-        w = self.quad.masses if weight is None else self.quad.masses * weight
-        return complex(np.sum(self.values * w)) if np.iscomplexobj(self.values) \
-            else float(np.sum(self.values * w))
-
-    def norm(self, p, weight=None):
-        """(sum |v|^p weight mass)^(1/p)."""
-        if p <= 0.0:
-            raise InvalidRangeError("norm exponent must be positive")
-        w = self.quad.masses if weight is None else self.quad.masses * weight
-        return float(np.sum(np.abs(self.values) ** p * w) ** (1.0 / p))
+    def integral(self):
+        """sum of values times the cell masses."""
+        total = np.sum(self.values * self.quad.masses)
+        return complex(total) if np.iscomplexobj(self.values) \
+            else float(total)

@@ -42,6 +42,8 @@ from .disk import check_integer
 from .measures import DEFAULT_TOL, RadialMeasure
 
 MAX_SERIES_ARG = 1.0 - 2.0 ** -20
+_SERIES_TOL = 1e-12      # kernel_series stops once its tail bound is below
+_MONOTONE_TOL = 1e-12    # the slack check_completely_monotone allows
 _IDENTITY_TOL = 1e-10
 # node x argument products per grid block: cache-sized blocks run about
 # three times faster than 2^22-entry ones
@@ -105,12 +107,14 @@ class KernelSpec:
 
 # -- series route -------------------------------------------------------------
 
-def kernel_series(moments: Sequence[float], x, tol=1e-12):
+def kernel_series(moments: Sequence[float], x):
     """Sum x^n / (2 omega_{2n+1}) with a certified geometric tail cutoff.
 
     The tail past index N is bounded by 4 |x|^{N+1} / ((1-|x|) 2 omega_{2N+1})
-    (coefficients of these kernels are nondecreasing, factor 4 is slack);
-    summation is in ascending n, so identical inputs sum identically.
+    (coefficients of these kernels are nondecreasing, factor 4 is slack),
+    and the sum stops at the first N where that bound is below
+    _SERIES_TOL = 1e-12; summation is in ascending n, so identical
+    inputs sum identically.
     """
     ax = abs(x)
     if ax > MAX_SERIES_ARG:
@@ -125,11 +129,11 @@ def kernel_series(moments: Sequence[float], x, tol=1e-12):
         total += a * power
         power *= x
         tail = 4.0 * a * ax ** (n + 1) / (1.0 - ax)
-        if tail < tol:
+        if tail < _SERIES_TOL:
             return total
     raise TruncationInfeasibleError(
         f"moment list of length {len(moments)} exhausted before the tail "
-        f"bound met {tol} at |x| = {ax}")
+        f"bound met {_SERIES_TOL} at |x| = {ax}")
 
 
 # -- integral route -----------------------------------------------------------
@@ -359,8 +363,9 @@ class MonotonicityReport:
     passed: bool
 
 
-def check_completely_monotone(seq, k_max, tol=1e-12) -> MonotonicityReport:
-    """Check (-1)^k (Delta^k m)_n >= -tol for k = 0..k_max."""
+def check_completely_monotone(seq, k_max) -> MonotonicityReport:
+    """Check (-1)^k (Delta^k m)_n >= -_MONOTONE_TOL, _MONOTONE_TOL = 1e-12,
+    for k = 0..k_max."""
     m = np.asarray(seq, dtype=float)
     if not (isinstance(k_max, (int, np.integer)) and 0 <= k_max < m.size
             and np.all(np.isfinite(m))):
@@ -369,7 +374,7 @@ def check_completely_monotone(seq, k_max, tol=1e-12) -> MonotonicityReport:
     diff = m.copy()
     for k in range(k_max + 1):
         signed = diff if k % 2 == 0 else -diff
-        bad = np.nonzero(signed < -tol)[0]
+        bad = np.nonzero(signed < -_MONOTONE_TOL)[0]
         if bad.size:
             n = int(bad[0])
             return MonotonicityReport(k_max, (k, n, float(signed[n])), False)

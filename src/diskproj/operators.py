@@ -9,6 +9,11 @@ either shifted grid. Each kind is its own handle: it defines
 fast_apply(g), the product K @ g with the mass-weighted vector
 g = f mu, and kernel_block(rows), and the base's apply forms g.
 
+The profile Psi(t) = t^(1-gamma) int dnu(r)/(1 - r(1-t)) is read off the
+same pair (gamma, nu) as the kernel (1-w)^(-gamma) int dnu(r)/(1 - r w),
+at w = 1 - t. So PsiProfile is a KernelSpec that adds only its
+evaluation, and it takes KernelSpec's checks on the pair.
+
 The three integral kernels depend on a node pair only through
 w = zeta conj(z). Every band of the quadrature holds a power-of-two
 number of equally spaced nodes, so between a row band and a column band
@@ -55,7 +60,6 @@ from .disk import (GRID_SHIFTS, DiskQuadrature, Field, finite_table,
                    nonnegative_table, require_same_quadrature)
 from .errors import InvalidRangeError, NoConvergenceError
 from .kernels import KernelSpec, kernel_integral_grid, nu_cauchy_grid
-from .measures import RadialMeasure
 
 _GATHER_ENTRIES = 2 ** 20   # kernel entries per gathered row block
 
@@ -63,17 +67,12 @@ _GATHER_ENTRIES = 2 ** 20   # kernel entries per gathered row block
 # -- Psi profiles -------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class PsiProfile:
-    """Psi(t) = t^(1-gamma) int dnu(r)/(1 - r(1-t)) on (0, 2]."""
+class PsiProfile(KernelSpec):
+    """Psi(t) = t^(1-gamma) int dnu(r)/(1 - r(1-t)) on (0, 2], for the
+    kernel data (gamma, nu): gamma finite and >= 1, nu of finite positive
+    mass, as KernelSpec checks."""
 
-    gamma: float
-    nu: RadialMeasure
     name: str = "psi"
-
-    def __post_init__(self):
-        if not 1.0 <= self.gamma < math.inf:
-            raise InvalidRangeError("profile exponent gamma must be finite "
-                                    f"and >= 1: {self.gamma}")
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -302,8 +301,7 @@ def sparse_bergman_model(psi: PsiProfile, quad: DiskQuadrature, beta=0.0,
 def apply_sparse(T: SparseOperator, f: Field) -> Field:
     """Evaluate sum_S tau_S (E^mu_S f) 1_S; linear, positive on f >= 0."""
     require_same_quadrature(T.quad, f)
-    g = finite_table(f.values, f.values.shape, "f") * T.quad.masses
-    return Field(T.quad, T.fast_apply(g))
+    return Field(T.quad, T.apply(f.values))
 
 
 def dyadic_handle(beta, psi: PsiProfile, quad: DiskQuadrature

@@ -31,22 +31,18 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .disk import (DiskQuadrature, DyadicInterval, Field, check_integer,
-                   finite_table, nonnegative_table, require_same_quadrature,
-                   square_address, square_row, square_rows)
+                   conjugate_exponent, finite_table, nonnegative_table,
+                   require_same_quadrature, square_address, square_row,
+                   square_rows)
 from .errors import InvalidRangeError
 from .kernels import KernelSpec
 from .operators import (PsiProfile, SparseOperator, apply_sparse,
                         positive_handle, sparse_bergman_model,
                         weighted_norm_bracket)
-from .weights import WeightField, bp_characteristic, dual_weight
+from .weights import (WeightField, bp_characteristic, dual_weight,
+                      weight_field)
 
 Square = Tuple[int, int]          # (level, arc index) on a fixed grid
-
-
-def _conjugate(p):
-    if not 1.0 < p < math.inf:
-        raise InvalidRangeError(f"exponent p={p} must lie in (1, inf)")
-    return p / (p - 1.0)
 
 
 # -- stopping squares ----------------------------------------------------------
@@ -171,7 +167,7 @@ def pointwise_linearization(family: StoppingFamily):
 def carleson_embedding_sum(family: StoppingFamily, p) -> float:
     """sum_L (E^{sigma mu}_L |f|)^p (sigma mu)(L) over the stopping family,
     in level-then-index order."""
-    _conjugate(p)
+    conjugate_exponent(p)
     stops = np.flatnonzero(family.generation >= 0)
     total = 0.0
     for e_l, mass in zip(family.averages[stops].tolist(),
@@ -286,7 +282,7 @@ def testing_constants(T: SparseOperator, sigma: WeightField, u: WeightField,
     the necessity inequalities c0^(1/p) <= norm and c0*^(1/p') <= norm
     are exact only when it is closed.
     """
-    q = _conjugate(p)
+    q = conjugate_exponent(p)
     check_integer(depth, "depth")
     require_same_quadrature(T.quad, sigma, u)
     c0, wit0 = _testing_sup(T, sigma.values, u.values, p, depth)
@@ -310,7 +306,7 @@ def split_by_criterion(f: Field, g: Field, sigma: WeightField,
     goes to S1 when
     (E^{mu sigma}_S f)^p (mu sigma)(S) >= (E^{mu u}_S g)^{p'} (mu u)(S),
     to S2 otherwise. Ties go to S1; massless squares are skipped."""
-    q = _conjugate(p)
+    q = conjugate_exponent(p)
     check_integer(depth, "depth")
     quad = f.quad
     require_same_quadrature(quad, g, sigma, u)
@@ -387,7 +383,6 @@ def one_weight_norm_experiment(spec: KernelSpec, v: WeightField, p,
 def random_instance(quad: DiskQuadrature, seed):
     """A reproducible (sigma, u, f, g) tuple: power-law-times-bump
     weights and heavy-tailed nonnegative fields, for stress sweeps."""
-    from .weights import weight_field
     rng = np.random.default_rng(seed)
     def one_weight(tag):
         return weight_field(quad, eta=rng.uniform(-0.45, 0.45),

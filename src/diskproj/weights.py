@@ -39,28 +39,22 @@ from typing import Optional
 import numpy as np
 
 from .disk import (GRID_SHIFTS, DiskQuadrature, Field, check_integer,
-                   finite_table, nonnegative_table, require_same_quadrature,
-                   square_rows)
+                   conjugate_exponent, finite_table, nonnegative_table,
+                   require_same_quadrature, square_rows)
 from .errors import ConfigError, InvalidRangeError
 
 
 @dataclass(eq=False)
-class WeightField:
-    """Positive per-cell weight values."""
+class WeightField(Field):
+    """A Field of positive, finite, real per-cell weight values."""
 
-    quad: DiskQuadrature
-    values: np.ndarray
     name: str = "weight"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.quad.size,):
-            raise InvalidRangeError("weight length does not match cell count")
+        super().__post_init__()
         if np.any(self.values <= 0.0) or not np.all(np.isfinite(self.values)):
             raise InvalidRangeError("weights must be positive and finite")
-
-    def integral(self):
-        return float(np.sum(self.values * self.quad.masses))
 
 
 def weight_field(quad, eta=0.0, log_exp=0.0, bump_center=None,
@@ -105,9 +99,7 @@ def weight_from_config(quad, section) -> WeightField:
 
 def dual_weight(v: WeightField, p) -> WeightField:
     """sigma = v^(1-p') = v^(-1/(p-1)); dual of sigma under p' is v."""
-    if not 1.0 < p < math.inf:
-        raise InvalidRangeError("p must be in (1, inf)")
-    pprime = p / (p - 1.0)
+    pprime = conjugate_exponent(p)
     return WeightField(v.quad, np.power(v.values, 1.0 - pprime),
                        name=f"dual({v.name}, p={p:g})")
 
@@ -128,11 +120,9 @@ def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
     v mu and v^(-p'/p) mu in one product, then the levels in order, the
     grids in GRID_SHIFTS order within a level. The witness is the first
     square of the largest value; squares without mass are skipped."""
-    if not 1.0 < p < math.inf:
-        raise InvalidRangeError("B_p needs p in (1, inf)")
+    pprime = conjugate_exponent(p)
     check_integer(depth, "depth")
     quad = v.quad
-    pprime = p / (p - 1.0)
     mass = quad.masses
     fields = np.column_stack((mass * v.values,
                               mass * np.power(v.values, -pprime / p)))

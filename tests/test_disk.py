@@ -253,17 +253,14 @@ def test_field_operations(leb_quad6, leb_quad5):
     quad = leb_quad6
     ones = dk.Field.constant(quad, 1.0)
     assert ones.integral() == pytest.approx(quad.total_mass(), rel=1e-14)
-    assert ones.norm(2) == pytest.approx(math.sqrt(quad.total_mass()),
-                                         rel=1e-14)
     sq = dk.Field(quad, quad.nodes_z ** 2)
     assert np.iscomplexobj(sq.values)
-    # squared norm of z^2 is the integral of r^4 over the grid
+    # the integral of |z^2|^2 is that of r^4 over the grid
     want = float(np.sum(quad.nodes_r ** 4 * quad.masses))
-    assert abs(sq.norm(2) ** 2 - want) < 1e-13
+    assert abs(dk.Field(quad, np.abs(sq.values) ** 2).integral() - want) \
+        < 1e-13
     with pytest.raises(InvalidRangeError):
         dk.Field(quad, np.ones(quad.size - 1))
-    with pytest.raises(InvalidRangeError):
-        ones.norm(0.0)
     other = dk.Field.constant(leb_quad5, 1.0)
     dk.require_same_quadrature(quad, ones, ones)
     with pytest.raises(QuadratureMismatchError):

@@ -86,6 +86,14 @@ def test_psi_profile_closed_forms():
         psi(2.5)
 
 
+def test_psi_profile_rejects_zero_mass_nu():
+    """A profile takes KernelSpec's checks: a nu without mass has no
+    profile, where it used to give comparability constants (inf, 0)."""
+    for location in (1.0, 0.5):
+        with pytest.raises(InvalidRangeError):
+            op.PsiProfile(1.0, ms.point_mass(location, 0.0))
+
+
 def test_projection_identity_error_frozen(leb_quad5, leb_quad6):
     err5 = op.projection_identity_error(STD, leb_quad5)
     err6 = op.projection_identity_error(STD, leb_quad6)

@@ -1,8 +1,10 @@
 """Experiment driver: named suites, CSV reports, optional SVG plots.
 
 Each suite runs a fixed battery of identity and inequality checks with
-an explicit seed, writes one CSV (stable column order, one row per
-measurement), and exits 0 only if every contract in the suite passed.
+an explicit seed and returns its rows, one per measurement, each with
+its own pass/fail status; run_suite stamps the suite's name on them.
+The CSV (stable column order), the FAIL lines and the exit code all
+read those rows: the run exits 0 only if every row passed.
 Reruns with the same config and seed produce byte-identical CSV when
 the timestamp comment is suppressed; wall-clock times only ever appear
 in that suppressible comment line.
@@ -45,7 +47,7 @@ SWEEP_DEPTHS = (6, 7, 8)
 class ExperimentConfig:
     suite: str
     seed: int = 0
-    depth: int = 8                 # quadrature depth J
+    depth: int = 8                 # depth J of oneweight's single run
     j0: int = 1
     p: float = 2.0
     dyadic_depth: int = 6          # testing / characteristic depth
@@ -70,11 +72,9 @@ def _fmt(x):
     return str(x)
 
 
-def _row(rows, suite, check, inputs, value, bound, ok):
-    rows.append({"suite": suite, "check": check, "inputs": inputs,
-                 "value": _fmt(value), "bound": _fmt(bound),
-                 "status": "pass" if ok else "fail"})
-    return ok
+def _row(rows, check, inputs, value, bound, ok):
+    rows.append({"check": check, "inputs": inputs, "value": _fmt(value),
+                 "bound": _fmt(bound), "status": "pass" if ok else "fail"})
 
 
 def _sample_disk(rng, n, r_max=0.999):
@@ -89,8 +89,7 @@ def _harmonic(n):
 
 
 def run_kernel_identities(cfg: ExperimentConfig):
-    rows, ok = [], True
-    suite = "kernel-identities"
+    rows = []
     xs = np.arange(0.0, 0.95, 0.1)
     n_terms = 560
 
@@ -102,8 +101,8 @@ def run_kernel_identities(cfg: ExperimentConfig):
             val = kn.kernel_series(moments, float(x))
             target = (1.0 - x) ** -(alpha + 2.0)
             worst = max(worst, abs(val - target) / target)
-        ok &= _row(rows, suite, "standard-weight-kernel",
-                   f"alpha={alpha}", worst, 1e-8, worst <= 1e-8)
+        _row(rows, "standard-weight-kernel", f"alpha={alpha}", worst, 1e-8,
+             worst <= 1e-8)
 
     mc = kn.construct_omega_from_nu(ms.lebesgue(), 2 * n_terms + 1)
     moments = list(mc.constructed_moments[1::2])
@@ -113,12 +112,12 @@ def run_kernel_identities(cfg: ExperimentConfig):
         target = math.log(1.0 / (1.0 - x)) / (x * (1.0 - x))
         worst = max(worst, abs(val - target) / target)
     at_zero = abs(kn.kernel_series(moments, 0.0) - 1.0)
-    ok &= _row(rows, suite, "log-kernel", "nu=lebesgue",
-               max(worst, at_zero), 1e-6, max(worst, at_zero) <= 1e-6)
+    _row(rows, "log-kernel", "nu=lebesgue", max(worst, at_zero), 1e-6,
+         max(worst, at_zero) <= 1e-6)
     m_err = max(abs(mc.constructed_moments[1] - 0.5),
                 abs(mc.constructed_moments[3] - 1.0 / 3.0))
-    ok &= _row(rows, suite, "log-kernel-moments", "omega1,omega3",
-               m_err, 1e-10, m_err <= 1e-10)
+    _row(rows, "log-kernel-moments", "omega1,omega3", m_err, 1e-10,
+         m_err <= 1e-10)
 
     n_coef = 64
     h = _harmonic(n_coef)
@@ -128,17 +127,15 @@ def run_kernel_identities(cfg: ExperimentConfig):
     log_series = np.concatenate([[0.0], 1.0 / np.arange(1.0, n_coef)])
     oracle = n1 + np.convolve(n1, log_series)[:n_coef]
     err = float(np.max(np.abs(coeffs - oracle) / oracle))
-    ok &= _row(rows, suite, "harmonic-phi-coefficients", "first 64",
-               err, 1e-8, err <= 1e-8)
+    _row(rows, "harmonic-phi-coefficients", "first 64", err, 1e-8, err <= 1e-8)
 
     rep = kn.check_completely_monotone([1.0 / (n + 1) for n in range(51)],
                                        k_max=10)
-    ok &= _row(rows, suite, "completely-monotone", "1/(n+1), k=10 N=50",
-               str(rep.passed), "True", rep.passed)
+    _row(rows, "completely-monotone", "1/(n+1), k=10 N=50", str(rep.passed),
+         "True", rep.passed)
     rep2 = kn.check_completely_monotone(list(range(51)), k_max=10)
-    ok &= _row(rows, suite, "not-completely-monotone", "n",
-               str(rep2.first_violation[:2]), "(1, 0)",
-               rep2.first_violation[:2] == (1, 0))
+    _row(rows, "not-completely-monotone", "n", str(rep2.first_violation[:2]),
+         "(1, 0)", rep2.first_violation[:2] == (1, 0))
 
     rng = np.random.default_rng(cfg.seed)
     for nu, tag in ((ms.lebesgue(), "lebesgue"),
@@ -147,12 +144,12 @@ def run_kernel_identities(cfg: ExperimentConfig):
         z = _sample_disk(rng, 10 ** 4)
         _, _, ratio = kn.lower_bound_eq4_grid(nu, z)
         bad = int(np.sum(ratio < 1.0))
-        ok &= _row(rows, suite, "transform-lower-bound",
-                   f"nu={tag}, n=10000", float(ratio.min()), 1.0, bad == 0)
+        _row(rows, "transform-lower-bound", f"nu={tag}, n=10000",
+             float(ratio.min()), 1.0, bad == 0)
 
     const_err = abs(kn.difference_constant(2.0, 1.0) - 84.0 * math.sqrt(2.0))
-    ok &= _row(rows, suite, "difference-constant", "(c,gamma)=(2,1)",
-               const_err, 1e-10, const_err <= 1e-10)
+    _row(rows, "difference-constant", "(c,gamma)=(2,1)", const_err, 1e-10,
+         const_err <= 1e-10)
     for c, gamma in ((2.0, 1.0), (4.0, 1.0), (2.0, 2.0)):
         spec = kn.KernelSpec(gamma=gamma, nu=ms.lebesgue(),
                              name=f"g{gamma:g}-leb")
@@ -173,9 +170,8 @@ def run_kernel_identities(cfg: ExperimentConfig):
             spec, np.concatenate(z0b), np.concatenate(zb),
             np.concatenate(zetab), c)
         frac = float(np.max(lhs / bound))
-        ok &= _row(rows, suite, "kernel-difference-bound",
-                   f"c={c:g}, gamma={gamma:g}, n=10000", frac, 1.0,
-                   frac <= 1.0)
+        _row(rows, "kernel-difference-bound",
+             f"c={c:g}, gamma={gamma:g}, n=10000", frac, 1.0, frac <= 1.0)
 
     instances = [
         ("gamma1-atom1/lebesgue",
@@ -196,18 +192,16 @@ def run_kernel_identities(cfg: ExperimentConfig):
         band = float(vals.max() / vals.min())
         drift = max(abs(tight.max() / vals.max() - 1.0),
                     abs(tight.min() / vals.min() - 1.0))
-        ok &= _row(rows, suite, "tail-transform-band", tag, band, 10.0,
-                   band < 10.0)
-        ok &= _row(rows, suite, "tail-transform-band-stability", tag,
-                   drift, 1e-10, drift < 1e-10)
-    return rows, ok, {}
+        _row(rows, "tail-transform-band", tag, band, 10.0, band < 10.0)
+        _row(rows, "tail-transform-band-stability", tag, drift, 1e-10,
+             drift < 1e-10)
+    return rows, {}
 
 
 # -- comparability -------------------------------------------------------------
 
 def run_comparability(cfg: ExperimentConfig):
-    rows, ok = [], True
-    suite = "comparability"
+    rows = []
     rng = np.random.default_rng(cfg.seed)
 
     lengths, starts = np.array([(rng.uniform(1e-6, 0.25), rng.random())
@@ -217,8 +211,8 @@ def run_comparability(cfg: ExperimentConfig):
     offset = (starts - ((index + beta) * width) % 1.0) % 1.0
     contained = bool(np.all(offset + lengths <= width * (1.0 + 1e-12)))
     worst = float(np.max(width / lengths))
-    ok &= _row(rows, suite, "dyadic-containment", "10000 arcs <= 1/4",
-               worst, 4.0, worst <= 4.0 and contained)
+    _row(rows, "dyadic-containment", "10000 arcs <= 1/4", worst, 4.0,
+         worst <= 4.0 and contained)
 
     quads = [dk.build_quadrature(ms.lebesgue(), J=J, j0=cfg.j0)
              for J in (8, 10)]
@@ -227,23 +221,20 @@ def run_comparability(cfg: ExperimentConfig):
         psi = op.PsiProfile(1.0, nu)
         (lo1, hi1), (lo2, hi2) = (op.comparability_constants(psi, q)
                                   for q in quads)
-        ok &= _row(rows, suite, "kernel-comparability-low",
-                   f"psi={tag}, node pairs J 8", lo1, 0.0, lo1 > 0.0)
-        ok &= _row(rows, suite, "kernel-comparability-high",
-                   f"psi={tag}, node pairs J 8", hi1, math.inf,
-                   math.isfinite(hi1))
+        _row(rows, "kernel-comparability-low", f"psi={tag}, node pairs J 8",
+             lo1, 0.0, lo1 > 0.0)
+        _row(rows, "kernel-comparability-high", f"psi={tag}, node pairs J 8",
+             hi1, math.inf, math.isfinite(hi1))
         drift = max(abs(lo2 / lo1 - 1.0), abs(hi2 / hi1 - 1.0))
-        ok &= _row(rows, suite, "kernel-comparability-stability",
-                   f"psi={tag}, node pairs J 8->10", drift, 0.2,
-                   drift <= 0.2)
-    return rows, ok, {}
+        _row(rows, "kernel-comparability-stability",
+             f"psi={tag}, node pairs J 8->10", drift, 0.2, drift <= 0.2)
+    return rows, {}
 
 
 # -- weak11 --------------------------------------------------------------------
 
 def run_weak11(cfg: ExperimentConfig):
-    rows, ok = [], True
-    suite = "weak11"
+    rows = []
     rng = np.random.default_rng(cfg.seed)
     leb = ms.lebesgue()
 
@@ -252,8 +243,8 @@ def run_weak11(cfg: ExperimentConfig):
     for _ in range(100):
         f = dk.Field(quad, rng.pareto(1.2, quad.size) + 1e-6)
         sup = max(sup, wt.weak11_maximal_check(quad, quad.masses, 0.0, f))
-    ok &= _row(rows, suite, "dyadic-maximal-weak11", "100 random f",
-               sup, 2.0 + 1e-10, sup <= 2.0 + 1e-10)
+    _row(rows, "dyadic-maximal-weak11", "100 random f", sup, 2.0 + 1e-10,
+         sup <= 2.0 + 1e-10)
 
     # The point masses 1_c of the deepest band stress the inequality
     # where it can fail: mass that is L^1(v)-cheap near the boundary but
@@ -282,28 +273,27 @@ def run_weak11(cfg: ExperimentConfig):
         series[tag] = ratios
         if tag == "in-class":
             spread = max(ratios) / min(ratios)
-            ok &= _row(rows, suite, "projection-weak11-bounded",
-                       f"eta={eta:g}, J=6..8, point masses", spread, 2.0,
-                       spread <= 2.0)
-            ok &= _row(rows, suite, "projection-weak11-b1-finite",
-                       f"eta={eta:g}", max(b1s), 50.0, max(b1s) <= 50.0)
+            _row(rows, "projection-weak11-bounded",
+                 f"eta={eta:g}, J=6..8, point masses", spread, 2.0,
+                 spread <= 2.0)
+            _row(rows, "projection-weak11-b1-finite", f"eta={eta:g}", max(b1s),
+                 50.0, max(b1s) <= 50.0)
         else:
             growing = ratios[0] < ratios[1] < ratios[2]
             growth = ratios[2] / ratios[0]
-            ok &= _row(rows, suite, "projection-weak11-divergent",
-                       f"eta={eta:g} (B1 diverges), J=6..8, point masses",
-                       growth, 1.5, growing and growth >= 1.5)
-            ok &= _row(rows, suite, "projection-weak11-b1-divergent",
-                       f"eta={eta:g}, J=6..8", b1s[2] / b1s[0], 2.0,
-                       b1s[0] < b1s[1] < b1s[2] and b1s[2] / b1s[0] >= 2.0)
-    return rows, ok, series
+            _row(rows, "projection-weak11-divergent",
+                 f"eta={eta:g} (B1 diverges), J=6..8, point masses", growth,
+                 1.5, growing and growth >= 1.5)
+            _row(rows, "projection-weak11-b1-divergent",
+                 f"eta={eta:g}, J=6..8", b1s[2] / b1s[0], 2.0,
+                 b1s[0] < b1s[1] < b1s[2] and b1s[2] / b1s[0] >= 2.0)
+    return rows, series
 
 
 # -- czd -----------------------------------------------------------------------
 
 def run_czd(cfg: ExperimentConfig):
-    rows, ok = [], True
-    suite = "czd"
+    rows = []
     rng = np.random.default_rng(cfg.seed)
     leb = ms.lebesgue()
     quad = dk.build_quadrature(leb, J=6, j0=cfg.j0)
@@ -338,19 +328,18 @@ def run_czd(cfg: ExperimentConfig):
         omega = sum(float(quad.masses[c].sum()) for c in dec.selected_cells)
         omega_ok &= omega * lam <= norm1 * (1.0 + 1e-12)
 
-    ok &= _row(rows, suite, "cell-partition", "50 instances",
-               str(disjoint_ok), "True", disjoint_ok)
-    ok &= _row(rows, suite, "good-plus-bad-identity", "50 instances",
-               max_identity, 1e-12, max_identity <= 1e-12)
-    ok &= _row(rows, suite, "bad-part-mean-zero", "50 instances",
-               max_meanzero, 1e-12, max_meanzero <= 1e-12)
-    ok &= _row(rows, suite, "selected-mass-bound", "omega(Omega) lam <= |f|",
-               str(omega_ok), "True", omega_ok)
-    ok &= _row(rows, suite, "selection-two-sided", "lam <= avg <= C lam",
-               str(selection_ok and prop4_ok), "True",
-               selection_ok and prop4_ok)
-    ok &= _row(rows, suite, "unresolved-floor-cells", "50 instances",
-               unresolved_total, "reported", True)
+    _row(rows, "cell-partition", "50 instances", str(disjoint_ok), "True",
+         disjoint_ok)
+    _row(rows, "good-plus-bad-identity", "50 instances", max_identity, 1e-12,
+         max_identity <= 1e-12)
+    _row(rows, "bad-part-mean-zero", "50 instances", max_meanzero, 1e-12,
+         max_meanzero <= 1e-12)
+    _row(rows, "selected-mass-bound", "omega(Omega) lam <= |f|", str(omega_ok),
+         "True", omega_ok)
+    _row(rows, "selection-two-sided", "lam <= avg <= C lam",
+         str(selection_ok and prop4_ok), "True", selection_ok and prop4_ok)
+    _row(rows, "unresolved-floor-cells", "50 instances", unresolved_total,
+         "reported", True)
 
     spec = kn.KernelSpec(gamma=1.0, nu=ms.point_mass(1.0, 1.0), name="a1")
     v = wt.weight_field(quad, eta=-0.25)
@@ -360,16 +349,15 @@ def run_czd(cfg: ExperimentConfig):
     rep = cz.cz_reconstruct_weak11_bound(spec, v, f, lam)
     fin = all(map(math.isfinite, (rep.good_part_ratio, rep.bad_tail_ratio,
                                   rep.omega_prime_ratio)))
-    ok &= _row(rows, suite, "reconstruction-ratios",
-               f"lam=3|f|, eta=-0.25", rep.good_part_ratio, "finite", fin)
-    return rows, ok, {}
+    _row(rows, "reconstruction-ratios", f"lam=3|f|, eta=-0.25",
+         rep.good_part_ratio, "finite", fin)
+    return rows, {}
 
 
 # -- twoweight -----------------------------------------------------------------
 
 def run_twoweight(cfg: ExperimentConfig):
-    rows, ok = [], True
-    suite = "twoweight"
+    rows = []
     rng = np.random.default_rng(cfg.seed)
     leb = ms.lebesgue()
     quad = dk.build_quadrature(leb, J=6, j0=cfg.j0)
@@ -394,21 +382,21 @@ def run_twoweight(cfg: ExperimentConfig):
             point_worst = max(point_worst, float(
                 np.max(lhs[live] / rhs[live])))
         total = tw.carleson_embedding_sum(fam, p)
-        m_fn = wt.dyadic_maximal(quad, fam.sigma_mu, 0.0, fam.f_abs)
-        embed_ok &= total <= (4.0 / 3.0) ** p * float(
-            np.sum(m_fn ** p * fam.sigma_mu)) * (1.0 + 1e-12)
+        # rhs = (4/3) M f, so this is (4/3)^p ||M f||^p in sigma mu
+        embed_ok &= total <= float(
+            np.sum(rhs ** p * fam.sigma_mu)) * (1.0 + 1e-12)
         norm_p = float(np.sum(fam.f_abs ** p * fam.sigma_mu))
         if norm_p > 0.0:
             k_global = max(k_global, total / norm_p)
 
-    ok &= _row(rows, suite, "stopping-factor-4", "50 random f",
-               str(chain_ok), "True", chain_ok)
-    ok &= _row(rows, suite, "stopped-sum-pointwise", "vs (4/3) maximal",
-               point_worst, 1.0 + 1e-10, point_worst <= 1.0 + 1e-10)
-    ok &= _row(rows, suite, "carleson-embedding", "vs (4/3)^p ||Mf||_p^p",
-               str(embed_ok), "True", embed_ok)
-    ok &= _row(rows, suite, "carleson-embedding-global-K",
-               f"p={p:g}, 50 f", k_global, "reported", True)
+    _row(rows, "stopping-factor-4", "50 random f", str(chain_ok), "True",
+         chain_ok)
+    _row(rows, "stopped-sum-pointwise", "vs (4/3) maximal", point_worst,
+         1.0 + 1e-10, point_worst <= 1.0 + 1e-10)
+    _row(rows, "carleson-embedding", "vs (4/3)^p ||Mf||_p^p", str(embed_ok),
+         "True", embed_ok)
+    _row(rows, "carleson-embedding-global-K", f"p={p:g}, 50 f", k_global,
+         "reported", True)
 
     quad2 = dk.build_quadrature(leb, J=7, j0=cfg.j0)
     psi = op.PsiProfile(1.0, ms.point_mass(1.0, 1.0))
@@ -426,18 +414,17 @@ def run_twoweight(cfg: ExperimentConfig):
         ratios.append(rep.c1_measured)
     c1 = max(ratios)
     med = float(np.median(ratios))
-    ok &= _row(rows, suite, "testing-necessity", "20 instances, p=2",
-               str(necessity_ok), "True", necessity_ok)
-    ok &= _row(rows, suite, "testing-sufficiency-C1",
-               "single C1 vs 10x median", c1, 10.0 * med, c1 < 10.0 * med)
-    return rows, ok, {}
+    _row(rows, "testing-necessity", "20 instances, p=2", str(necessity_ok),
+         "True", necessity_ok)
+    _row(rows, "testing-sufficiency-C1", "single C1 vs 10x median", c1,
+         10.0 * med, c1 < 10.0 * med)
+    return rows, {}
 
 
 # -- oneweight -----------------------------------------------------------------
 
 def run_oneweight(cfg: ExperimentConfig):
-    rows, ok = [], True
-    suite = "oneweight"
+    rows = []
     leb = ms.lebesgue()
     spec = kn.KernelSpec(gamma=1.0, nu=ms.point_mass(1.0, 1.0), name="a1")
 
@@ -447,20 +434,21 @@ def run_oneweight(cfg: ExperimentConfig):
         rep = tw.one_weight_norm_experiment(spec, v, cfg.p,
                                             cfg.dyadic_depth)
         fin = math.isfinite(rep.bp_value) and math.isfinite(rep.norm)
-        ok &= _row(rows, suite, "norm-vs-characteristic",
-                   f"p={cfg.p:g}, J={cfg.depth}", rep.ratio,
-                   "finite", fin)
-        _row(rows, suite, "characteristic", v.name, rep.bp_value,
-             "reported", True)
-        _row(rows, suite, "norm", v.name, rep.norm, "reported", True)
-        return rows, ok, {}
+        _row(rows, "norm-vs-characteristic", f"p={cfg.p:g}, J={cfg.depth}",
+             rep.ratio, "finite", fin)
+        _row(rows, "characteristic", v.name, rep.bp_value, "reported", True)
+        _row(rows, "norm", v.name, rep.norm, "reported", True)
+        return rows, {}
 
+    # one quadrature per depth, shared by the four weights and the J = 8
+    # block: each builds its kernel tables and incidences once
+    quads = {J: dk.build_quadrature(leb, J=J, j0=cfg.j0)
+             for J in SWEEP_DEPTHS}
     series = {}
     ratios_top = {}
     for eta in (-0.5, 0.0, 0.5, 1.0):
         bs, rats = [], []
-        for J in SWEEP_DEPTHS:
-            quad = dk.build_quadrature(leb, J=J, j0=cfg.j0)
+        for J, quad in quads.items():
             v = wt.weight_field(quad, eta=eta, name=f"(1-r)^{eta:g}")
             rep = tw.one_weight_norm_experiment(spec, v, 2.0, min(J, 6))
             bs.append(rep.bp_value)
@@ -470,27 +458,26 @@ def run_oneweight(cfg: ExperimentConfig):
         if eta == 1.0:
             growing = all(s > 1.08 for s in steps) and \
                 bs[0] < bs[1] < bs[2]
-            ok &= _row(rows, suite, "characteristic-divergence",
-                       "eta=1, J=6..8", min(steps), 1.08, growing)
+            _row(rows, "characteristic-divergence", "eta=1, J=6..8",
+                 min(steps), 1.08, growing)
         else:
             stable = all(s < 1.08 for s in steps)
-            ok &= _row(rows, suite, "characteristic-depth-stable",
-                       f"eta={eta:g}, J=6..8", max(steps), 1.08, stable)
+            _row(rows, "characteristic-depth-stable", f"eta={eta:g}, J=6..8",
+                 max(steps), 1.08, stable)
             ratios_top[eta] = rats[-1]
     spread = max(ratios_top.values()) / min(ratios_top.values())
-    ok &= _row(rows, suite, "norm-ratio-spread",
-               "eta in {-1/2,0,1/2}, J=8", spread, 3.0, spread <= 3.0)
+    _row(rows, "norm-ratio-spread", "eta in {-1/2,0,1/2}, J=8", spread, 3.0,
+         spread <= 3.0)
 
-    quad = dk.build_quadrature(leb, J=8, j0=cfg.j0)
-    v = wt.weight_field(quad, eta=0.0)
+    v = wt.weight_field(quads[8], eta=0.0)
     rep = tw.one_weight_norm_experiment(spec, v, 2.0, 6)
     band = rep.psi_mu_band[1] / rep.psi_mu_band[0]
-    ok &= _row(rows, suite, "profile-mass-band", "Psi|I| mu(S)/|I|",
-               band, 10.0, band < 10.0)
-    ok &= _row(rows, suite, "top-half-mass-share", "mu(S)/mu(T) max",
-               rep.top_half_max_ratio, "finite",
-               math.isfinite(rep.top_half_max_ratio))
-    return rows, ok, series
+    _row(rows, "profile-mass-band", "Psi|I| mu(S)/|I|", band, 10.0,
+         band < 10.0)
+    _row(rows, "top-half-mass-share", "mu(S)/mu(T) max",
+         rep.top_half_max_ratio, "finite",
+         math.isfinite(rep.top_half_max_ratio))
+    return rows, series
 
 
 # -- plumbing ------------------------------------------------------------------
@@ -619,8 +606,14 @@ def load_config(args) -> ExperimentConfig:
 
 
 def run_suite(cfg: ExperimentConfig):
-    """Run one suite; returns (rows, all_pass, plot series or {})."""
-    return SUITES[cfg.suite](cfg)
+    """Run one suite; returns (rows, all_pass, plot series or {}).
+
+    A suite returns its rows and series; this stamps the suite's name on
+    each row, and all_pass is read from the rows' status."""
+    rows, series = SUITES[cfg.suite](cfg)
+    for r in rows:
+        r["suite"] = cfg.suite
+    return rows, all(r["status"] == "pass" for r in rows), series
 
 
 def main(argv=None) -> int:
@@ -632,7 +625,9 @@ def main(argv=None) -> int:
     ap.add_argument("--suite", choices=sorted(SUITES), help="suite name")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--depth", type=int, default=None,
-                    help="quadrature depth J")
+                    help="quadrature depth J of the oneweight suite's "
+                         "single run (a [weight] section); the other "
+                         "suites run at fixed depths")
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--no-timestamp", action="store_true",
                     help="suppress the timestamp comment (byte-stable CSV)")
@@ -652,7 +647,7 @@ def main(argv=None) -> int:
 
     start = time.time()
     try:
-        rows, ok, series = run_suite(cfg)
+        rows, _, series = run_suite(cfg)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
@@ -676,7 +671,7 @@ def main(argv=None) -> int:
           f"-> {out_csv}")
     for name in failed:
         print(f"  FAIL {name}", file=sys.stderr)
-    return 0 if ok else 1
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

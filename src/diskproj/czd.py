@@ -43,6 +43,7 @@ from .disk import (GRID_SHIFTS, Arc, Field, PolarRectangle,
                    carleson_square, require_same_quadrature, square_row)
 from .errors import InvalidRangeError
 from .kernels import KernelSpec
+from .operators import bergman_handle
 from .weights import WeightField, b1_characteristic
 
 
@@ -216,8 +217,6 @@ def cz_reconstruct_weak11_bound(spec: KernelSpec, v: WeightField, f: Field,
     against the bound it is compared to in the argument, on the region
     R1 = level_one_regions()[0]: the Carleson square over the arc
     [0, 1/2)."""
-    from .operators import bergman_handle  # local: czd -> operators only here
-
     quad = f.quad
     require_same_quadrature(quad, v)
     region = level_one_regions()[0]

@@ -45,6 +45,7 @@ MAX_SERIES_ARG = 1.0 - 2.0 ** -20
 _SERIES_TOL = 1e-12      # kernel_series stops once its tail bound is below
 _MONOTONE_TOL = 1e-12    # the slack check_completely_monotone allows
 _IDENTITY_TOL = 1e-10
+_SHIFT_A = 0.5           # the shift a of the construction's F(a + m)
 # node x argument products per grid block: cache-sized blocks run about
 # three times faster than 2^22-entry ones
 _GRID_BLOCK_ENTRIES = 2 ** 16
@@ -232,7 +233,8 @@ def kernel_integral(spec: KernelSpec, w):
 class MomentConstruction:
     """Moment sequence of a radial weight built from nu (gamma = 1).
 
-    F_values[m] = F(shift_a + m); constructed_moments[m] = 1/(2 F_values[m]);
+    F_values[m] = F(a + m), a = _SHIFT_A = 1/2;
+    constructed_moments[m] = 1/(2 F_values[m]);
     phi_coefficients[j] = nu_j, with the partial-sum identity
     F(a + 2n + 1) = sum_{j<=n} nu_j validated at construction.
     hypothesis_warning is set when the divergence proxy for
@@ -241,7 +243,6 @@ class MomentConstruction:
     """
 
     nu: RadialMeasure
-    shift_a: float
     F_values: np.ndarray
     phi_coefficients: np.ndarray
     constructed_moments: np.ndarray
@@ -251,7 +252,7 @@ class MomentConstruction:
     def moment_at(self, m):
         """omega_m = 1/(2 F(a + m)) at arbitrary real order m >= 0."""
         return 1.0 / (2.0 * float(_construction_F_table(
-            self.nu, [self.shift_a + m])[0]))
+            self.nu, [_SHIFT_A + m])[0]))
 
     def tail(self, x):
         """Tail surrogate omega-hat(x) := omega_{1/(1-x)} for x in [0, 1)."""
@@ -288,8 +289,7 @@ def _construction_F_table(nu: RadialMeasure, x):
 def construct_omega_from_nu(nu: RadialMeasure, m_max) -> MomentConstruction:
     """Build the moment sequence omega_m = 1/(2 F(1/2 + m)), m = 0..m_max."""
     check_integer(m_max, "m_max", low=1)
-    a = 0.5
-    F = _construction_F_table(nu, a + np.arange(m_max + 1))
+    F = _construction_F_table(nu, _SHIFT_A + np.arange(m_max + 1))
     if np.any(F <= 0.0):
         raise InvalidRangeError("construction produced a nonpositive F value")
     moments = 1.0 / (2.0 * F)
@@ -305,7 +305,7 @@ def construct_omega_from_nu(nu: RadialMeasure, m_max) -> MomentConstruction:
             f"partial-sum identity off by {err:.3g} (> {_IDENTITY_TOL})")
 
     warning = _divergence_proxy_fails(nu)
-    return MomentConstruction(nu=nu, shift_a=a, F_values=F,
+    return MomentConstruction(nu=nu, F_values=F,
                               phi_coefficients=phi,
                               constructed_moments=moments,
                               identity_max_error=err,
@@ -358,7 +358,6 @@ def moments_from_phi(phi_values):
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    max_order_checked: int
     first_violation: Optional[tuple]  # (k, n, value)
     passed: bool
 
@@ -377,9 +376,9 @@ def check_completely_monotone(seq, k_max) -> MonotonicityReport:
         bad = np.nonzero(signed < -_MONOTONE_TOL)[0]
         if bad.size:
             n = int(bad[0])
-            return MonotonicityReport(k_max, (k, n, float(signed[n])), False)
+            return MonotonicityReport((k, n, float(signed[n])), False)
         diff = diff[1:] - diff[:-1]
-    return MonotonicityReport(k_max, None, True)
+    return MonotonicityReport(None, True)
 
 
 def lower_bound_eq4_grid(nu: RadialMeasure, z_values):

@@ -263,21 +263,21 @@ def point_mass(location=1.0, mass=1.0, name=None):
                          atoms=((location, mass),))
 
 
-def loginv(levels=46):
+def loginv():
     """Atomized measure with tail 1/(1 - log(1-r)) at dyadic radii.
 
     The continuous density 1/((1-r) (1 - log(1-r))^2) concentrates
     logarithmically at r = 1 and cannot be integrated to tolerance by
     bounded-order quadrature, so the catalog carries the dyadic
     discretization: atoms at r_k = 1 - 2^-k holding the exact tail
-    differences. Tails at the probe radii 1 - 2^-k are exact.
+    differences, k = 0..45. Tails at the probe radii 1 - 2^-k are exact.
     """
     def t(r):
         return 1.0 / (1.0 - math.log1p(-r)) if r < 1.0 else 0.0
 
-    radii = [1.0 - 0.5 ** k for k in range(levels)]
+    radii = [1.0 - 0.5 ** k for k in range(46)]
     atoms = []
-    for k in range(levels - 1):
+    for k in range(len(radii) - 1):
         atoms.append((radii[k], t(radii[k]) - t(radii[k + 1])))
     atoms.append((radii[-1], t(radii[-1])))
     return RadialMeasure(name="loginv", atoms=tuple(atoms))

@@ -347,30 +347,33 @@ def one_weight_norm_experiment(spec: KernelSpec, v: WeightField, p,
     """Norm of the positive projection on L^p(v) against the weight
     characteristic, plus the structural facts the comparison rests on:
     Psi(|I|) mu(S(I)) / |I| stays in a band over levels, and the square
-    keeps a fixed share of its mass in the top half."""
+    keeps a fixed share of its mass in the top half.
+
+    Both are read from the beta = 0 grid, whose squares at a level all
+    carry the same mass: the ratio is the dyadic model's tau
+    (sparse_bergman_model) at the level's first square, 0 past J, and
+    the share is mu(S) over mu(S) less its two children."""
     quad = v.quad
-    mu = quad.masses
     bp = bp_characteristic(v, p, depth)
     sigma = dual_weight(v, p)
     norm, upper, exact = weighted_norm_bracket(positive_handle(spec, quad),
                                                v.values, sigma.values, p)
     ratio = norm / bp.value ** max(1.0, 1.0 / (p - 1.0))
 
-    psi = PsiProfile(spec.gamma, spec.nu)
-    psi_vals = psi(2.0 ** -np.arange(depth + 1))
-    ratios, shares = [], []
-    for lev in range(depth + 1):
-        start = quad.level_start(lev)
-        tail = float(mu[start:].sum()) / 2 ** lev
-        if tail <= 0.0:
-            ratios.append(0.0)
+    tau = sparse_bergman_model(PsiProfile(spec.gamma, spec.nu), quad).tau
+    masses = quad.incidence(0.0).masses
+    ratios = [0.0] * (depth + 1)
+    shares = []
+    for lev in range(min(depth, quad.J) + 1):
+        row = square_row(lev, 0)
+        if masses[row] <= 0.0:
             continue
-        ratios.append(psi_vals[lev] * tail * 2.0 ** lev)
-        # the members are a suffix of the cells (cells are band-major),
-        # and so is the next level's; what lies between is the top half
-        top = float(mu[start:quad.level_start(lev + 1)].sum()) / 2 ** lev
+        ratios[lev] = float(tau[row])
+        # a square at level J has no children: all of it is top half
+        top = masses[row] - (masses[2 * row + 1] + masses[2 * row + 2]
+                             if lev < quad.J else 0.0)
         if top > 0.0:
-            shares.append(tail / top)
+            shares.append(float(masses[row] / top))
     live = [x for x in ratios if x > 0.0]
     band_lim = (min(live), max(live)) if live else (0.0, math.inf)
     return OneWeightReport(p=p, depth=depth, bp_value=bp.value, norm=norm,

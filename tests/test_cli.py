@@ -64,8 +64,8 @@ def test_csv_determinism(tmp_path):
 
 def test_timestamp_comment(tmp_path, monkeypatch):
     def stub(cfg):
-        return [{"suite": "czd", "check": "c", "inputs": "i",
-                 "value": "1", "bound": "1", "status": "pass"}], True, {}
+        return [{"check": "c", "inputs": "i", "value": "1", "bound": "1",
+                 "status": "pass"}], {}
     monkeypatch.setitem(cli.SUITES, "czd", stub)
     out = tmp_path / "out"
     assert cli.main(["--suite", "czd", "--out", str(out)]) == 0
@@ -188,9 +188,9 @@ def test_suite_error_exits(tmp_path, monkeypatch, capsys):
 def test_contract_failure_exit(tmp_path, monkeypatch, capsys):
     def failing(cfg):
         rows = []
-        cli._row(rows, "czd", "always-fails", "stub", 2.0, 1.0, False)
-        cli._row(rows, "czd", "fine", "stub", 1.0, 1.0, True)
-        return rows, False, {}
+        cli._row(rows, "always-fails", "stub", 2.0, 1.0, False)
+        cli._row(rows, "fine", "stub", 1.0, 1.0, True)
+        return rows, {}
     monkeypatch.setitem(cli.SUITES, "czd", failing)
     code, out = run_main(tmp_path, "--suite", "czd")
     assert code == 1
@@ -200,12 +200,34 @@ def test_contract_failure_exit(tmp_path, monkeypatch, capsys):
     assert ",fail" in (out / "czd.csv").read_text()
 
 
+def test_suite_column_and_exit_code_come_from_the_rows(tmp_path,
+                                                       monkeypatch):
+    """A suite returns bare rows: the suite column is stamped on each,
+    and the exit code reads their status, with no pass flag beside them."""
+    status = {"flip": "fail"}
+
+    def bare(cfg):
+        return [{"check": name, "inputs": "stub", "value": "1",
+                 "bound": "1", "status": st}
+                for name, st in (("a", "pass"), ("flip", status["flip"]),
+                                 ("b", "pass"))], {}
+    monkeypatch.setitem(cli.SUITES, "czd", bare)
+    code, out = run_main(tmp_path / "failing", "--suite", "czd")
+    assert code == 1
+    with open(out / "czd.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["suite"] for r in rows] == ["czd"] * 3
+    assert [r["status"] for r in rows] == ["pass", "fail", "pass"]
+    status["flip"] = "pass"
+    code, out = run_main(tmp_path / "passing", "--suite", "czd")
+    assert code == 0
+
+
 def test_svg_output(tmp_path, monkeypatch):
     def with_series(cfg):
         rows = []
-        cli._row(rows, "czd", "c", "i", 1.0, 1.0, True)
-        return rows, True, {"curve-a": [1.0, 2.0, 4.0],
-                            "curve-b": [2.0, 2.0, 2.0]}
+        cli._row(rows, "c", "i", 1.0, 1.0, True)
+        return rows, {"curve-a": [1.0, 2.0, 4.0], "curve-b": [2.0, 2.0, 2.0]}
     monkeypatch.setitem(cli.SUITES, "czd", with_series)
     code, out = run_main(tmp_path / "plain", "--suite", "czd")
     assert code == 0 and not (out / "czd.svg").exists()

@@ -325,6 +325,42 @@ def test_one_weight_report(leb_quad5):
     assert rep.top_half_max_ratio >= 1.0
 
 
+def one_weight_structure_oracle(spec, quad, depth):
+    """The report's structure facts from per-level sums of the cell
+    masses: a level's members are a suffix of the band-major cells, the
+    next level's members a shorter one, and what lies between is the
+    top half; each square holds 1 / 2^level of the level's sum."""
+    mu = quad.masses
+    psi_vals = PsiProfile(spec.gamma, spec.nu)(2.0 ** -np.arange(depth + 1))
+    ratios, shares = [], []
+    for lev in range(depth + 1):
+        start = quad.level_start(lev)
+        tail = float(mu[start:].sum()) / 2 ** lev
+        if tail <= 0.0:
+            ratios.append(0.0)
+            continue
+        ratios.append(psi_vals[lev] * tail * 2.0 ** lev)
+        top = float(mu[start:quad.level_start(lev + 1)].sum()) / 2 ** lev
+        if top > 0.0:
+            shares.append(tail / top)
+    live = [x for x in ratios if x > 0.0]
+    band = (min(live), max(live)) if live else (0.0, math.inf)
+    return tuple(ratios), band, max(shares) if shares else math.inf
+
+
+@pytest.mark.parametrize("J, depth", [(4, 6), (5, 4), (8, 6)])
+def test_one_weight_structure_matches_level_sums(J, depth):
+    """The ratios read from the dyadic model's tau and the shares read
+    from the incidence masses equal the per-level sums bit for bit,
+    levels past J included."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=J)
+    spec = KernelSpec(gamma=1.0, nu=ATOM1, name="std")
+    rep = tw.one_weight_norm_experiment(spec, wt.weight_field(quad, eta=0.0),
+                                        2.0, depth)
+    assert (rep.psi_mu_ratios, rep.psi_mu_band, rep.top_half_max_ratio) \
+        == one_weight_structure_oracle(spec, quad, depth)
+
+
 def test_norm_brackets_at_depth_ten():
     """Past the 4096 cells where a dense norm stopped: both reports give
     finite, closed brackets at J=10 (4100 cells), at p = 2 and p = 3."""

@@ -27,8 +27,9 @@ by level, the region first if it is selected; f_cells and each entry of
 selected_cells are sorted.
 
 The good part g equals f off the selected squares and the signed
-average of f on each; b = f - g is supported on the selection and has
-exactly zero mean on each selected square.
+average of f on each, formed one size class of selected rectangles at a
+time, in floating point also for an integer f; b = f - g is supported
+on the selection and has exactly zero mean on each selected square.
 """
 
 from __future__ import annotations
@@ -166,14 +167,20 @@ def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
 
     f_idx = (np.sort(np.concatenate(f_parts)) if f_parts
              else np.array([], dtype=np.int64))
-    g_vals = np.zeros(quad.size, dtype=vals.dtype)
-    b_vals = np.zeros(quad.size, dtype=vals.dtype)
+    # an average is not an integer: g and b are float (or complex)
+    dtype = np.result_type(vals, float)
+    g_vals = np.zeros(quad.size, dtype=dtype)
+    b_vals = np.zeros(quad.size, dtype=dtype)
     g_vals[f_idx] = vals[f_idx]
-    for cells in selected_cells:
-        m = quad.masses[cells]
-        avg = np.sum(vals[cells] * m) / m.sum()
-        g_vals[cells] = avg
-        b_vals[cells] = vals[cells] - avg
+    # the selected rectangles' averages, one size class at a time
+    sizes = np.array([cells.size for cells in selected_cells], dtype=np.intp)
+    for size in np.unique(sizes):
+        idx = np.stack([selected_cells[k]
+                        for k in np.flatnonzero(sizes == size)])
+        m = quad.masses[idx]
+        avg = (np.sum(vals[idx] * m, axis=1) / m.sum(axis=1))[:, None]
+        g_vals[idx] = avg
+        b_vals[idx] = vals[idx] - avg
     return CZDecomposition(region=region, threshold=lam, selected=selected,
                            selected_cells=selected_cells, f_cells=f_idx,
                            g=Field(quad, g_vals), b=Field(quad, b_vals),

@@ -23,7 +23,7 @@ the dyadic layer; (level, index) pairs appear only in what the layer
 returns. On the nested grid the rows are a binary heap: row r has the
 children 2r + 1 and 2r + 2 and the parent (r - 1) // 2, and the
 stopping and testing passes carry arrays from one level to the next.
-Every per-level reduction (B_p, the dyadic maximal function, the dyadic
+Every per-level sum (B_p, the dyadic maximal function, the dyadic
 operator, stopping and testing) is then one product: S @ V sums every
 column of V over every square, and St @ y spreads per-square values
 back to the cells. Each product costs one pass over the nnz = sum over
@@ -31,8 +31,15 @@ cells of their level counts, about cells x levels (196,616 entries at
 J=12, j0=1); S and St add in the order of a per-level bincount and
 gather, so their sums are those bit for bit. The indices are int32 and
 both grids share one array of ones, so the two grids hold 16 bytes per
-entry plus 8 per entry once: 5.0 MB at J=12, j0=1. A level's rows are
-square_rows(level), and its member cells the suffix from
+entry plus 8 per entry once: 5.0 MB at J=12, j0=1. A max over each
+cell's squares (the dyadic maximal function and the linearization's
+bound) is not a product: SquareIncidence.cell_max takes it by one
+running max down the unshifted heap, 2^(J+1) - 1 rows, and one gather
+per cell at its deepest row, which the incidence keeps for each cell.
+The half-shifted grid rides on the same heap, since its level-l arc m
+is the union of the unshifted level-(l+1) arcs 2m + 1 and 2m + 2: only
+a cell's deepest half square is read from a row of its own. A level's
+rows are square_rows(level), and its member cells the suffix from
 DiskQuadrature.level_start(level). The dyadic layer's measure is the
 cell masses and its levels are 0..J; the incidence is the one place
 that checks a grid shift.
@@ -265,15 +272,41 @@ class SquareIncidence:
     S @ V sums every column of V over every square at once, and St @ y
     spreads per-square values back to the cells; each adds in the order
     of a per-level bincount and gather, so the sums are bit for bit
-    theirs. masses is S @ quad.masses, mu(S) per row."""
+    theirs. masses is S @ quad.masses, mu(S) per row. deepest is each
+    cell's last entry of St, heap_deepest the same square's row on the
+    unshifted grid (the same array there), and heap_rows serves
+    cell_max."""
 
     S: csr_array
     St: csr_array
     masses: np.ndarray
+    deepest: np.ndarray        # per cell, the row of its deepest square
+    heap_deepest: np.ndarray   # per cell, that row on the unshifted grid
+    heap_rows: np.ndarray      # per unshifted row, see cell_max
 
     def cells(self, row):
         """The cells of the square at an incidence row, in cell order."""
         return self.S.indices[self.S.indptr[row]:self.S.indptr[row + 1]]
+
+    def cell_max(self, square_values):
+        """The max of square_values, one per row, over each cell's
+        squares: the max over the cell's row of St, by one pass down the
+        unshifted grid's heap of 2^(J+1) - 1 rows in place of a pass over
+        St's entries. heap_rows names, for each unshifted row, a square of
+        this grid holding its cells: the row itself on the unshifted grid;
+        on the half-shifted grid, whose level-l arc m is the union of the
+        unshifted level-(l+1) arcs 2m + 1 and 2m + 2 (mod 2^(l+1)), the
+        half square one level up (the root for the root). A running max
+        down the heap, read at the cell's deepest unshifted row, then
+        covers every square of the cell but, on the half grid, its
+        deepest, which is read from its own row."""
+        run = square_values[self.heap_rows]
+        for level in range(1, self.masses.size.bit_length()):
+            rows = square_rows(level)
+            np.maximum(run[rows], np.repeat(run[square_rows(level - 1)], 2),
+                       out=run[rows])
+        out = run[self.heap_deepest]
+        return np.maximum(out, square_values[self.deepest], out=out)
 
 
 @dataclass(eq=False)
@@ -349,11 +382,13 @@ class DiskQuadrature:
         their arc indices: a cell of band b lies in one square at each
         level 0..max(b - 1, 0), so its row of St has that many entries
         and the level-th is its square at that level. S is St's CSR
-        transpose, whose rows list each square's cells in cell order."""
+        transpose, whose rows list each square's cells in cell order.
+        The deepest rows and heap_rows of cell_max come with it."""
         check_grid(beta)
         if beta not in self._incidence:
+            levels = np.maximum(self.cell_band, 1)     # each cell's count
             t_ptr = np.zeros(self.size + 1, dtype=np.int32)
-            np.cumsum(np.maximum(self.cell_band, 1), out=t_ptr[1:])
+            np.cumsum(levels, out=t_ptr[1:])
             t_ind = np.empty(t_ptr[-1], dtype=np.int32)
             for level in range(self.J + 1):
                 start = self.level_start(level)
@@ -366,7 +401,20 @@ class DiskQuadrature:
                            shape=(self.size, square_row(self.J + 1, 0)))
             S = St.T.tocsr()
             S = csr_array((ones, S.indices, S.indptr), shape=S.shape)
-            self._incidence[beta] = SquareIncidence(S, St, S @ self.masses)
+            deepest = t_ind[t_ptr[1:] - 1].astype(np.intp)
+            heap_rows = np.arange(S.shape[0])
+            if beta == 0.0:
+                heap_deepest = deepest
+            else:
+                heap_deepest = square_row(levels - 1, arc_index(
+                    0.0, levels - 1, self.nodes_t))
+                level, index = square_address(heap_rows[1:])
+                # unshifted arc k at level l lies in half arc (k - 1) >> 1
+                # at level l - 1; arc 0 wraps to the last one
+                heap_rows[1:] = square_row(level - 1, ((index - 1) >> 1) % (
+                    1 << (level - 1)))
+            self._incidence[beta] = SquareIncidence(
+                S, St, S @ self.masses, deepest, heap_deepest, heap_rows)
         return self._incidence[beta]
 
     def same_as(self, other):

@@ -9,31 +9,34 @@ one product S @ V over all levels, for all the fields at once, and the
 stopped sum of the linearization one product with the transpose; each
 costs one pass over nnz = about cells x levels entries.
 A square is addressed by its row of S; (level, index) pairs appear only
-in what this module returns. On the nested beta = 0 grid, where row r
-has the children 2r + 1 and 2r + 2, the stopping squares take one
-top-down array pass over those sums, and StoppingFamily keeps the
-pass's arrays over the rows, from which the linearization and the
-Carleson embedding sum read; the Sawyer testing constants take one tree
-pass per side with no apply of T (see _testing_sup), whose suffix sums
-over levels still spread level by level. The half-shifted grid does
-not nest, so there the testing constants apply T once per square:
-2^(d+1) - 1 applies per side at depth d. The operator norms iterate on
-fast applies and form no dense matrix.
+in what this module returns, and come from one table of tuples over
+the rows to disk.MAX_DEPTH, built once per process on first use, so
+every list and view shares them. On the nested beta = 0 grid, where
+row r has the children 2r + 1 and 2r + 2, the stopping squares take
+one top-down array pass over those sums, and StoppingFamily keeps the
+pass's arrays over the rows, from which the linearization (its maximal
+bound by the incidence's heap pass) and the Carleson embedding sum
+read; the Sawyer testing constants take one tree pass per side with no
+apply of T (see _testing_sup), whose suffix sums over levels still
+spread level by level, each member's square read from its deepest row.
+The half-shifted grid does not nest, so there the testing constants
+apply T once per square: 2^(d+1) - 1 applies per side at depth d. The
+operator norms iterate on fast applies and form no dense matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .disk import (DiskQuadrature, DyadicInterval, Field, check_integer,
-                   conjugate_exponent, finite_table, nonnegative_table,
-                   require_same_quadrature, square_address, square_row,
-                   square_rows)
+from .disk import (MAX_DEPTH, DiskQuadrature, DyadicInterval, Field,
+                   check_integer, conjugate_exponent, finite_table,
+                   nonnegative_table, require_same_quadrature,
+                   square_address, square_row, square_rows)
 from .errors import InvalidRangeError
 from .kernels import KernelSpec
 from .operators import (PsiProfile, SparseOperator, apply_sparse,
@@ -89,10 +92,17 @@ class StoppingFamily:
         return [L for gen in self.generations for L in gen]
 
 
+@cache
+def _square_table():
+    """The (level, index) of every incidence row to MAX_DEPTH, built on
+    first use: the lists and views of this module share these tuples."""
+    return list(zip(*(a.tolist() for a in square_address(
+        np.arange(square_row(MAX_DEPTH + 1, 0))))))
+
+
 def _squares(rows):
-    """The (level, index) of each incidence row, as Python ints."""
-    level, index = square_address(rows)
-    return list(zip(level.tolist(), index.tolist()))
+    """The (level, index) of each incidence row, from the shared table."""
+    return list(map(_square_table().__getitem__, rows.tolist()))
 
 
 def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval
@@ -153,15 +163,13 @@ def pointwise_linearization(family: StoppingFamily):
     """(lhs, rhs) of the pointwise stopped-sum bound at the nodes:
     lhs(z) = sum of E_L over stopping L containing z, rhs = (4/3) M f(z)
     with M the dyadic maximal function of |f| in sigma*mu: the max of
-    the family's averages over each cell's row of St, as in
+    the family's averages over each cell's squares, by the heap pass of
     weights.dyadic_maximal."""
-    St = family.quad.incidence(0.0).St
+    inc = family.quad.incidence(0.0)
     stopped = np.where(family.generation >= 0, family.averages, 0.0)
     # a cell's squares add level by level, the order of the stopped sum
-    lhs = St @ stopped
-    maximal = np.maximum.reduceat(family.averages[St.indices],
-                                  St.indptr[:-1])
-    return lhs, (4.0 / 3.0) * maximal
+    lhs = inc.St @ stopped
+    return lhs, (4.0 / 3.0) * inc.cell_max(family.averages)
 
 
 def carleson_embedding_sum(family: StoppingFamily, p) -> float:
@@ -224,15 +232,17 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
         W.append(np.repeat(W[lev], 2) + a_child ** p * (
             np.repeat(t_mass, 2) - t_sq[square_rows(lev + 1)]))
     # bottom-up: D_l, then each level's best square (>= keeps the first).
-    # A member's square at level l is entry l of its row of St; as intp,
-    # the gathers and the bincount below index with it without a copy.
+    # A member of depth L has its deepest row d and, at level l, the row
+    # ((d + 1) >> (L - l)) - 1: node = d + 1 halves after each level and
+    # reads 2^l + arc index at level l.
+    node = inc.deepest + 1
     D = np.zeros(quad.size)
     best, witness = 0.0, (0, 0)
     for lev in range(quad.J, -1, -1):
         start, count = quad.level_start(lev), 1 << lev
         rows = square_rows(lev)
-        arcs = inc.St.indices[inc.St.indptr[start:-1] + lev].astype(
-            np.intp) - rows.start
+        arcs = node[start:] - count
+        node[start:] >>= 1
         s_mass = s_sq[rows]
         D[start:] += (T.square_kernel[rows] * s_mass)[arcs]
         if lev > top:

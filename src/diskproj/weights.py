@@ -17,12 +17,18 @@ A weight is a positive cell field v. The two characteristics:
 
 M runs on band windows. The family falls into rotation groups, one
 per (center band, k) and one per boundary radius, and every band of
-the quadrature is one radius with uniform arcs. So a disc meets a band
+the quadrature is one radius with uniform arcs. A group skips, before
+any per-disc arithmetic, each band whose radius its discs cannot reach,
+outside [min(|a| - rho), max(|a| + rho)]. A disc meets any other band
 in one cyclic run of arcs, which the law of cosines gives; each disc
 tests only its run, widened by one arc on each side, with the float
 test |z - a| < rho. A disc's cells are then exactly those of a scan of
 every node, and since cell masses are constant within a band its
 average is sum_b mass_b sum(|v| in run b) / sum_b mass_b count(run b).
+
+The dyadic maximal function takes the max over each cell's squares by
+one pass down the unshifted grid's heap of squares, on either grid
+(disk.SquareIncidence.cell_max), not by a pass over the incidence.
 
 Maximal operators and the weak-type verifiers report exact suprema over
 lambda: the map lambda -> lambda * measure({M f > lambda}) is piecewise
@@ -157,8 +163,9 @@ def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
 # -- disc maximal operator and B_1 ----------------------------------------------
 
 _APERTURES = (1.0, math.sqrt(2.0), 2.0, 4.0)
-# A band is skipped for a group when every disc has cos(angle) above
-# 1 + this: float membership can only reach about 1e-12 past 1.
+# A band is skipped for a group when its radius lies this far outside
+# the radii the discs reach: float membership can only reach about
+# 1e-12 past them.
 _TANGENT_SLACK = 1e-9
 # Candidate cells tested at once; bounds the memory of one block.
 _BLOCK = 1 << 17
@@ -181,25 +188,31 @@ def _disc_groups(quad: DiskQuadrature, z):
 
 def _group_windows(quad: DiskQuadrature, z, centers, radii):
     """Yield (rows, windows) for consecutive slices of a group's discs,
-    about _BLOCK candidates each. windows holds, for each band that the
-    discs meet, the band's cell mass, the candidate cells of each disc
-    in rows (one row per disc) and which of them lie in the disc, by the
-    float test |z - a| < rho.
+    about _BLOCK candidates each. windows holds, for each band within
+    the discs' reach, the band's cell mass, the candidate cells of each
+    disc in rows (one row per disc) and which of them lie in the disc,
+    by the float test |z - a| < rho.
 
-    The law of cosines gives each disc's run of arcs in the band; the
-    candidates are that run widened by one arc on each side, at most the
-    whole band, so no row repeats a cell. Rounding moves a run's ends by
-    less than 2e-6 rad, a sixth of the narrowest arc that the cell
-    budget allows, so every cell that passes the test is a candidate.
+    A band whose radius lies outside the reach, [min(|a| - rho),
+    max(|a| + rho)] widened by _TANGENT_SLACK, is skipped before any
+    per-disc arithmetic. The law of cosines gives each disc's run of
+    arcs in any other band; the candidates are that run widened by one
+    arc on each side, at most the whole band, so no row repeats a cell.
+    Rounding moves a run's ends by less than 2e-6 rad, a sixth of the
+    narrowest arc that the cell budget allows, so every cell that
+    passes the test is a candidate.
     """
     R = np.abs(centers)
     turns = np.angle(centers) / (2.0 * np.pi)
+    # a disc meets radii in [|a| - rho, |a| + rho] only
+    reach_lo = float(np.min(R - radii)) - _TANGENT_SLACK
+    reach_hi = float(np.max(R + radii)) + _TANGENT_SLACK
     runs = []
     for band in quad.bands:
         r, n = quad.nodes_r[band.start], band.arc_count
-        cos = (r * r + R * R - radii * radii) / (2.0 * r * R)
-        if np.all(cos > 1.0 + _TANGENT_SLACK):
+        if not reach_lo <= r <= reach_hi:
             continue
+        cos = (r * r + R * R - radii * radii) / (2.0 * r * R)
         # node k sits at turn (k + 1/2)/n; arcs within half of mid are in
         half = np.arccos(np.clip(cos, -1.0, 1.0)) * (n / (2.0 * np.pi))
         mid = turns * n - 0.5
@@ -262,8 +275,9 @@ def b1_characteristic(v: WeightField) -> CharacteristicReport:
 def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values):
     """M f(z) = max over grid squares S containing z of the nu-average
     of |f| over S at levels 0..J: the square sums in one product (nu(S)
-    read from the incidence when nu is the cell masses), then a max
-    over each cell's row of the transpose."""
+    read from the incidence when nu is the cell masses), then the max
+    over each cell's squares by one pass down the unshifted heap
+    (SquareIncidence.cell_max)."""
     nu = nonnegative_table(nu_masses, (quad.size,), "nu_masses")
     nu_f = nu * np.abs(finite_table(f_values, (quad.size,), "f"))
     inc = quad.incidence(beta)
@@ -273,7 +287,7 @@ def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values):
         den, num = (inc.S @ np.column_stack((nu, nu_f))).T
     # 0 on massless squares; every cell lies in the level-0 square
     avg = np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
-    return np.maximum.reduceat(avg[inc.St.indices], inc.St.indptr[:-1])
+    return inc.cell_max(avg)
 
 
 def _exact_weak_sup(values, measure_weights):

@@ -2,7 +2,9 @@
 that summed over one grid level at a time and spread back to its cells,
 before the square-by-cell incidence matrices replaced them. Each level's
 member cells and arc indices come from the node radii and arc_index,
-not from the incidence."""
+not from the incidence. The maximal functions' oracle is the route the
+heap pass replaced: one maximum.reduceat over the entries of St, each
+cell's squares level by level."""
 
 import numpy as np
 
@@ -46,3 +48,18 @@ def incidence_spread(quad, beta, square_values):
         start, arcs = level_arcs(quad, beta, level)
         out[start:] += square_values[dk.square_rows(level)][arcs]
     return out
+
+
+def row_max(quad, beta, square_values):
+    """The max of square_values over each cell's row of St."""
+    St = quad.incidence(beta).St
+    return np.maximum.reduceat(square_values[St.indices], St.indptr[:-1])
+
+
+def dyadic_maximal(quad, nu, beta, f_values):
+    """The nu-average of |f| on every square from the level sums, 0 on
+    massless squares, then row_max."""
+    den, num = incidence_sums(
+        quad, beta, np.column_stack((nu, nu * np.abs(f_values)))).T
+    avg = np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
+    return row_max(quad, beta, avg)

@@ -120,8 +120,8 @@ def walk_decompose(f, lam, region):
 
     f_idx = np.sort(np.concatenate(f_cells)) if f_cells \
         else np.array([], dtype=np.int64)
-    g = np.zeros(quad.size, dtype=vals.dtype)
-    b = np.zeros(quad.size, dtype=vals.dtype)
+    g = np.zeros(quad.size, dtype=np.result_type(vals, float))
+    b = np.zeros(quad.size, dtype=g.dtype)
     g[f_idx] = vals[f_idx]
     for cells in selected_cells:
         m = quad.masses[cells]
@@ -237,6 +237,28 @@ def test_decomposition_properties_random(leb_quad5):
         np.testing.assert_array_equal(covered, rmask)
         np.testing.assert_array_equal(dec.g.values[dec.f_cells],
                                       vals[dec.f_cells])
+
+
+def test_integer_field_gives_float_parts(leb_quad6):
+    """An integer-valued f: g and b are float, g is the exact average on
+    each selected square, b has zero mean there, and g + b = f."""
+    quad = leb_quad6
+    region = region_one()
+    rng = np.random.default_rng(6)
+    vals = (rng.pareto(1.0, quad.size) * 100.0).astype(np.int64)
+    vals *= quad.node_mask(region)
+    lam = 1.5 * float(np.sum(vals * quad.masses))
+    dec = czd.cz_decompose(dk.Field(quad, vals), lam, region)
+    assert dec.g.values.dtype == dec.b.values.dtype == np.float64
+    assert dec.selected_cells
+    for cells in dec.selected_cells:
+        m = quad.masses[cells]
+        avg = np.sum(vals[cells] * m) / m.sum()
+        np.testing.assert_array_equal(dec.g.values[cells], avg)
+        assert abs(float(np.sum(dec.b.values[cells] * m))) <= \
+            1e-12 * lam * float(m.sum())
+    np.testing.assert_allclose(dec.g.values + dec.b.values, vals,
+                               rtol=0.0, atol=1e-12 * float(np.max(vals)))
 
 
 def test_level_one_regions_partition(leb_quad5):

@@ -25,7 +25,9 @@ grid arc at levels up to J + 2, and the level index against the same
 scan at level caps up to J + 2; B_p stays >= 1 at those depths. Each
 grid's square-by-cell incidence matrix S and its transpose give the
 per-level bincount and gather of dyadic_oracle bit for bit, at J = 1..8,
-on fields with zeros and on a measure with massless bands.
+on fields with zeros and on a measure with massless bands. So do the
+heap passes of the dyadic maximal function, on both grids, and of the
+linearization's maximal bound, against the max over St's rows.
 """
 
 import functools
@@ -38,9 +40,11 @@ from diskproj import disk as dk
 from diskproj import kernels as kn
 from diskproj import measures as ms
 from diskproj import operators as op
+from diskproj import twoweight as tw
 from diskproj import weights as wt
 from diskproj.errors import DiskprojError
-from dyadic_oracle import incidence_spread, incidence_sums
+from dyadic_oracle import (dyadic_maximal, incidence_spread, incidence_sums,
+                           row_max)
 
 MEASURES = {
     "lebesgue": ms.lebesgue(),
@@ -241,3 +245,44 @@ def test_incidence_products_match_level_oracle(name, J, j0, beta, k,
     assert np.shares_memory(inc.S.data, inc.St.data)
     assert np.shares_memory(inc.S.data, other.St.data)
     assert np.all(inc.S.data == 1.0)
+
+
+MAXIMAL_MEASURES = {"lebesgue": ms.lebesgue(),
+                    "point(0.75)": ms.point_mass(0.75)}
+
+
+@functools.lru_cache(maxsize=None)
+def maximal_quadrature(name, J, j0):
+    return dk.build_quadrature(MAXIMAL_MEASURES[name], J=J, j0=j0)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(MAXIMAL_MEASURES)), J=st.integers(1, 8),
+       j0=st.sampled_from([0, 1, 2]), beta=st.sampled_from(dk.GRID_SHIFTS),
+       zero_share=st.sampled_from([0.0, 0.5, 0.95]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_heap_maximal_matches_row_max(name, J, j0, beta, zero_share, seed):
+    """dyadic_maximal's heap pass equals the max over St's rows bit for
+    bit, for nu the cell masses and a nu with zeros, on fields with
+    zeros; point(0.75) leaves most bands, and so most squares, massless.
+    On the unshifted grid the linearization's maximal bound is (4/3)
+    times the same max of the stopping family's averages."""
+    quad = maximal_quadrature(name, J, j0)
+    rng = np.random.default_rng(seed)
+    f = rng.pareto(1.5, quad.size) * (rng.random(quad.size) >= zero_share)
+    f *= rng.choice([-1.0, 1.0], quad.size)
+    nu = quad.masses * rng.pareto(1.0, quad.size) * \
+        (rng.random(quad.size) >= zero_share)
+    for weights in (quad.masses, nu):
+        np.testing.assert_array_equal(
+            wt.dyadic_maximal(quad, weights, beta, f),
+            dyadic_maximal(quad, weights, beta, f))
+    if beta == 0.0 and np.any((f != 0.0) & (quad.masses > 0.0)):
+        sigma = wt.WeightField(quad, np.exp(rng.normal(0.0, 1.0, quad.size)))
+        fam = tw.stopping_family(dk.Field(quad, f), sigma,
+                                 dk.DyadicInterval(0.0, 0, 0))
+        _, rhs = tw.pointwise_linearization(fam)
+        np.testing.assert_array_equal(
+            rhs, (4.0 / 3.0) * row_max(quad, 0.0, fam.averages))
+        np.testing.assert_array_equal(rhs, (4.0 / 3.0) * dyadic_maximal(
+            quad, sigma.values * quad.masses, 0.0, f))

@@ -312,6 +312,42 @@ def test_split_by_criterion(leb_quad5):
             tw.split_by_criterion(f, g, sigma, u, p=bad, depth=3)
 
 
+def addresses(rows):
+    level, index = dk.square_address(np.asarray(rows, dtype=np.intp))
+    return list(zip(level.tolist(), index.tolist()))
+
+
+def test_square_views_share_one_address_table(leb_quad6):
+    """The criterion split's lists and the stopping family's views are
+    square_address of their rows, one tuple object per row across all
+    of them and across calls; an empty row set gives []."""
+    quad = leb_quad6
+    sigma, u, f, g = tw.random_instance(quad, 5)
+    s1, s2 = tw.split_by_criterion(f, g, sigma, u, p=2.0, depth=quad.J)
+    rows = sorted(dk.square_row(lev, m) for lev, m in s1 + s2)
+    assert rows == np.flatnonzero(quad.incidence(0.0).masses > 0.0).tolist()
+    for part in (s1, s2):
+        assert part == addresses(sorted(dk.square_row(*sq) for sq in part))
+    fam = tw.stopping_family(f, sigma, dk.DyadicInterval(0.0, 0, 0))
+    stops = np.flatnonzero(fam.generation >= 0)
+    order = np.argsort(fam.generation[stops], kind="stable")
+    owned = np.flatnonzero(fam.owner >= 0)
+    assert [sq for gen in fam.generations for sq in gen] == \
+        addresses(stops[order])
+    assert list(fam.expectations) == addresses(stops)
+    assert list(fam.assignment) == addresses(owned)
+    assert list(fam.assignment.values()) == addresses(fam.owner[owned])
+
+    again = tw.split_by_criterion(f, g, sigma, u, p=2.0, depth=quad.J)
+    by_row = {}
+    for view in (s1, s2, *again, *fam.generations, fam.expectations,
+                 fam.assignment, fam.assignment.values()):
+        for sq in view:
+            assert by_row.setdefault(dk.square_row(*sq), sq) is sq
+    assert len(by_row) == len(rows)
+    assert tw._squares(np.array([], dtype=np.int32)) == []
+
+
 def test_one_weight_report(leb_quad5):
     spec = KernelSpec(gamma=1.0, nu=ATOM1, name="std")
     v = wt.weight_field(leb_quad5, eta=-0.25)

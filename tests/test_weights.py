@@ -212,6 +212,31 @@ def test_disc_windows_hold_nodes_one_ulp_inside(J, j0):
                                       want)
 
 
+def test_band_skipping_at_depth_9():
+    """At J = 9, deeper than the sweep above: the deepest band's four
+    aperture groups and the boundary groups k = 7..9 get exactly the
+    float test's members, and every band a group skips, by its reach or
+    by the law of cosines, holds none of them."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=9, j0=1)
+    z = quad.nodes_z
+    groups = list(wt._disc_groups(quad, z))
+    aperture_end = 4 * len(quad.bands)
+    chosen = groups[aperture_end - 4:aperture_end] + \
+        groups[aperture_end + 6:aperture_end + 9]
+    assert [radii[0] for _, radii in chosen[4:]] == [2.0 ** -k
+                                                      for k in (7, 8, 9)]
+    for centers, radii in chosen:
+        want = np.abs(z - centers[:, None]) < radii[:, None]
+        np.testing.assert_array_equal(window_members(quad, centers, radii),
+                                      want)
+        kept = {int(quad.cell_band[cells[0, 0]])
+                for _, windows in wt._group_windows(quad, z, centers, radii)
+                for _, cells, _ in windows}
+        skipped = ~np.isin(quad.cell_band, sorted(kept))
+        assert skipped.any()
+        assert not want[:, skipped].any()
+
+
 def test_disc_blocks_split_groups(monkeypatch):
     """Groups larger than one block run in slices of discs: the same
     member sets, and the same M bit for bit."""

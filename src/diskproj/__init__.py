@@ -13,8 +13,7 @@ from .kernels import (KernelSpec, MomentConstruction, check_completely_monotone,
                       kernel_integral, kernel_series, moments_from_phi,
                       shi_ratio)
 from .disk import (Arc, DiskQuadrature, DyadicInterval, Field,
-                   PolarRectangle, build_quadrature, carleson_square,
-                   containing_dyadic)
+                   PolarRectangle, build_quadrature, carleson_square)
 from .operators import (OperatorHandle, PsiProfile, bergman_handle,
                         comparability_constants, dyadic_handle,
                         positive_handle, projection_identity_error)

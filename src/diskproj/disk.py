@@ -156,26 +156,22 @@ class DyadicInterval:
         return Arc((self.index + self.beta) * self.length, self.length)
 
 
-def containing_dyadic(arc: Arc) -> DyadicInterval:
-    """Smallest grid arc (either shift) containing the given arc.
+def containing_dyadics(starts, lengths):
+    """The smallest grid arc (either shift) containing each arc [starts,
+    starts + lengths), as (beta, level, index) arrays; ties go to
+    beta = 0.
 
     Guaranteed to satisfy |K| <= 4 |arc|: at the level with
     2^-l in (2|arc|, 4|arc|] the arc either misses all beta = 0
     boundaries or sits within |arc| of one, in which case the beta = 1/2
-    arc centered at that boundary contains it. Ties go to beta = 0.
-    Arcs shorter than 2^-52 turns, the spacing of double angles near 1,
+    arc centered at that boundary contains it. Arcs longer than 1/4 and
+    arcs shorter than 2^-52 turns, the spacing of double angles near 1,
     raise: a grid level past 52 resolves nothing more.
-    """
-    beta, level, index = containing_dyadics([arc.start], [arc.length])
-    return DyadicInterval(float(beta[0]), int(level[0]), int(index[0]))
 
-
-def containing_dyadics(starts, lengths):
-    """containing_dyadic of the arcs [starts, starts + lengths), as
-    (beta, level, index) arrays: one array pass per level, from the
-    finest level the shortest arc fits down to 0, over the arcs no finer
-    grid arc contains. A grid arc shorter than an arc cannot contain
-    it, so the levels above an arc's own finest one leave it open."""
+    One array pass per level, from the finest level the shortest arc
+    fits down to 0, over the arcs no finer grid arc contains. A grid arc
+    shorter than an arc cannot contain it, so the levels above an arc's
+    own finest one leave it open."""
     starts = np.asarray(starts, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
     if not np.all(np.isfinite(starts)):

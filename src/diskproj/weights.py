@@ -6,29 +6,17 @@ A weight is a positive cell field v. The two characteristics:
   up to a depth cap) of [avg_S v] [avg_S v^(-p'/p)]^(p/p'), averages
   against omega x m. Hoelder makes every square's value >= 1, so the
   sup is >= 1 with no tolerance.
-* B_1: max over nodes of M(v)/v where M is the disc maximal operator
-  over a finite family: the node-centered discs D(a, k(1-|a|)) for
-  k in {1, sqrt(2), 2, 4} at every node a, plus the boundary-touching
-  discs of radius 2^-k centered at (1-2^-k) e^(2 pi i m 2^-k) for
-  k = 1..J and m < 2^k. That is 4 n + 2^(J+1) - 2 discs on n cells
-  (73,742 at J=12, j0=1), all of them at every depth. The family is
-  finite, so M is a lower bound for the true maximal function;
-  divergence under refinement is the out-of-class diagnostic.
-
-M runs on band windows. The family falls into rotation groups, one
-per (center band, k) and one per boundary radius, and every band of
-the quadrature is one radius with uniform arcs. A group skips, before
-any per-disc arithmetic, each band whose radius its discs cannot reach,
-outside [min(|a| - rho), max(|a| + rho)]. A disc meets any other band
-in one cyclic run of arcs, which the law of cosines gives; each disc
-tests only its run, widened by one arc on each side, with the float
-test |z - a| < rho. A disc's cells are then exactly those of a scan of
-every node, and since cell masses are constant within a band its
-average is sum_b mass_b sum(|v| in run b) / sum_b mass_b count(run b).
+* B_1: Bekolle and Bonami's sup over Carleson squares S of
+  avg_S v / inf_S v, on the same squares of both grids at levels
+  0..J: max over cells z of M v(z) / v(z), with M v(z) the max over
+  the squares containing z of avg_S v. The root square holds every
+  cell and carries mass, so at the argmin of v the ratio is >= 1 in
+  exact arithmetic, massless cells included.
 
 The dyadic maximal function takes the max over each cell's squares by
 one pass down the unshifted grid's heap of squares, on either grid
-(disk.SquareIncidence.cell_max), not by a pass over the incidence.
+(disk.SquareIncidence.cell_max), not by a pass over the incidence; B_1
+is the larger of the two grids' passes over v.
 
 Maximal operators and the weak-type verifiers report exact suprema over
 lambda: the map lambda -> lambda * measure({M f > lambda}) is piecewise
@@ -46,7 +34,7 @@ import numpy as np
 
 from .disk import (GRID_SHIFTS, DiskQuadrature, Field, check_integer,
                    conjugate_exponent, finite_table, nonnegative_table,
-                   require_same_quadrature, square_rows)
+                   require_same_quadrature, square_address, square_rows)
 from .errors import ConfigError, InvalidRangeError
 
 
@@ -115,7 +103,7 @@ def dual_weight(v: WeightField, p) -> WeightField:
 @dataclass(frozen=True)
 class CharacteristicReport:
     value: float
-    witness: Optional[tuple]   # (beta, level, index) or node index for B_1
+    witness: Optional[tuple]   # (beta, level, index); B_1 adds the cell
     depth: int
     per_depth: tuple
     skipped: int = 0
@@ -160,134 +148,55 @@ def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
                                 skipped=2 * rows - live)
 
 
-# -- disc maximal operator and B_1 ----------------------------------------------
+# -- dyadic maximal operator and B_1 ------------------------------------------
 
-_APERTURES = (1.0, math.sqrt(2.0), 2.0, 4.0)
-# A band is skipped for a group when its radius lies this far outside
-# the radii the discs reach: float membership can only reach about
-# 1e-12 past them.
-_TANGENT_SLACK = 1e-9
-# Candidate cells tested at once; bounds the memory of one block.
-_BLOCK = 1 << 17
-
-
-def _disc_groups(quad: DiskQuadrature, z):
-    """The disc family as rotation groups of (centers, radii): one group
-    per band and aperture k for the node-centered discs D(a, k(1-|a|)),
-    then one per boundary level k for the discs of radius 2^-k centered
-    at (1-2^-k) e^(2 pi i m 2^-k), m < 2^k."""
-    for band in quad.bands:
-        centers = z[band.start:band.start + band.arc_count]
-        for k in _APERTURES:
-            yield centers, k * (1.0 - np.abs(centers))
-    for k in range(1, quad.J + 1):
-        rho = 2.0 ** -k
-        centers = (1.0 - rho) * np.exp(2j * np.pi * np.arange(1 << k) * rho)
-        yield centers, np.full(1 << k, rho)
-
-
-def _group_windows(quad: DiskQuadrature, z, centers, radii):
-    """Yield (rows, windows) for consecutive slices of a group's discs,
-    about _BLOCK candidates each. windows holds, for each band within
-    the discs' reach, the band's cell mass, the candidate cells of each
-    disc in rows (one row per disc) and which of them lie in the disc,
-    by the float test |z - a| < rho.
-
-    A band whose radius lies outside the reach, [min(|a| - rho),
-    max(|a| + rho)] widened by _TANGENT_SLACK, is skipped before any
-    per-disc arithmetic. The law of cosines gives each disc's run of
-    arcs in any other band; the candidates are that run widened by one
-    arc on each side, at most the whole band, so no row repeats a cell.
-    Rounding moves a run's ends by less than 2e-6 rad, a sixth of the
-    narrowest arc that the cell budget allows, so every cell that
-    passes the test is a candidate.
-    """
-    R = np.abs(centers)
-    turns = np.angle(centers) / (2.0 * np.pi)
-    # a disc meets radii in [|a| - rho, |a| + rho] only
-    reach_lo = float(np.min(R - radii)) - _TANGENT_SLACK
-    reach_hi = float(np.max(R + radii)) + _TANGENT_SLACK
-    runs = []
-    for band in quad.bands:
-        r, n = quad.nodes_r[band.start], band.arc_count
-        if not reach_lo <= r <= reach_hi:
-            continue
-        cos = (r * r + R * R - radii * radii) / (2.0 * r * R)
-        # node k sits at turn (k + 1/2)/n; arcs within half of mid are in
-        half = np.arccos(np.clip(cos, -1.0, 1.0)) * (n / (2.0 * np.pi))
-        mid = turns * n - 0.5
-        lo = np.floor(mid - half).astype(np.int64)
-        width = min(int(np.max(np.ceil(mid + half) - lo)) + 1, n)
-        runs.append((band, lo, np.arange(width)))
-    step = max(1, _BLOCK // sum(span.size for _, _, span in runs))
-    for first in range(0, centers.size, step):
-        rows = slice(first, first + step)
-        windows = []
-        for band, lo, span in runs:
-            cells = band.start + (lo[rows, None] + span) % band.arc_count
-            inside = np.abs(z[cells] - centers[rows, None]) < radii[rows, None]
-            windows.append((quad.masses[band.start], cells, inside))
-        yield rows, windows
-
-
-def disc_maximal_field(quad: DiskQuadrature, values):
-    """M(v) at every node: max over family discs containing the node of
-    the omega x m average of |values| over the disc's cells; discs
-    without positive mass are skipped. values must be finite, one per
-    cell."""
-    values = np.asarray(values)
-    if values.shape != (quad.size,) or not np.all(np.isfinite(values)):
-        raise InvalidRangeError(
-            f"disc maximal values must be finite, shape ({quad.size},)")
-    av = np.abs(values)
-    z = quad.nodes_z
-    out = np.zeros(quad.size)
-    for centers, radii in _disc_groups(quad, z):
-        for _, windows in _group_windows(quad, z, centers, radii):
-            num = den = 0.0
-            # cell masses are constant within a band
-            for mass, cells, inside in windows:
-                num = num + mass * np.where(inside, av[cells], 0.0).sum(axis=1)
-                den = den + mass * np.count_nonzero(inside, axis=1)
-            # a massless disc averages to 0, which leaves out >= 0 as it is
-            avg = np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
-            members = np.concatenate(
-                [cells[inside] for _, cells, inside in windows])
-            member_avg = np.concatenate(
-                [np.broadcast_to(avg[:, None], inside.shape)[inside]
-                 for _, _, inside in windows])
-            np.maximum.at(out, members, member_avg)
-    return out
-
-
-def b1_characteristic(v: WeightField) -> CharacteristicReport:
-    """max over nodes of M(v)/v; >= 1 because some family disc covers
-    the whole disk, so at the argmin of v the average beats the value."""
-    m = disc_maximal_field(v.quad, v.values)
-    ratio = m / v.values
-    k = int(np.argmax(ratio))
-    return CharacteristicReport(value=float(ratio[k]), witness=k,
-                                depth=v.quad.J, per_depth=(float(ratio[k]),))
-
-
-# -- dyadic maximal operator -----------------------------------------------------
-
-def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values):
-    """M f(z) = max over grid squares S containing z of the nu-average
-    of |f| over S at levels 0..J: the square sums in one product (nu(S)
-    read from the incidence when nu is the cell masses), then the max
-    over each cell's squares by one pass down the unshifted heap
-    (SquareIncidence.cell_max)."""
-    nu = nonnegative_table(nu_masses, (quad.size,), "nu_masses")
-    nu_f = nu * np.abs(finite_table(f_values, (quad.size,), "f"))
+def _square_averages(quad: DiskQuadrature, nu, beta, f_abs):
+    """(incidence of grid beta, the nu-average of f_abs on each of its
+    squares): the square sums in one product, nu(S) read from the
+    incidence when nu is the cell masses; 0 on massless squares."""
     inc = quad.incidence(beta)
+    nu_f = nu * f_abs
     if nu is quad.masses:
         den, num = inc.masses, inc.S @ nu_f
     else:
         den, num = (inc.S @ np.column_stack((nu, nu_f))).T
-    # 0 on massless squares; every cell lies in the level-0 square
-    avg = np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
+    return inc, np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
+
+
+def dyadic_maximal(quad: DiskQuadrature, nu_masses, beta, f_values):
+    """M f(z) = max over grid squares S containing z of the nu-average
+    of |f| over S at levels 0..J: the square averages, then the max over
+    each cell's squares by one pass down the unshifted heap
+    (SquareIncidence.cell_max)."""
+    nu = nonnegative_table(nu_masses, (quad.size,), "nu_masses")
+    f_abs = np.abs(finite_table(f_values, (quad.size,), "f"))
+    inc, avg = _square_averages(quad, nu, beta, f_abs)
+    # every cell lies in the level-0 square
     return inc.cell_max(avg)
+
+
+def b1_characteristic(v: WeightField) -> CharacteristicReport:
+    """max over cells z of max_S avg_S v / v(z), S over the squares of
+    both grids that contain z: the two grids' dyadic maximal functions
+    of v over v. The witness is the argmax cell and, on the grid of the
+    larger maximal value there (beta = 0 on a tie), the first square of
+    the cell's row of St, coarsest first, whose average is that value."""
+    quad = v.quad
+    averages = {beta: _square_averages(quad, quad.masses, beta, v.values)
+                for beta in GRID_SHIFTS}
+    maximal = {beta: inc.cell_max(avg)
+               for beta, (inc, avg) in averages.items()}
+    ratio = np.maximum.reduce(list(maximal.values())) / v.values
+    cell = int(np.argmax(ratio))
+    # max keeps the first of equal values: beta = 0 on a tie
+    beta = max(GRID_SHIFTS, key=lambda shift: maximal[shift][cell])
+    inc, avg = averages[beta]
+    rows = inc.St.indices[inc.St.indptr[cell]:inc.St.indptr[cell + 1]]
+    level, index = square_address(int(rows[np.argmax(avg[rows])]))
+    value = float(ratio[cell])
+    return CharacteristicReport(value=value,
+                                witness=(beta, int(level), int(index), cell),
+                                depth=quad.J, per_depth=(value,))
 
 
 def _exact_weak_sup(values, measure_weights):

@@ -4,7 +4,10 @@ before the square-by-cell incidence matrices replaced them. Each level's
 member cells and arc indices come from the node radii and arc_index,
 not from the incidence. The maximal functions' oracle is the route the
 heap pass replaced: one maximum.reduceat over the entries of St, each
-cell's squares level by level."""
+cell's squares level by level. The containing-arc search has its
+scalar oracle too: containing_dyadic, one arc at a time."""
+
+import math
 
 import numpy as np
 
@@ -63,3 +66,18 @@ def dyadic_maximal(quad, nu, beta, f_values):
         quad, beta, np.column_stack((nu, nu * np.abs(f_values)))).T
     avg = np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
     return row_max(quad, beta, avg)
+
+
+def containing_dyadic(arc):
+    """The smallest grid arc containing arc, one arc at a time: from the
+    arc's finest level down, beta = 0 first, the first grid arc that
+    holds it."""
+    top = int(math.floor(math.log2(1.0 / arc.length)))
+    for level in range(top, -1, -1):
+        width = 2.0 ** -level
+        for beta in dk.GRID_SHIFTS:
+            m = int(dk.arc_index(beta, level, arc.start))
+            start = (m + beta) * width
+            if (arc.start - start) % 1.0 + arc.length <= width:
+                return dk.DyadicInterval(beta, level, m)
+    raise AssertionError("unreachable")

@@ -4,8 +4,8 @@ Mass oracles: with omega = Lebesgue the quadrature total is exactly
 (1 - 2^-(J+1))^2 (it integrates 2 r dr over the truncated disk), so
 J = 1 gives 9/16. Containment minimality is checked by brute-force
 scan of every grid arc one level finer than the returned one, and the
-array search containing_dyadics against the arc-at-a-time loop it
-replaced.
+array search containing_dyadics against the arc-at-a-time loop of
+tests/dyadic_oracle.py.
 """
 
 import math
@@ -17,7 +17,7 @@ from diskproj import disk as dk
 from diskproj import measures as ms
 from diskproj.errors import (BudgetExceededError, InvalidRangeError,
                              QuadratureMismatchError)
-from dyadic_oracle import level_sums
+from dyadic_oracle import containing_dyadic, level_sums
 
 
 def test_arc_wraps_and_contains():
@@ -69,43 +69,30 @@ def test_dyadic_children_nest_only_unshifted():
 
 def test_containing_dyadic_bound_and_minimality():
     rng = np.random.default_rng(3)
-    for _ in range(2000):
-        length = float(rng.uniform(1e-6, 0.25))
-        arc = dk.Arc(float(rng.random()), length)
-        K = dk.containing_dyadic(arc)
+    arcs = [dk.Arc(float(rng.random()), float(rng.uniform(1e-6, 0.25)))
+            for _ in range(2000)]
+    beta, level, index = dk.containing_dyadics(
+        [a.start for a in arcs], [a.length for a in arcs])
+    for arc, b, lv, i in zip(arcs, beta, level, index):
+        K = dk.DyadicInterval(float(b), int(lv), int(i))
         # containment and the factor-4 bound
         offset = (arc.start - K.arc.start) % 1.0
         assert offset + arc.length <= K.length * (1.0 + 1e-12)
         assert K.length <= 4.0 * arc.length
         # minimality: no arc of either grid one level finer contains it
         finer = K.level + 1
-        for beta in (0.0, 0.5):
-            m = int(dk.arc_index(beta, finer, arc.start))
-            start = (m + beta) * 2.0 ** -finer
+        for shift in (0.0, 0.5):
+            m = int(dk.arc_index(shift, finer, arc.start))
+            start = (m + shift) * 2.0 ** -finer
             assert (arc.start - start) % 1.0 + arc.length > 2.0 ** -finer
     with pytest.raises(InvalidRangeError):
-        dk.containing_dyadic(dk.Arc(0.0, 0.3))
+        dk.containing_dyadics([0.0], [0.3])
     # the finest level a double angle resolves is 52; shorter arcs raise
     # instead of overflowing the arc index
-    assert dk.containing_dyadic(dk.Arc(0.75, 2.0 ** -52)).level == 52
+    assert dk.containing_dyadics([0.75], [2.0 ** -52])[1].tolist() == [52]
     for length in (2.0 ** -53, 1e-300, 5e-324):
         with pytest.raises(InvalidRangeError):
-            dk.containing_dyadic(dk.Arc(0.3, length))
-
-
-def containing_dyadic_loop(arc):
-    """The arc-at-a-time search containing_dyadics replaces: from the
-    arc's finest level down, beta = 0 first, the first grid arc that
-    holds it."""
-    top = int(math.floor(math.log2(1.0 / arc.length)))
-    for level in range(top, -1, -1):
-        width = 2.0 ** -level
-        for beta in dk.GRID_SHIFTS:
-            m = int(dk.arc_index(beta, level, arc.start))
-            start = (m + beta) * width
-            if (arc.start - start) % 1.0 + arc.length <= width:
-                return dk.DyadicInterval(beta, level, m)
-    raise AssertionError("unreachable")
+            dk.containing_dyadics([0.3], [length])
 
 
 def test_containing_dyadics_match_the_loop():
@@ -126,8 +113,7 @@ def test_containing_dyadics_match_the_loop():
         [a.start for a in arcs], [a.length for a in arcs])
     got = [dk.DyadicInterval(float(b), int(lv), int(m))
            for b, lv, m in zip(beta, level, index)]
-    assert got == [containing_dyadic_loop(a) for a in arcs]
-    assert [dk.containing_dyadic(a) for a in arcs[:200]] == got[:200]
+    assert got == [containing_dyadic(a) for a in arcs]
     for bad in (0.3, 2.0 ** -53, math.nan):
         with pytest.raises(InvalidRangeError):
             dk.containing_dyadics([0.1, 0.2], [0.1, bad])

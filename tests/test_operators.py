@@ -519,10 +519,6 @@ BAD_DYADIC_INPUTS = {
         q, -q.masses, 0.0, dk.Field.constant(q, 1.0)),
     "maximal-nu-short": lambda q: wt.weak11_maximal_check(
         q, q.masses[:-1], 0.5, dk.Field.constant(q, 1.0)),
-    "disc-maximal-nan": lambda q: wt.disc_maximal_field(
-        q, np.full(q.size, np.nan)),
-    "disc-maximal-short": lambda q: wt.disc_maximal_field(
-        q, np.ones(q.size - 1)),
 }
 
 

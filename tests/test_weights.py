@@ -6,7 +6,8 @@ functions of v over v: it is pinned bit for bit against the per-level
 oracle of tests/dyadic_oracle.py at J = 1..8, j0 = 0..2, and its
 witness square against that square's own level sums. The disc family
 that B_1 used to run over is kept here as an oracle (disc_family and
-its node scan): the grid value over the disc value stays in a band.
+its node scan, checked against a scan one disc at a time at J = 5 and
+10): the grid value over the disc value stays in a band.
 The exact weak-type supremum has a three-point hand oracle: values
 (3, 2, 1) with measures accumulating (0.5, 0.75, 1.75) give
 sup lambda mu({v > lambda}) = 1.75, attained just below the smallest
@@ -67,6 +68,25 @@ def scan_disc_maximal(quad, values, discs):
         for k in range(av.shape[1]):
             np.maximum(out[:, k], np.where(inside, avg[:, k, None],
                                            0.0).max(axis=0), out=out[:, k])
+    return out
+
+
+def disc_maximal_at(quad, values, discs, nodes):
+    """The disc maximal function of one field at the given nodes, one
+    disc at a time: the scan that scan_disc_maximal blocks."""
+    z = quad.nodes_z
+    av = np.abs(values)
+    out = np.zeros(len(nodes))
+    for a, rho in discs:
+        hit = np.abs(z[nodes] - a) < rho
+        if not hit.any():
+            continue
+        mask = np.abs(z - a) < rho
+        m = quad.masses[mask]
+        total = m.sum()
+        if total > 0.0:
+            out[hit] = np.maximum(out[hit],
+                                  float(np.sum(av[mask] * m) / total))
     return out
 
 
@@ -233,6 +253,37 @@ def test_b1_on_massless_bands():
                                                 v.values) > 0.0)
             value = wt.b1_characteristic(v).value
             assert math.isfinite(value) and value >= 1.0
+
+
+def test_disc_maximal_consistency(leb_quad5):
+    """The disc-family oracle, blocked and several fields at once, is
+    bounded by the field's max, is 1 on v = 1, and matches the scan one
+    disc at a time at sampled nodes."""
+    quad = leb_quad5
+    rng = np.random.default_rng(4)
+    f = rng.uniform(0.5, 2.0, size=quad.size)
+    discs = disc_family(quad)
+    field = scan_disc_maximal(quad, np.column_stack([f, np.ones(quad.size)]),
+                              discs)
+    assert np.all(field[:, 0] <= f.max() + 1e-12)
+    nodes = np.array([0, 37, quad.size - 1])
+    want = disc_maximal_at(quad, f, discs, nodes)
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(field[nodes, 0], want, rtol=1e-13)
+    np.testing.assert_allclose(field[:, 1], 1.0, rtol=1e-14)
+
+
+def test_disc_maximal_at_depth_10_sampled_nodes():
+    """At J = 10, past the ratio-band sweep: the blocked oracle against
+    the scan one disc at a time at six sampled nodes."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=10, j0=1)
+    rng = np.random.default_rng(10)
+    f = rng.pareto(1.0, quad.size)
+    nodes = rng.choice(quad.size, 6, replace=False)
+    discs = disc_family(quad)
+    got = scan_disc_maximal(quad, f, discs)[nodes, 0]
+    np.testing.assert_allclose(got, disc_maximal_at(quad, f, discs, nodes),
+                               rtol=1e-13)
 
 
 def test_dyadic_maximal_brute_force(quad3):

@@ -317,7 +317,7 @@ def run_czd(cfg: ExperimentConfig):
         disjoint_ok &= np.array_equal(np.sort(seen), np.nonzero(rmask)[0])
         max_identity = max(max_identity, float(np.max(np.abs(
             dec.g.values + dec.b.values - vals * rmask))))
-        for q_rect, cells in zip(dec.selected, dec.selected_cells):
+        for cells in dec.selected_cells:
             m = quad.masses[cells]
             avg = float(np.sum(np.abs(vals[cells]) * m) / m.sum())
             selection_ok &= avg >= lam

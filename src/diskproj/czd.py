@@ -26,16 +26,32 @@ half of it, where its node sits). So the selected rectangles come level
 by level, the region first if it is selected; f_cells and each entry of
 selected_cells are sorted.
 
+The selection is kept as arrays. Each level appends the key of each
+selected cell, its level t packed above the rectangle key, and the cell;
+after the pass one stable argsort orders the cells by rectangle, the
+boundaries of the ordered array cut it into selected_cells, and the
+keys at the boundaries give each rectangle's (level, band, index).
+CZDecomposition.selected builds the PolarRectangles from those arrays
+on first read, so a caller that reads only cells builds none.
+
 The good part g equals f off the selected squares and the signed
 average of f on each, formed one size class of selected rectangles at a
-time, in floating point also for an integer f; b = f - g is supported
-on the selection and has exactly zero mean on each selected square.
+time, in floating point also for an integer f, each class's cells
+gathered from the ordered array as one (rectangles, size) index; b =
+f - g is supported on the selection and has exactly zero mean on each
+selected square.
+
+Omega', the union of the doubled circumscribed discs of the selection,
+is marked from the same arrays: circumscribed_discs forms every center
+and radius in one array pass, bit for bit those of circumscribed_disc,
+the scalar form kept for a single rectangle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List
 
 import numpy as np
@@ -50,9 +66,18 @@ from .weights import WeightField, b1_characteristic
 
 @dataclass(eq=False)
 class CZDecomposition:
+    """The selection as arrays, one entry per selected rectangle below the
+    region: levels (t), bands (band == t for the Carleson square over the
+    level-t arc, else annulus band's top rectangle over it) and indices
+    (the arc index at level t, on the unshifted grid). They are empty
+    when the region itself is selected; selected builds the rectangles
+    on first read."""
+
     region: PolarRectangle
     threshold: float
-    selected: List[PolarRectangle]
+    levels: np.ndarray
+    bands: np.ndarray
+    indices: np.ndarray
     selected_cells: List[np.ndarray]
     f_cells: np.ndarray            # unselected-cell indices (the set F)
     g: Field
@@ -60,6 +85,15 @@ class CZDecomposition:
     parent_constant: float         # measured max omega(parent)/omega(Q_k)
     unresolved: int                # floor cells in F with |f| > lambda
     root_selected: bool
+
+    @cached_property
+    def selected(self) -> List[PolarRectangle]:
+        """The selected rectangles, built on first read: [region] when
+        the region is selected."""
+        if self.root_selected:
+            return [self.region]
+        return list(map(_rectangle, self.levels.tolist(), self.bands.tolist(),
+                        self.indices.tolist()))
 
 
 def _grid_square(quad, region: PolarRectangle):
@@ -110,20 +144,20 @@ def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
             f"threshold {lam} must exceed ||f||_1 = {norm1}")
     beta, level, m = _grid_square(quad, region)
 
-    selected, selected_cells = [], []
+    sel_keys, sel_cells = [], []
     f_parts = []
     unresolved = 0
     parent_ratio = 1.0
     root_selected = False
 
     cells = quad.incidence(beta).cells(square_row(level, m)).astype(np.int64)
+    ordered = cells[:0]                    # the selected cells, by rectangle
     mass = float(quad.masses[cells].sum())
     if mass <= 0.0:
         f_parts.append(cells)
         cells = cells[:0]
     elif float(np.sum(np.abs(vals[cells]) * quad.masses[cells])) >= lam * mass:
-        selected.append(region)
-        selected_cells.append(cells)
+        ordered = cells
         root_selected = True
         cells = cells[:0]
 
@@ -134,7 +168,10 @@ def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
     cell_int = np.abs(vals[cells]) * cell_mass
     parent = np.full(cells.size, mass)
     # annulus J's cells are single at level J + j0, or at J + 1 when j0 = 0
-    for t in range(level + 1, quad.J + max(j0, 1) + 1):
+    top = quad.J + max(j0, 1)
+    # a level-t key is below (J + 1) << t: the level packs above bit width
+    width = top + quad.J.bit_length()
+    for t in range(level + 1, top + 1):
         if not cells.size:
             break
         # rectangle key (J - band) << t | arc index, band = min(j, t)
@@ -149,14 +186,8 @@ def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
         if sel.any():
             parent_ratio = max(parent_ratio,
                                float(np.max(parent[sel] / mass[sel])))
-            order = np.argsort(key[sel], kind="stable")
-            sel_keys, sel_cells = key[sel][order], cells[sel][order]
-            rect_keys, starts = np.unique(sel_keys, return_index=True)
-            for k, group in zip(rect_keys.tolist(),
-                                np.split(sel_cells, starts[1:])):
-                offset, index = divmod(k, 1 << t)
-                selected.append(_rectangle(t, quad.J - offset, index))
-                selected_cells.append(group)
+            sel_keys.append((t << width) | key[sel])
+            sel_cells.append(cells[sel])
         unresolved += int(np.count_nonzero(
             single & (mass > 0.0) & (np.abs(vals[cells]) > lam)))
         f_parts.append(cells[done & ~sel])
@@ -164,6 +195,21 @@ def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
         cells, j, node = cells[keep], j[keep], node[keep]
         cell_mass, cell_int, parent = (cell_mass[keep], cell_int[keep],
                                        mass[keep])
+
+    # each rectangle's cells start at starts: the region alone, or nothing
+    starts = np.zeros(min(ordered.size, 1), dtype=np.intp)
+    levels = bands = indices = starts[:0]
+    if sel_keys:
+        # by level, then rectangle key; a stable sort keeps each
+        # rectangle's cells in cell order
+        keys = np.concatenate(sel_keys)
+        order = np.argsort(keys, kind="stable")
+        keys, ordered = keys[order], np.concatenate(sel_cells)[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        levels, rect = np.divmod(keys[starts], 1 << width)
+        offsets, indices = np.divmod(rect, np.left_shift(1, levels))
+        bands = quad.J - offsets
+    sizes = np.diff(starts, append=ordered.size)
 
     f_idx = (np.sort(np.concatenate(f_parts)) if f_parts
              else np.array([], dtype=np.int64))
@@ -173,16 +219,17 @@ def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
     b_vals = np.zeros(quad.size, dtype=dtype)
     g_vals[f_idx] = vals[f_idx]
     # the selected rectangles' averages, one size class at a time
-    sizes = np.array([cells.size for cells in selected_cells], dtype=np.intp)
     for size in np.unique(sizes):
-        idx = np.stack([selected_cells[k]
-                        for k in np.flatnonzero(sizes == size)])
+        idx = ordered[starts[sizes == size][:, None] + np.arange(size)]
         m = quad.masses[idx]
         avg = (np.sum(vals[idx] * m, axis=1) / m.sum(axis=1))[:, None]
         g_vals[idx] = avg
         b_vals[idx] = vals[idx] - avg
-    return CZDecomposition(region=region, threshold=lam, selected=selected,
-                           selected_cells=selected_cells, f_cells=f_idx,
+    return CZDecomposition(region=region, threshold=lam, levels=levels,
+                           bands=bands, indices=indices,
+                           selected_cells=(np.split(ordered, starts[1:])
+                                           if starts.size else []),
+                           f_cells=f_idx,
                            g=Field(quad, g_vals), b=Field(quad, b_vals),
                            parent_constant=parent_ratio,
                            unresolved=unresolved,
@@ -205,6 +252,44 @@ def circumscribed_disc(q: PolarRectangle):
             corners.append(r * np.exp(2j * np.pi * (q.arc.start + dt)))
     radius = max(abs(c - center) for c in corners)
     return complex(center), float(radius)
+
+
+def circumscribed_discs(dec: CZDecomposition):
+    """(centers, radii) of circumscribed_disc for every selected rectangle
+    of dec, in selection order, by one array pass over the selection
+    arrays. Each step is the scalar one's on the same doubles, and the
+    radius takes the hypot that abs of a complex scalar takes, so both
+    are bit for bit the scalar ones."""
+    if dec.root_selected:
+        q = dec.region
+        start, length, h, h_prime = (np.array([x]) for x in (
+            q.arc.start, q.arc.length, q.h, q.h_prime))
+    else:
+        length = np.ldexp(1.0, -dec.levels)
+        start = dec.indices * length
+        h = np.ldexp(1.0, -dec.bands)
+        h_prime = np.where(dec.bands == dec.levels, 0.0, h / 2.0)
+    r_lo, r_hi = 1.0 - h, 1.0 - h_prime
+    t_mid = (start + length / 2.0) % 1.0
+    centers = 0.5 * (r_lo + r_hi) * np.exp(2j * np.pi * t_mid)
+    radii = np.zeros(centers.shape)
+    for r in (r_lo, r_hi):
+        for dt in (0.0, length):
+            d = r * np.exp(2j * np.pi * (start + dt)) - centers
+            np.maximum(radii, np.hypot(d.real, d.imag), out=radii)
+    return centers, radii
+
+
+def _doubled_disc_cells(quad, centers, radii, block=1 << 18):
+    """The cells whose nodes lie in a disc of twice one of the radii, the
+    discs taken in blocks of about `block` node-disc pairs."""
+    z = quad.nodes_z
+    inside = np.zeros(quad.size, dtype=bool)
+    step = max(1, block // quad.size)
+    for lo in range(0, centers.size, step):
+        c, r = centers[lo:lo + step, None], radii[lo:lo + step, None]
+        inside |= np.any(np.abs(z - c) < 2.0 * r, axis=0)
+    return inside
 
 
 @dataclass(frozen=True)
@@ -238,10 +323,7 @@ def cz_reconstruct_weak11_bound(spec: KernelSpec, v: WeightField, f: Field,
     g_sq = float(np.sum(np.abs(dec.g.values) ** 2 * vmass))
     good_ratio = g_sq / (lam * b1 * norm1v)
 
-    omega_prime = np.zeros(quad.size, dtype=bool)
-    for q in dec.selected:
-        center, radius = circumscribed_disc(q)
-        omega_prime |= np.abs(quad.nodes_z - center) < 2.0 * radius
+    omega_prime = _doubled_disc_cells(quad, *circumscribed_discs(dec))
 
     handle = bergman_handle(spec, quad)
     pb = np.abs(handle.apply(dec.b.values))
@@ -253,5 +335,5 @@ def cz_reconstruct_weak11_bound(spec: KernelSpec, v: WeightField, f: Field,
 
     return CZWeakReport(good_part_ratio=good_ratio, bad_tail_ratio=bad_ratio,
                         omega_prime_ratio=prime_ratio, b1_value=b1,
-                        selected_count=len(dec.selected),
+                        selected_count=len(dec.selected_cells),
                         unresolved=dec.unresolved)

@@ -5,9 +5,10 @@ of operators.py: levels 0..J, mu the cell masses, each mu(S) cached on
 the grid's square-by-cell incidence matrix S (disk.py), and the
 operator's square_kernel = tau / mu(S), its kernel's value on each
 square, divided once when it is built. Every square sum they need is
-one product S @ V over all levels, for all the fields at once, and the
-stopped sum of the linearization one product with the transpose; each
-costs one pass over nnz = about cells x levels entries.
+one single-vector product S @ c over all levels per field
+(SquareIncidence.sums), and the stopped sum of the linearization one
+product with the transpose; each costs one pass over nnz = about
+cells x levels entries.
 A square is addressed by its row of S; (level, index) pairs appear only
 in what this module returns, and come from one table of tuples over
 the rows to disk.MAX_DEPTH, built once per process on first use, so
@@ -130,10 +131,9 @@ def stopping_family(f: Field, sigma: WeightField, s0: DyadicInterval
     sm_cell = sigma.values * quad.masses
     f_abs = np.abs(finite_table(f.values, (quad.size,), "f"))
     # sigma mu and the average of |f| on every square, by incidence row
-    sums, sm_f = (quad.incidence(0.0).S @ np.column_stack(
-        (sm_cell, f_abs * sm_cell))).T
-    # in place, sharing the product's buffer with sums: sm_f is already
-    # 0 on the massless squares, where the average is 0
+    sums, sm_f = quad.incidence(0.0).sums(sm_cell, f_abs * sm_cell)
+    # in place into sm_f's own product: it is already 0 on the massless
+    # squares, where the average is 0
     averages = np.divide(sm_f, sums, out=sm_f, where=sums > 0.0)
 
     root = square_row(s0.level, s0.index)
@@ -222,7 +222,7 @@ def _testing_sup(T, source_vals, target_vals, p, depth):
     top = min(quad.J, depth)
     inc = quad.incidence(0.0)
     s_mu, t_mu = source_vals * quad.masses, target_vals * quad.masses
-    s_sq, t_sq = (inc.S @ np.column_stack((s_mu, t_mu))).T
+    s_sq, t_sq = inc.sums(s_mu, t_mu)
     # top-down: A and W at every level to the depth
     A, W = [np.zeros(1)], [np.zeros(1)]
     for lev in range(top):
@@ -326,8 +326,8 @@ def split_by_criterion(f: Field, g: Field, sigma: WeightField,
     sig_mu, u_mu = sigma.values * mu, u.values * mu
     inc = quad.incidence(0.0)
     rows = slice(0, square_rows(min(depth, quad.J)).stop)
-    msig, m_u, f_sig, g_u = (inc.S @ np.column_stack(
-        (sig_mu, u_mu, fv * sig_mu, gv * u_mu)))[rows].T
+    msig, m_u, f_sig, g_u = (col[rows] for col in inc.sums(
+        sig_mu, u_mu, fv * sig_mu, gv * u_mu))
     e_f = np.divide(f_sig, msig, out=np.zeros(msig.shape), where=msig > 0.0)
     e_g = np.divide(g_u, m_u, out=np.zeros(m_u.shape), where=m_u > 0.0)
     # massless squares are skipped, and every square past J is massless

@@ -111,23 +111,23 @@ class CharacteristicReport:
 
 def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
     """B_p over both grids to the given depth: each grid's square sums of
-    v mu and v^(-p'/p) mu in one product, then the levels in order, the
-    grids in GRID_SHIFTS order within a level. The witness is the first
-    square of the largest value; squares without mass are skipped."""
+    v mu and v^(-p'/p) mu (SquareIncidence.sums), then the levels in
+    order, the grids in GRID_SHIFTS order within a level. The witness is
+    the first square of the largest value; squares without mass are
+    skipped."""
     pprime = conjugate_exponent(p)
     check_integer(depth, "depth")
     quad = v.quad
     mass = quad.masses
-    fields = np.column_stack((mass * v.values,
-                              mass * np.power(v.values, -pprime / p)))
+    v_mu, w_mu = mass * v.values, mass * np.power(v.values, -pprime / p)
     grids = []
     for beta in GRID_SHIFTS:
         inc = quad.incidence(beta)
-        num = inc.S @ fields
+        num_v, num_w = inc.sums(v_mu, w_mu)
         den = inc.masses
         ok = den > 0.0
         vals = np.full(den.shape, -math.inf)
-        vals[ok] = (num[ok, 0] / den[ok]) * (num[ok, 1] / den[ok]) ** (
+        vals[ok] = (num_v[ok] / den[ok]) * (num_w[ok] / den[ok]) ** (
             p / pprime)
         grids.append((beta, vals))
     best, witness = 0.0, None
@@ -152,14 +152,15 @@ def bp_characteristic(v: WeightField, p, depth) -> CharacteristicReport:
 
 def _square_averages(quad: DiskQuadrature, nu, beta, f_abs):
     """(incidence of grid beta, the nu-average of f_abs on each of its
-    squares): the square sums in one product, nu(S) read from the
-    incidence when nu is the cell masses; 0 on massless squares."""
+    squares): the square sums of nu f_abs, and of nu unless nu is the
+    cell masses, whose nu(S) the incidence keeps, by one single-vector
+    product each (SquareIncidence.sums); 0 on massless squares."""
     inc = quad.incidence(beta)
     nu_f = nu * f_abs
     if nu is quad.masses:
         den, num = inc.masses, inc.S @ nu_f
     else:
-        den, num = (inc.S @ np.column_stack((nu, nu_f))).T
+        den, num = inc.sums(nu, nu_f)
     return inc, np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
 
 

@@ -18,8 +18,13 @@ always selected outright because its average equals its value.
 
 The level pass is pinned against walk_decompose, the stack walk it
 replaced: one PolarRectangle per visited region, split by cz_children
-below, and float node membership per child. The pass is checked on every grid square of depths J = 1..7,
-angular refinements j0 = 0..2 and both grid shifts.
+below, and float node membership per child. The pass is checked on
+every grid square of depths J = 1..7, angular refinements j0 = 0..2 and
+both grid shifts, and at J = 10 and 12 on three Pareto fields per grid
+shift, where each lazily built selected rectangle's node mask is also
+its cells. The array discs of the selection (circumscribed_discs) and
+Omega' from them are pinned bit for bit to circumscribed_disc, one
+rectangle at a time.
 """
 
 import functools
@@ -324,8 +329,13 @@ def test_level_pass_matches_stack_walk(J, j0, beta, omega, seed, data):
     f = dk.Field(quad, vals)
 
     dec = czd.cz_decompose(f, lam, region)
+    assert_matches_walk(dec, walk_decompose(f, lam, region),
+                        exact_parent=omega == "lebesgue")
+
+
+def assert_matches_walk(dec, walk, exact_parent=True):
     (selected, selected_cells, f_cells, g, b, parent_constant, unresolved,
-     root_selected) = walk_decompose(f, lam, region)
+     root_selected) = walk
 
     def by_rectangle(rects, cell_lists):
         return {q: tuple(c.tolist()) for q, c in zip(rects, cell_lists)}
@@ -336,11 +346,58 @@ def test_level_pass_matches_stack_walk(J, j0, beta, omega, seed, data):
     np.testing.assert_array_equal(dec.f_cells, f_cells)
     assert (dec.unresolved, dec.root_selected) == (unresolved, root_selected)
     assert np.array_equal(dec.g.values, g) and np.array_equal(dec.b.values, b)
-    if omega == "lebesgue":
+    if exact_parent:
         assert dec.parent_constant == parent_constant
     else:
         assert dec.parent_constant == pytest.approx(parent_constant,
                                                     rel=1e-13)
+
+
+@pytest.mark.parametrize("beta", dk.GRID_SHIFTS)
+@pytest.mark.parametrize("J", [10, 12])
+def test_level_pass_matches_stack_walk_at_depth(J, beta):
+    quad = quadrature("lebesgue", J, 1)
+    for seed in range(3):
+        rng = np.random.default_rng(1000 * J + seed + int(2 * beta))
+        region = dk.carleson_square(
+            dk.DyadicInterval(beta, 1, int(rng.integers(2))))
+        vals = rng.pareto(1.5, quad.size) * rng.choice([-1.0, 1.0],
+                                                       quad.size)
+        lam = float(np.sum(np.abs(vals) * quad.masses)) * \
+            rng.uniform(1.05, 6.0)
+        f = dk.Field(quad, vals)
+        dec = czd.cz_decompose(f, lam, region)
+        assert dec.selected_cells
+        assert_matches_walk(dec, walk_decompose(f, lam, region))
+        for q, cells in zip(dec.selected, dec.selected_cells):
+            np.testing.assert_array_equal(
+                np.flatnonzero(quad.node_mask(q)), cells)
+
+
+def test_selection_discs_match_the_scalar_disc():
+    """circumscribed_discs equals circumscribed_disc on every selected
+    rectangle bit for bit, for the region alone too, and Omega' marked
+    in blocks equals the union of the doubled discs one at a time."""
+    quad = quadrature("lebesgue", 8, 1)
+    rng = np.random.default_rng(8)
+    vals = rng.pareto(1.5, quad.size)
+    norm1 = float(np.sum(vals * quad.masses))
+    decs = [czd.cz_decompose(dk.Field(quad, vals), norm1 * factor,
+                             dk.carleson_square(dk.DyadicInterval(*address)))
+            for factor in (1.05, 3.0, 20.0)
+            for address in ((0.0, 1, 0), (0.5, 1, 1), (0.5, 3, 7))]
+    assert any(dec.root_selected for dec in decs)
+    for dec in decs:
+        centers, radii = czd.circumscribed_discs(dec)
+        scalar = [czd.circumscribed_disc(q) for q in dec.selected]
+        assert centers.tolist() == [c for c, _ in scalar]
+        assert radii.tolist() == [r for _, r in scalar]
+        omega_prime = np.zeros(quad.size, dtype=bool)
+        for center, radius in scalar:
+            omega_prime |= np.abs(quad.nodes_z - center) < 2.0 * radius
+        for block in (1, 1000, 1 << 18):
+            np.testing.assert_array_equal(czd._doubled_disc_cells(
+                quad, centers, radii, block), omega_prime)
 
 
 def test_cz_region_must_be_a_grid_square():

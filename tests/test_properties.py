@@ -27,13 +27,16 @@ grid's square-by-cell incidence matrix S and its transpose give the
 per-level bincount and gather of dyadic_oracle bit for bit, at J = 1..8,
 on fields with zeros and on a measure with massless bands. So do the
 heap passes of the dyadic maximal function, on both grids, and of the
-linearization's maximal bound, against the max over St's rows.
+linearization's maximal bound, against the max over St's rows, and
+SquareIncidence.sums, one single-vector product per column, against
+both the oracle and the product with the stacked columns.
 """
 
 import functools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diskproj import disk as dk
@@ -286,3 +289,26 @@ def test_heap_maximal_matches_row_max(name, J, j0, beta, zero_share, seed):
             rhs, (4.0 / 3.0) * row_max(quad, 0.0, fam.averages))
         np.testing.assert_array_equal(rhs, (4.0 / 3.0) * dyadic_maximal(
             quad, sigma.values * quad.masses, 0.0, f))
+
+
+@pytest.mark.parametrize("beta", dk.GRID_SHIFTS)
+@pytest.mark.parametrize("name", sorted(MAXIMAL_MEASURES))
+def test_square_sums_match_stacked_product_and_oracle(name, beta):
+    """SquareIncidence.sums, one single-vector product per column, equals
+    the per-level oracle and the product with the stacked columns bit
+    for bit, for one and for four columns with zeros, at J = 1..8 and
+    j0 = 0..2; point(0.75) leaves most bands without mass."""
+    rng = np.random.default_rng(int(beta * 2) + 10 * len(name))
+    for J in range(1, 9):
+        for j0 in (0, 1, 2):
+            quad = maximal_quadrature(name, J, j0)
+            inc = quad.incidence(beta)
+            for k in (1, 4):
+                columns = [rng.normal(0.0, 1.0, quad.size)
+                           * (rng.random(quad.size) >= 0.5) for _ in range(k)]
+                columns[0] = columns[0] * quad.masses
+                got = np.column_stack(inc.sums(*columns))
+                np.testing.assert_array_equal(
+                    got, incidence_sums(quad, beta, np.column_stack(columns)))
+                np.testing.assert_array_equal(
+                    got, inc.S @ np.column_stack(columns))

@@ -40,11 +40,6 @@ time, in floating point also for an integer f, each class's cells
 gathered from the ordered array as one (rectangles, size) index; b =
 f - g is supported on the selection and has exactly zero mean on each
 selected square.
-
-Omega', the union of the doubled circumscribed discs of the selection,
-is marked from the same arrays: circumscribed_discs forms every center
-and radius in one array pass, bit for bit those of circumscribed_disc,
-the scalar form kept for a single rectangle.
 """
 
 from __future__ import annotations
@@ -254,44 +249,6 @@ def circumscribed_disc(q: PolarRectangle):
     return complex(center), float(radius)
 
 
-def circumscribed_discs(dec: CZDecomposition):
-    """(centers, radii) of circumscribed_disc for every selected rectangle
-    of dec, in selection order, by one array pass over the selection
-    arrays. Each step is the scalar one's on the same doubles, and the
-    radius takes the hypot that abs of a complex scalar takes, so both
-    are bit for bit the scalar ones."""
-    if dec.root_selected:
-        q = dec.region
-        start, length, h, h_prime = (np.array([x]) for x in (
-            q.arc.start, q.arc.length, q.h, q.h_prime))
-    else:
-        length = np.ldexp(1.0, -dec.levels)
-        start = dec.indices * length
-        h = np.ldexp(1.0, -dec.bands)
-        h_prime = np.where(dec.bands == dec.levels, 0.0, h / 2.0)
-    r_lo, r_hi = 1.0 - h, 1.0 - h_prime
-    t_mid = (start + length / 2.0) % 1.0
-    centers = 0.5 * (r_lo + r_hi) * np.exp(2j * np.pi * t_mid)
-    radii = np.zeros(centers.shape)
-    for r in (r_lo, r_hi):
-        for dt in (0.0, length):
-            d = r * np.exp(2j * np.pi * (start + dt)) - centers
-            np.maximum(radii, np.hypot(d.real, d.imag), out=radii)
-    return centers, radii
-
-
-def _doubled_disc_cells(quad, centers, radii, block=1 << 18):
-    """The cells whose nodes lie in a disc of twice one of the radii, the
-    discs taken in blocks of about `block` node-disc pairs."""
-    z = quad.nodes_z
-    inside = np.zeros(quad.size, dtype=bool)
-    step = max(1, block // quad.size)
-    for lo in range(0, centers.size, step):
-        c, r = centers[lo:lo + step, None], radii[lo:lo + step, None]
-        inside |= np.any(np.abs(z - c) < 2.0 * r, axis=0)
-    return inside
-
-
 @dataclass(frozen=True)
 class CZWeakReport:
     good_part_ratio: float    # ||g||^2_{L^2(v)} / (lambda B1 ||f 1_R||_{L^1(v)})
@@ -323,7 +280,10 @@ def cz_reconstruct_weak11_bound(spec: KernelSpec, v: WeightField, f: Field,
     g_sq = float(np.sum(np.abs(dec.g.values) ** 2 * vmass))
     good_ratio = g_sq / (lam * b1 * norm1v)
 
-    omega_prime = _doubled_disc_cells(quad, *circumscribed_discs(dec))
+    omega_prime = np.zeros(quad.size, dtype=bool)
+    for q in dec.selected:
+        center, radius = circumscribed_disc(q)
+        omega_prime |= np.abs(quad.nodes_z - center) < 2.0 * radius
 
     handle = bergman_handle(spec, quad)
     pb = np.abs(handle.apply(dec.b.values))

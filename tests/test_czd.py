@@ -22,9 +22,7 @@ below, and float node membership per child. The pass is checked on
 every grid square of depths J = 1..7, angular refinements j0 = 0..2 and
 both grid shifts, and at J = 10 and 12 on three Pareto fields per grid
 shift, where each lazily built selected rectangle's node mask is also
-its cells. The array discs of the selection (circumscribed_discs) and
-Omega' from them are pinned bit for bit to circumscribed_disc, one
-rectangle at a time.
+its cells.
 """
 
 import functools
@@ -372,32 +370,6 @@ def test_level_pass_matches_stack_walk_at_depth(J, beta):
         for q, cells in zip(dec.selected, dec.selected_cells):
             np.testing.assert_array_equal(
                 np.flatnonzero(quad.node_mask(q)), cells)
-
-
-def test_selection_discs_match_the_scalar_disc():
-    """circumscribed_discs equals circumscribed_disc on every selected
-    rectangle bit for bit, for the region alone too, and Omega' marked
-    in blocks equals the union of the doubled discs one at a time."""
-    quad = quadrature("lebesgue", 8, 1)
-    rng = np.random.default_rng(8)
-    vals = rng.pareto(1.5, quad.size)
-    norm1 = float(np.sum(vals * quad.masses))
-    decs = [czd.cz_decompose(dk.Field(quad, vals), norm1 * factor,
-                             dk.carleson_square(dk.DyadicInterval(*address)))
-            for factor in (1.05, 3.0, 20.0)
-            for address in ((0.0, 1, 0), (0.5, 1, 1), (0.5, 3, 7))]
-    assert any(dec.root_selected for dec in decs)
-    for dec in decs:
-        centers, radii = czd.circumscribed_discs(dec)
-        scalar = [czd.circumscribed_disc(q) for q in dec.selected]
-        assert centers.tolist() == [c for c, _ in scalar]
-        assert radii.tolist() == [r for _, r in scalar]
-        omega_prime = np.zeros(quad.size, dtype=bool)
-        for center, radius in scalar:
-            omega_prime |= np.abs(quad.nodes_z - center) < 2.0 * radius
-        for block in (1, 1000, 1 << 18):
-            np.testing.assert_array_equal(czd._doubled_disc_cells(
-                quad, centers, radii, block), omega_prime)
 
 
 def test_cz_region_must_be_a_grid_square():

@@ -350,7 +350,7 @@ class DiskQuadrature:
     cell_band: np.ndarray
     cell_arc: np.ndarray
     _incidence: dict = field(default_factory=dict, init=False, repr=False)
-    # kernel tables at the band-pair arguments, by KernelSpec (operators.py)
+    # operators.py's band-pair tables and mode matrices, by (spec, kind, name)
     _kernel_tables: dict = field(default_factory=dict, init=False,
                                  repr=False)
 

@@ -171,8 +171,11 @@ def _density_sums(nu: RadialMeasure, flat, integrand, tol=DEFAULT_TOL):
     A measure declaring analytic_density runs each argument on the rule
     graded as far toward r = 1 as its |1 - w| needs, the arguments
     grouped by panel count with a stable sort; any other measure runs
-    every argument on the full rule.
+    every argument on the full rule. A purely atomic measure gives zeros
+    and runs no rule.
     """
+    if nu.density is None:
+        return np.zeros(flat.shape, dtype=complex)
     if not nu.analytic_density:
         return _rule_sums(nu.density_rule(tol=tol), flat, integrand)
     panels = argument_panels(np.abs(1.0 - flat))

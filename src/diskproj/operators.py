@@ -21,11 +21,15 @@ w takes only max(n_a, n_b) distinct values: each band-pair block is
 circulant up to index striding. The three integral kinds are one
 class, _BandPairTable, that evaluates its kernel once at those values on
 first use, and applies it in the mode domain (Davis, Circulant
-Matrices): an FFT per band, one sparse product and an inverse FFT per
-band. Kernel rows (apply with matrix_free=True) use the tables. The
-Bergman and absolute-kernel handles of one KernelSpec on one quadrature
-share one evaluated table of B, kept on the quadrature: the first takes
-its conjugate and the second its absolute value.
+Matrices): an FFT per group of equal-sized bands, one sparse product
+and an inverse FFT per group. Tables and mode matrix are laid out and
+built span class by span class, so a build costs a number of numpy
+calls that grows with the number of distinct spans, not of band pairs.
+Kernel rows (apply with matrix_free=True) use the tables. Both are kept
+on the quadrature per (spec, kind), so every handle of one KernelSpec
+object and kind on one quadrature reads one build; the absolute-kernel
+handle takes the absolute value of the Bergman handle's tables, so the
+two evaluate B once.
 
 The dyadic operators are SparseOperator instances, T f = sum_S tau_S
 (E^mu_S f) 1_S over the squares of one grid at levels 0..J, with mu the
@@ -130,49 +134,87 @@ class _BandPairTable(OperatorHandle):
     T_ba[m] = conj T_ab[-m mod N], as k(conj w) = conj k(w). In the mode
     domain, block (a, b) sends DFT entry m mod n_b of band b to entry
     m mod n_a of band a times S_ab[m] n_a / N, S_ab = ifft(T_ab), m < N.
+
+    The tables are laid out span class by span class (the pairs of one N,
+    row-major), T_ab at _offset[a, b], so that a build takes one kernel
+    call for every pair a <= b, and per class one conjugated-reversal
+    gather for the pairs a > b and one batched inverse FFT: its numpy
+    calls grow with the number of distinct spans, not of pairs.
+    build(handle) returns the tables; they and the mode matrix are kept
+    on the quadrature under key, (spec, kind), for every handle of that
+    key.
     """
 
-    def __init__(self, quad: DiskQuadrature, kernel_of_w: Callable,
+    def __init__(self, quad: DiskQuadrature, key, build: Callable,
                  positive: bool):
         self.quad = quad
         self.positive = positive
-        self._kernel_of_w = kernel_of_w
-        self._arcs = np.array([b.arc_count for b in quad.bands])
-        self._slices = [slice(b.start, b.start + b.arc_count)
-                        for b in quad.bands]
-        self._span = np.maximum.outer(self._arcs, self._arcs)
-        self._step = self._span // self._arcs[:, None]   # s_a of pair (a, b)
-        sizes = self._span.ravel()
-        self._offset = (np.cumsum(sizes) - sizes).reshape(self._span.shape)
-        self._values = None
-        self._modes = None
+        self._key = key
+        self._build = build
+        self._arcs = arcs = np.array([b.arc_count for b in quad.bands])
+        self._starts = np.array([b.start for b in quad.bands])
+        self._span = np.maximum.outer(arcs, arcs)
+        self._step = self._span // arcs[:, None]   # s_a of pair (a, b)
+        order = np.argsort(self._span, axis=None, kind="stable")
+        sizes = self._span.ravel()[order]
+        self._offset = np.empty(sizes.size, dtype=np.intp)
+        self._offset[order] = np.cumsum(sizes) - sizes
+        self._offset = self._offset.reshape(self._span.shape)
+        # runs of bands with one arc count: (first cell, end cell, count)
+        first = np.flatnonzero(np.diff(arcs, prepend=0))
+        ends = [*self._starts[first[1:]], quad.size]
+        self._groups = [(int(lo), int(hi), int(arcs[b]))
+                        for lo, hi, b in zip(self._starts[first], ends, first)]
+
+    def _span_classes(self):
+        """(N, a, b, base) for each distinct span N: its pairs in layout
+        order, and the offset of the first."""
+        for span in np.unique(self._span):
+            a, b = np.nonzero(self._span == span)
+            yield int(span), a, b, int(self._offset[a[0], b[0]])
+
+    def _cached(self, name, build):
+        tables, key = self.quad._kernel_tables, (*self._key, name)
+        if key not in tables:
+            tables[key] = build()
+        return tables[key]
 
     @property
     def values(self):
-        """All band-pair tables, concatenated pair-major. A table entry
-        that overflows the double range raises InvalidRangeError."""
-        if self._values is None:
-            radius = self.quad.nodes_r[[s.start for s in self._slices]]
-            upper = np.triu_indices(self._arcs.size)
-            w = []
-            for a, b in zip(*upper):
-                span = self._span[a, b]
-                delta = 0.5 * (span // self._arcs[b] - span // self._arcs[a])
-                angle = (np.arange(span) + delta) / span
-                w.append(radius[a] * radius[b] * np.exp(2j * np.pi * angle))
-            with np.errstate(over="ignore", invalid="ignore"):
-                k = np.asarray(self._kernel_of_w(np.concatenate(w)))
-            if not np.all(np.isfinite(k)):
-                raise InvalidRangeError(
-                    f"the kernel table overflows: {np.sum(~np.isfinite(k))} "
-                    f"of {k.size} entries are not finite")
-            tables = np.empty(self._span.shape, dtype=object)
-            for a, b, t in zip(*upper, np.split(
-                    k, np.cumsum(self._span[upper])[:-1])):
-                tables[b, a] = np.conj(t[-np.arange(t.size) % t.size])
-                tables[a, b] = t   # a == b keeps the evaluated table
-            self._values = np.concatenate(tables.ravel())
-        return self._values
+        """All band-pair tables, span class by span class."""
+        return self._cached("values", lambda: self._build(self))
+
+    def _evaluate(self, kernel_of_w):
+        """The tables of kernel_of_w: one call at the arguments of every
+        pair a <= b, the pairs a > b filled by conjugated reversal. A
+        table entry that overflows the double range raises
+        InvalidRangeError."""
+        radius = self.quad.nodes_r[self._starts]
+        classes = list(self._span_classes())
+        w = []
+        for span, a, b, _ in classes:
+            a, b = a[a <= b], b[a <= b]
+            delta = 0.5 * (span // self._arcs[b] - span // self._arcs[a])
+            angle = (np.arange(span) + delta[:, None]) / span
+            w.append((radius[a] * radius[b])[:, None]
+                     * np.exp(2j * np.pi * angle))
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.asarray(kernel_of_w(np.concatenate(w, axis=None)))
+        if not np.all(np.isfinite(k)):
+            raise InvalidRangeError(
+                f"the kernel table overflows: {np.sum(~np.isfinite(k))} "
+                f"of {k.size} entries are not finite")
+        out = np.empty(self._span.sum(), dtype=k.dtype)
+        upper = np.split(k, np.cumsum([x.size for x in w])[:-1])
+        for (span, a, b, base), part in zip(classes, upper):
+            rows = out[base:base + a.size * span].reshape(a.size, span)
+            up = a <= b
+            rows[up] = part.reshape(-1, span)
+            # a lower pair reads the row of its transpose, reversed
+            src = (self._offset[b[~up], a[~up]] - base) // span
+            reverse = -np.arange(span) & span - 1
+            rows[~up] = np.conj(rows[src[:, None], reverse])
+        return out
 
     def kernel_block(self, rows):
         """Kernel submatrix K[rows, :], gathered from the tables by the
@@ -189,48 +231,61 @@ class _BandPairTable(OperatorHandle):
     @property
     def modes(self):
         """K as one CSR matrix on the concatenated per-band DFTs."""
-        if self._modes is None:
-            rows, cols, data = [], [], []
-            tables = np.split(self.values, self._offset.ravel()[1:])
-            for (a, b), t in zip(np.ndindex(self._span.shape), tables):
-                m = np.arange(t.size)
-                rows.append(self._slices[a].start + m % self._arcs[a])
-                cols.append(self._slices[b].start + m % self._arcs[b])
-                data.append(np.fft.ifft(t, norm="forward") *
-                            (self._arcs[a] / t.size))
-            n = self.quad.size
-            self._modes = csr_array((np.concatenate(data), (
-                np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-        return self._modes
+        return self._cached("modes", self._mode_matrix)
+
+    def _mode_matrix(self):
+        """The mode matrix written in canonical order: row r of band a
+        holds, band b by band b, the entries m = r + k n_a of block
+        (a, b), k ascending (s_a of them), in column order. Every arc
+        count is a power of two, so mod n is a mask and // n a shift."""
+        values, arcs = self.values, self._arcs
+        shift = np.log2(arcs).astype(int)
+        row_len = self._step.sum(axis=1)
+        # int32 indices, as the incidence has: the cell budget keeps the
+        # entry count far below 2^31
+        indptr = np.zeros(self.quad.size + 1, dtype=np.int32)
+        np.cumsum(np.repeat(row_len, arcs), out=indptr[1:])
+        first = indptr[self._starts]       # band a's first entry
+        # where block (a, b) starts within a row of band a
+        before = np.cumsum(self._step, axis=1) - self._step
+        data = np.empty(indptr[-1], dtype=complex)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        for span, a, b, base in self._span_classes():
+            rows = values[base:base + a.size * span].reshape(a.size, span)
+            m = np.arange(span)
+            n_a = arcs[a, None]
+            pos = (first[a, None] + (m & n_a - 1) * row_len[a, None]
+                   + before[a, b][:, None] + (m >> shift[a, None]))
+            data[pos] = np.fft.ifft(rows, norm="forward") * (n_a / span)
+            indices[pos] = self._starts[b, None] + (m & arcs[b, None] - 1)
+        n = self.quad.size
+        return csr_array((data, indices, indptr), shape=(n, n))
 
     def fast_apply(self, g):
-        """K @ g through the mode-domain matrix; real for a positive
-        kernel on a real g."""
-        g_hat = np.concatenate([np.fft.fft(g[s]) for s in self._slices])
+        """K @ g through the mode-domain matrix, the bands of one arc
+        count transformed together; real for a positive kernel on a real
+        g."""
+        g_hat = np.concatenate([np.fft.fft(g[lo:hi].reshape(-1, n)).ravel()
+                                for lo, hi, n in self._groups])
         acc = self.modes @ g_hat
-        out = np.concatenate([np.fft.ifft(acc[s]) for s in self._slices])
+        out = np.concatenate([np.fft.ifft(acc[lo:hi].reshape(-1, n)).ravel()
+                              for lo, hi, n in self._groups])
         return out.real if self.positive and not np.iscomplexobj(g) else out
-
-
-def _spec_table(spec: KernelSpec, quad: DiskQuadrature, w):
-    """kernel_integral_grid(spec, w) at a handle's band-pair arguments w,
-    which depend on quad alone: evaluated once per spec object and kept
-    on quad, so that every handle of spec on quad reads one table."""
-    if spec not in quad._kernel_tables:
-        quad._kernel_tables[spec] = kernel_integral_grid(spec, w)
-    return quad._kernel_tables[spec]
 
 
 def bergman_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
     """P_omega: out(z_i) = sum_j f(z_j) conj(B_{z_i}(z_j)) mass_j."""
-    return _BandPairTable(
-        quad, lambda w: np.conj(_spec_table(spec, quad, w)), positive=False)
+    return _BandPairTable(quad, (spec, "bergman"), lambda h: h._evaluate(
+        lambda w: np.conj(kernel_integral_grid(spec, w))), positive=False)
 
 
 def positive_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
-    """P+_omega: absolute kernel |B_{z_i}(z_j)|."""
+    """P+_omega: absolute kernel |B_{z_i}(z_j)|, the absolute value of the
+    Bergman handle's tables (|conj B| = |B| bit for bit), so that the
+    kernel is evaluated once per spec and quadrature."""
     return _BandPairTable(
-        quad, lambda w: np.abs(_spec_table(spec, quad, w)), positive=True)
+        quad, (spec, "positive"),
+        lambda h: np.abs(bergman_handle(spec, quad).values), positive=True)
 
 
 def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature
@@ -238,7 +293,8 @@ def psi_positive_handle(psi: PsiProfile, quad: DiskQuadrature
     """P+_{Psi} with kernel K_Psi against the cell masses."""
     # K_Psi(z_i, z_j) depends only on |1 - conj(z_j) z_i| = |1 - w|,
     # which is also the separation K_Psi sees at the pair (w, 1)
-    return _BandPairTable(quad, lambda w: psi.kernel(w, 1.0), positive=True)
+    return _BandPairTable(quad, (psi, "psi"), lambda h: h._evaluate(
+        lambda w: psi.kernel(w, 1.0)), positive=True)
 
 
 # -- the dyadic model operator -------------------------------------------------

@@ -13,6 +13,10 @@ Oracles used here:
     route the tables replace; the mode-domain apply is pinned against
     the rows gathered from the tables, and each (b, a) table filled by
     conjugated reversal against the kernel at its own arguments.
+  * the span-class build of the tables, the mode matrix and the grouped
+    band FFTs is pinned bit for bit against the per-pair build it
+    replaced (per_pair_tables, per_pair_modes, per_band_apply): one
+    table, one COO block and one FFT per band pair or band.
   * the matrix-free norms are pinned against dense oracles on the
     gathered kernel: svdvals at p = 2, and at p != 2 a nonlinear power
     iteration from random starts, which must land inside the bracket.
@@ -38,6 +42,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import svdvals
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator, svds
 
 from diskproj import czd
@@ -230,6 +235,52 @@ def test_table_builds_run_no_blas_worker_threads():
     assert float(out) <= 1.3
 
 
+def per_pair_tables(h, kernel_of_w):
+    """{(a, b): T_ab}, built pair by pair: one kernel call at the
+    arguments of the pairs a <= b, pair-major, then each (b, a) table as
+    the conjugated reversal of the (a, b) one."""
+    arcs, span = h._arcs, h._span
+    radius = h.quad.nodes_r[h._starts]
+    upper = list(zip(*np.triu_indices(arcs.size)))
+    w = []
+    for a, b in upper:
+        n = span[a, b]
+        delta = 0.5 * (n // arcs[b] - n // arcs[a])
+        angle = (np.arange(n) + delta) / n
+        w.append(radius[a] * radius[b] * np.exp(2j * np.pi * angle))
+    k = np.asarray(kernel_of_w(np.concatenate(w)))
+    tables = {}
+    for (a, b), t in zip(upper, np.split(
+            k, np.cumsum([x.size for x in w])[:-1])):
+        tables[b, a] = np.conj(t[-np.arange(t.size) % t.size])
+        tables[a, b] = t   # a == b keeps the evaluated table
+    return tables
+
+
+def per_pair_modes(h, tables):
+    """The mode matrix from COO triples, one block per band pair: block
+    (a, b) sends DFT entry m mod n_b of band b to entry m mod n_a of
+    band a times ifft(T_ab)[m] n_a / N."""
+    rows, cols, data = [], [], []
+    for a, b in np.ndindex(h._span.shape):
+        t = tables[a, b]
+        m = np.arange(t.size)
+        rows.append(h._starts[a] + m % h._arcs[a])
+        cols.append(h._starts[b] + m % h._arcs[b])
+        data.append(np.fft.ifft(t, norm="forward") * (h._arcs[a] / t.size))
+    n = h.quad.size
+    return csr_array((np.concatenate(data), (
+        np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+
+
+def per_band_apply(h, modes, g):
+    """K @ g with one FFT and one inverse FFT per band."""
+    bands = [slice(b.start, b.start + b.arc_count) for b in h.quad.bands]
+    acc = modes @ np.concatenate([np.fft.fft(g[s]) for s in bands])
+    out = np.concatenate([np.fft.ifft(acc[s]) for s in bands])
+    return out.real if h.positive and not np.iscomplexobj(g) else out
+
+
 def table_cases(gamma, nu, quad):
     """(name, handle, kernel of w) for the three kernel handles."""
     spec = KernelSpec(gamma=gamma, nu=nu)
@@ -283,26 +334,105 @@ def test_mode_matrix_has_one_nonzero_per_table_value(J, j0):
 def test_filled_tables_match_direct_evaluation(nu_name, J, j0):
     """Every (b, a) table with b > a, filled by conjugated reversal, against
     the kernel evaluated at its own arguments
-    r_a r_b e^{2 pi i (m + (s_a - s_b) / 2) / N}, pair-major."""
+    r_a r_b e^{2 pi i (m + (s_a - s_b) / 2) / N}, read at its offset."""
     quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
     arcs = [b.arc_count for b in quad.bands]
     radius = [0.5 * (b.r_lo + b.r_hi) for b in quad.bands]
     for name, h, kernel in table_cases(2.0, NUS[nu_name], quad):
         values = h.values
         scale = np.max(np.abs(values))
-        offset = 0
         for b, n_b in enumerate(arcs):
-            for a, n_a in enumerate(arcs):
+            for a, n_a in enumerate(arcs[:b]):
                 span = max(n_a, n_b)
-                if b > a:
-                    shift = 0.5 * (span // n_a - span // n_b)
-                    w = radius[a] * radius[b] * np.exp(
-                        2j * np.pi * (np.arange(span) + shift) / span)
-                    got = values[offset:offset + span]
-                    assert np.max(np.abs(got - kernel(w))) <= 1e-12 * scale, \
-                        (name, b, a)
-                offset += span
-        assert offset == values.size
+                shift = 0.5 * (span // n_a - span // n_b)
+                w = radius[a] * radius[b] * np.exp(
+                    2j * np.pi * (np.arange(span) + shift) / span)
+                got = values[h._offset[b, a]:h._offset[b, a] + span]
+                assert np.max(np.abs(got - kernel(w))) <= 1e-12 * scale, \
+                    (name, b, a)
+        assert values.size == sum(max(n_a, n_b) for n_a in arcs
+                                  for n_b in arcs)
+
+
+@pytest.mark.parametrize("J, j0", [(6, 0), (5, 2), (8, 1)])
+@pytest.mark.parametrize("nu_name", ["atom", "lebesgue"])
+def test_span_class_build_matches_per_pair_oracle(nu_name, J, j0):
+    """Each (a, b) table at its offset, the mode matrix's indptr,
+    indices and data, and fast_apply on real and complex fields, bit
+    for bit against the per-pair build."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+    rng = np.random.default_rng(J)
+    f = rng.standard_normal(quad.size)
+    for name, h, kernel in table_cases(2.0, NUS[nu_name], quad):
+        tables = per_pair_tables(h, kernel)
+        for (a, b), t in tables.items():
+            got = h.values[h._offset[a, b]:h._offset[a, b] + t.size]
+            assert got.dtype == t.dtype and np.array_equal(got, t), \
+                (name, a, b)
+        want = per_pair_modes(h, tables)
+        assert want.has_canonical_format
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(h.modes, part),
+                                  getattr(want, part)), (name, part)
+        for g in (f, f + 1j * f[::-1]):
+            got, oracle = h.fast_apply(g), per_band_apply(h, want, g)
+            assert got.dtype == oracle.dtype and np.array_equal(got, oracle)
+
+
+def counted_transforms(monkeypatch):
+    """Patch np.fft.fft and np.fft.ifft to record (name, norm) per call."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(x, *args, _name=name, _transform=getattr(np.fft, name),
+                    **kwargs):
+            calls.append((_name, kwargs.get("norm")))
+            return _transform(x, *args, **kwargs)
+        monkeypatch.setattr(op.np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("J, j0", [(6, 0), (5, 2), (8, 1)])
+def test_transforms_run_once_per_span_and_band_size(monkeypatch, J, j0):
+    """A mode-matrix build takes one inverse FFT per distinct span, and an
+    apply one FFT and one inverse FFT per distinct band size, however
+    many band pairs and bands share them."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+    sizes = len({b.arc_count for b in quad.bands})   # = distinct spans
+    assert sizes == J == len(quad.bands) - 2
+    calls = counted_transforms(monkeypatch)
+    for name, h, _ in table_cases(1.0, ATOM1, quad):
+        calls.clear()
+        h.modes
+        assert calls == [("ifft", "forward")] * sizes, name
+        calls.clear()
+        h.fast_apply(np.ones(quad.size))
+        assert calls == [("fft", None)] * sizes + [("ifft", None)] * sizes
+
+
+def test_repeated_requests_build_once_per_spec_and_quadrature(monkeypatch):
+    """The one-weight sweep's pattern: 13 positive-handle requests on one
+    spec over three quadratures, each with a Bergman request beside it,
+    evaluate the kernel once per quadrature and build each kind's mode
+    matrix once per quadrature."""
+    spec = KernelSpec(gamma=1.0, nu=ATOM1)
+    quads = [dk.build_quadrature(ms.lebesgue(), J=J) for J in (4, 5, 6)]
+    evaluated = []
+    evaluate = op.kernel_integral_grid
+
+    def counted(spec_, w):
+        evaluated.append(spec_)
+        return evaluate(spec_, w)
+
+    monkeypatch.setattr(op, "kernel_integral_grid", counted)
+    calls = counted_transforms(monkeypatch)
+    for i in range(13):
+        quad = quads[i % 3]
+        for handle in (op.positive_handle, op.bergman_handle):
+            handle(spec, quad).apply(np.ones(quad.size))
+    assert evaluated == [spec] * 3
+    builds = calls.count(("ifft", "forward"))
+    assert builds == 2 * sum(len({b.arc_count for b in q.bands})
+                             for q in quads)
 
 
 def test_projection_identity_error_density_deep():

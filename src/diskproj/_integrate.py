@@ -1,75 +1,25 @@
-"""Internal quadrature helpers.
+"""Internal quadrature helpers: the library's one integration engine.
 
-Two engines are provided, each with one job:
+Gauss-Legendre rules on [0, 1] built from panels, each rule built once
+and cached. They are the only engine behind integrals of the form
+int rho(r) g(r, w) dr: interval masses, tails and moments of a radial
+measure and every integral of the kernel layer, vectorized over many
+targets w at once (see RadialMeasure.density_rule, which maps a rule
+onto an interval and weights it by the density). The full rule,
+graded_gl_rule, grades toward both endpoints and serves every
+integrand; argument_gl_rule, for integrands analytic on [0, 1] up to
+one pole just beyond r = 1, grades toward 1 only as far as the pole's
+distance needs (argument_panels). The test suite pins the rules
+against an independent oracle, adaptive Simpson quadrature
+(tests/quadrature_oracle.py).
 
-* Gauss-Legendre rules on [0, 1] built from panels, each rule built
-  once and cached. They are the only engine behind integrals of the
-  form  int rho(r) g(r, w) dr  in the kernel layer and behind
-  RadialMeasure.moment, vectorized over many targets w at once (see
-  RadialMeasure.density_rule, which maps a rule onto an interval and
-  weights it by the density). The full rule, graded_gl_rule, grades
-  toward both endpoints and serves every integrand; argument_gl_rule,
-  for integrands analytic on [0, 1] up to one pole just beyond r = 1,
-  grades toward 1 only as far as the pole's distance needs
-  (argument_panels);
-* an adaptive composite Simpson rule (recursive bisection) to an
-  absolute tolerance, which raises on a non-finite integrand value,
-  kept for the interval masses of a radial measure,
-  which set it relative to the interval: on polynomial densities its
-  sums reproduce cell masses such as Lebesgue dyadic lengths exactly,
-  which a Gauss-Legendre sum misses by an ulp. The test suite also uses
-  it as the independent oracle for the graded rule.
-
-Both are deterministic."""
+The rules are deterministic."""
 
 from __future__ import annotations
-
-import cmath
 
 import numpy as np
 
 from .errors import InvalidRangeError
-
-_MAX_DEPTH = 48
-
-
-def _simpson_step(f, a, fa, b, fb, tol, whole, m, fm, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _simpson_step(f, a, fa, m, fm, tol / 2.0, left, lm, flm, depth - 1) + \
-        _simpson_step(f, m, fm, b, fb, tol / 2.0, right, rm, frm, depth - 1)
-
-
-def adaptive_simpson(f, a, b, tol=1e-12):
-    """Integrate f on [a, b] to absolute tolerance tol.
-
-    f maps a float to a float or complex. Deterministic: the refinement
-    path depends only on (f, a, b, tol). The first NaN or infinite value
-    of f raises InvalidRangeError: no refinement would meet tol.
-    """
-    if a == b:
-        return 0.0
-
-    def checked(x):
-        value = f(x)
-        if not cmath.isfinite(value):
-            raise InvalidRangeError(f"integrand not finite at {x}")
-        return value
-
-    fa, fb = checked(a), checked(b)
-    m = 0.5 * (a + b)
-    fm = checked(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(checked, a, fa, b, fb, tol, whole, m, fm,
-                         _MAX_DEPTH)
-
 
 _GL_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 # panels toward r = 1 of the full rule; argument rules never grade further

@@ -4,14 +4,12 @@ A radial measure omega induces the area-type measure
 d(omega x m)(r e^{i theta}) = r domega(r) dtheta / pi on the unit disk;
 everything downstream (quadratures, kernels, projections) is built on
 the three primitives implemented here: tails, moments and interval
-masses. Atom sums are exact. Integrals of the density part take one of
-two engines: moments, and every integral of the kernel layer, run on
-the Gauss-Legendre rules that density_rule maps onto an interval;
-interval masses and tails run on adaptive composite Simpson quadrature
-(tolerance 1e-12 relative to the interval's first Simpson estimate, so
-small masses keep their digits), which gives polynomial-density cell
-masses exactly. Both apply the same endpoint substitution to densities
-singular at r = 1.
+masses. Atom sums are exact. Integrals of the density part run on one
+engine: interval masses, tails, moments and every integral of the
+kernel layer are sums over the Gauss-Legendre rules that density_rule
+maps onto an interval, which also holds the endpoint substitution for
+densities singular at r = 1 and the one check that the density is
+finite and non-negative on the rule's nodes.
 
 The catalog declares the densities of lebesgue, halfmix and integer-alpha
 power measures analytic on [0, 1] (analytic_density); only the kernel
@@ -20,29 +18,18 @@ layer's Cauchy-type integrals use that, and moments keep the full rule."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._integrate import adaptive_simpson, argument_gl_rule, graded_gl_rule
+from ._integrate import argument_gl_rule, graded_gl_rule
 from .errors import InvalidRangeError
 
 DEFAULT_TOL = 1e-12
 # Densities with endpoint_power p < 0 are integrated above this radius in
 # the variable u = (1-r)^(1+p), which keeps the integrand bounded.
 _SUBSTITUTION_CUT = 0.875
-
-
-def _relative_simpson(f, a, b):
-    """adaptive_simpson of f to DEFAULT_TOL relative to the whole-interval
-    Simpson estimate, floored at the smallest normal double. A NaN or
-    infinite value of f raises, in adaptive_simpson; the floor also
-    stands in for a NaN estimate, since max keeps its first argument."""
-    whole = (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
-    return adaptive_simpson(f, a, b, tol=max(
-        sys.float_info.min, DEFAULT_TOL * abs(whole)))
 
 
 def _endpoint_substitution(q, u):
@@ -131,7 +118,8 @@ class RadialMeasure:
         u = (1-r)^(1+p) instead, where the weights are endpoint_factor
         at the exact gap 1 - r over 1 + p. A tol
         below DEFAULT_TOL selects order 24 instead of 16 per panel. A
-        purely atomic measure gives empty arrays.
+        purely atomic measure gives empty arrays. Weights that are not
+        finite or are negative (a signed density) raise.
         """
         if self.density is None:
             return np.empty(0), np.empty(0)
@@ -153,43 +141,27 @@ class RadialMeasure:
             nodes = a + (b - a) * x
             weights = (b - a) * w * np.asarray(self.density(nodes),
                                                dtype=float)
-        if not np.all(np.isfinite(weights)):
-            raise InvalidRangeError(f"density of {self.name} is not finite "
-                                    f"on the rule's nodes in [{a}, {b}]")
+        if not np.all((weights >= 0.0) & (weights < math.inf)):
+            raise InvalidRangeError(
+                f"density of {self.name} is not finite and >= 0 on the "
+                f"rule's nodes in [{a}, {b}]")
         return nodes, weights
 
-    def _density_integral(self, fn, a, b):
-        """Integrate fn(r) * density(r) over [a, b] by adaptive Simpson,
-        to a tolerance relative to the integral."""
-        if self.density is None or a >= b:
+    def _density_integral(self, exponent, a, b):
+        """int_a^b r^exponent density(r) dr on density_rule(a, b)."""
+        if a >= b:
             return 0.0
-        dens = self.density
+        nodes, weights = self.density_rule(a, b)
+        return float(weights @ nodes ** exponent)
 
-        def integrand(r):
-            return fn(r) * dens(r)
-
-        if self.endpoint_power < 0.0 and b > _SUBSTITUTION_CUT:
-            cut = max(a, _SUBSTITUTION_CUT)
-            q = 1.0 + self.endpoint_power
-            factor = self.endpoint_factor
-
-            def transformed(u):
-                r, gap = _endpoint_substitution(q, u)
-                return fn(r) * factor(gap) / q
-
-            return _relative_simpson(integrand, a, cut) + \
-                _relative_simpson(transformed, (1.0 - b) ** q,
-                                  (1.0 - cut) ** q)
-        return _relative_simpson(integrand, a, b)
-
-    def _atom_sum(self, fn, a, b, include_right):
+    def _atom_sum(self, exponent, a, b, include_right):
         total = 0.0
         for loc, mass in self.atoms:
             if a == b:
                 if loc == a:
-                    total += fn(loc) * mass
+                    total += loc ** exponent * mass
             elif a <= loc < b or (include_right and loc == b):
-                total += fn(loc) * mass
+                total += loc ** exponent * mass
         return total
 
     # -- public primitives ---------------------------------------------------
@@ -213,20 +185,17 @@ class RadialMeasure:
         The rule's panels refine toward r = 1, where high moments
         concentrate, so small moments keep their relative accuracy.
         """
-        if x < 0.0:
-            raise InvalidRangeError("moment order must be >= 0")
-        nodes, weights = self.density_rule()
-        dens_part = float(weights @ nodes ** x)
-        atom_part = sum(mass * loc ** x for loc, mass in self.atoms)
-        return dens_part + atom_part
+        return self.weighted_interval_mass(0.0, 1.0, exponent=x)
 
     def weighted_interval_mass(self, a, b, exponent=1):
         """int_{[a,b)} r^exponent domega with the interval_mass atom rule."""
         if not (0.0 <= a <= b <= 1.0):
             raise InvalidRangeError(f"bad interval [{a}, {b}]")
+        if not exponent >= 0.0:   # NaN fails every comparison
+            raise InvalidRangeError(f"order {exponent} must be >= 0")
         include_right = (b == 1.0) or (a == b)
-        return self._density_integral(lambda r: r ** exponent, a, b) + \
-            self._atom_sum(lambda r: r ** exponent, a, b, include_right)
+        return self._density_integral(exponent, a, b) + \
+            self._atom_sum(exponent, a, b, include_right)
 
 
 # -- catalog ------------------------------------------------------------------

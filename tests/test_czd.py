@@ -158,14 +158,14 @@ def test_cz_children_partition():
 
 def test_spike_root_selection(spike):
     norm1 = float(spike.quad.masses[20])
-    assert norm1 == 0.007080078125
+    assert norm1 == pytest.approx(0.007080078125, rel=1e-15, abs=0)
     for mult in (2.0, 3.0):
         dec = czd.cz_decompose(spike, mult * norm1, region_one())
         assert dec.root_selected
         assert dec.parent_constant == 1.0
         assert len(dec.selected) == 1
         assert float(spike.quad.masses[dec.selected_cells[0]].sum()) == \
-            0.314453125
+            pytest.approx(0.314453125, rel=1e-15, abs=0)
         assert dec.f_cells.size == 0
 
 
@@ -177,7 +177,8 @@ def test_spike_child_square(spike):
     q = dec.selected[0]
     assert (q.arc.start, q.arc.length, q.h, q.h_prime) == (0.0, 0.25, 0.25, 0.0)
     assert sorted(dec.selected_cells[0].tolist()) == [12, 13, 20, 21, 22, 23]
-    assert float(quad.masses[dec.selected_cells[0]].sum()) == 0.0791015625
+    assert float(quad.masses[dec.selected_cells[0]].sum()) == \
+        pytest.approx(0.0791015625, rel=1e-15, abs=0)
     assert dec.parent_constant == pytest.approx(0.314453125 / 0.0791015625,
                                                 rel=1e-12)
     assert dec.unresolved == 0

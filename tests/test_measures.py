@@ -11,10 +11,13 @@ Oracle values used below:
 - loginv tails at the atom radii telescope to 1/(1 + k log 2).
 
 Interval masses and tails keep their relative accuracy as they shrink,
-down to r = 1 - 2^-27.
+down to r = 1 - 2^-27. They run on the graded Gauss-Legendre rule, which
+is pinned against adaptive Simpson quadrature (tests/quadrature_oracle.py)
+for every catalog measure on the J=12 bands and tails.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from scipy.special import beta, betainc
 
 from diskproj import measures as ms
 from diskproj.errors import InvalidRangeError
+from quadrature_oracle import adaptive_simpson
 
 
 def power_moment_oracle(alpha, j):
@@ -80,7 +84,7 @@ def test_power_measure_endpoint_singularity():
     # endpoint substitution; total mass is pi/4 exactly.
     meas = ms.power_measure(-0.5)
     assert meas.total_mass() == pytest.approx(math.pi / 4.0, rel=1e-9)
-    # adaptive Simpson in u reaches u = 0, where the bounded factor is
+    # the rule in u reaches toward u = 0, where the bounded factor is
     # finite, and converges at alpha near -1 as well
     assert ms.power_measure(-0.9).total_mass() == \
         pytest.approx(power_moment_oracle(-0.9, 0), rel=1e-9)
@@ -150,8 +154,7 @@ def test_invalid_ranges():
             ms.RadialMeasure(name="bad", atoms=((bad, 1.0),))
         with pytest.raises(InvalidRangeError):
             ms.point_mass(1.0, bad)
-    # a non-finite density value raises at once; adaptive Simpson would
-    # otherwise recurse toward its depth limit, never meeting tolerance
+    # a non-finite density value raises on the rule instead of giving NaN
     for bad in (math.nan, math.inf):
         meas = ms.RadialMeasure(name="bad",
                                 density=lambda r, v=bad: np.full_like(
@@ -165,13 +168,22 @@ def test_invalid_ranges():
         leb.tail(1.5)
     with pytest.raises(InvalidRangeError):
         leb.moment(-1.0)
+    # one order check for moments and weighted masses: r^-2 is not
+    # integrable at 0, and a NaN order would give NaN
+    with pytest.raises(InvalidRangeError):
+        leb.moment(math.nan)
+    for meas in (leb, ms.point_mass(0.5, 1.0)):
+        for bad in (-2, -0.5, math.nan):
+            with pytest.raises(InvalidRangeError):
+                meas.weighted_interval_mass(0.0, 1.0, exponent=bad)
 
 
 def test_density_not_finite_on_the_rule_raises():
     """A density that is NaN (or infinite) above r = 0.99 leaves the
-    Simpson masses of [0, 1/2] alone, but every Gauss-Legendre rule over
-    [0, 1] has nodes there: the rule, the moments and the kernel layer's
-    moment table raise instead of returning NaN, as total_mass does."""
+    rule over [0, 1/2], and so the mass of [0, 1/2], alone, but every
+    Gauss-Legendre rule over [0, 1] has nodes there: the rule, the
+    moments, the kernel layer's moment table and total_mass raise
+    instead of returning NaN."""
     from diskproj import kernels as kn
 
     for bad in (math.nan, math.inf):
@@ -194,8 +206,6 @@ def test_density_not_finite_on_the_rule_raises():
 def test_adaptive_simpson_raises_on_nonfinite_integrand():
     """The first NaN or infinite value raises at once, real or complex;
     without the check a NaN integrand recursed toward depth 48."""
-    from diskproj._integrate import adaptive_simpson
-
     calls = []
 
     def nan_above(x, v):
@@ -209,3 +219,74 @@ def test_adaptive_simpson_raises_on_nonfinite_integrand():
         assert len(calls) <= 3          # f(a), f(b): b = 1 > 0.3
     assert adaptive_simpson(lambda x: 1j * x, 0.0, 1.0) == \
         pytest.approx(0.5j, abs=1e-15)
+
+
+def test_signed_density_raises():
+    """A density negative on part of [0, 1] is no measure. The rule's
+    weight check rejects it once for every primitive built on the rule:
+    before it, a J=4 quadrature came out with cell masses down to
+    -0.0052."""
+    from diskproj import disk as dk
+    from diskproj.kernels import KernelSpec
+
+    neg = ms.RadialMeasure(name="neg", density=lambda r: r - 0.5)
+    with pytest.raises(InvalidRangeError):
+        dk.build_quadrature(neg, J=4)
+    with pytest.raises(InvalidRangeError):
+        neg.total_mass()
+    with pytest.raises(InvalidRangeError):
+        KernelSpec(gamma=1.0, nu=neg, name="neg")
+
+
+def simpson_weighted_mass(meas, a, b, exponent, rtol=1e-13):
+    """int_[a,b) r^exponent domega with the interval_mass atom rule, the
+    density part by adaptive Simpson to rtol relative to each piece's
+    whole-interval Simpson estimate. Above 7/8 a density with
+    endpoint_power p < 0 runs in u = (1-r)^q, q = 1 + p, where
+    dr = -(s^(1-q) / q) du at the gap s = u^(1/q) = 1 - r."""
+    def relative(f, lo, hi):
+        whole = (hi - lo) / 6.0 * (f(lo) + 4.0 * f(0.5 * (lo + hi)) + f(hi))
+        return adaptive_simpson(f, lo, hi, tol=max(
+            sys.float_info.min, rtol * abs(whole)))
+
+    total = 0.0
+    dens = meas.density
+    if dens is not None and a < b:
+        cut = b
+        if meas.endpoint_power < 0.0 and b > 0.875:
+            cut = max(a, 0.875)
+            q = 1.0 + meas.endpoint_power
+
+            def in_u(u):
+                s = u ** (1.0 / q)
+                return (1.0 - s) ** exponent * meas.endpoint_factor(s) / q
+
+            total += relative(in_u, (1.0 - b) ** q, (1.0 - cut) ** q)
+        total += relative(lambda r: r ** exponent * dens(r), a, cut)
+    for loc, mass in meas.atoms:
+        if a <= loc < b or (b == 1.0 and loc == b):
+            total += loc ** exponent * mass
+    return total
+
+
+CATALOG_MEASURES = [ms.lebesgue(), *(ms.power_measure(alpha) for alpha in
+                                     (-0.9, -0.5, 0.5, 1.0, 2.0, 2.5)),
+                    ms.expinv(), ms.half_atom_mix(), ms.loginv(),
+                    ms.point_mass(1.0, 1.0, name="point1")]
+
+
+@pytest.mark.parametrize("meas", CATALOG_MEASURES, ids=lambda m: m.name)
+def test_rule_masses_and_tails_match_simpson_oracle(meas):
+    """Every J=12 band mass (exponents 0 and 1) and the tails at
+    r = 0, 1/4, 1/2 and 1 - 2^-k, k = 1..13, agree with adaptive Simpson
+    to 1e-12 relative; the largest gap, expinv's, is about 3e-13."""
+    edges = [(0.0, 0.25), (0.25, 0.5)] + [
+        (1.0 - 2.0 ** -j, 1.0 - 2.0 ** -(j + 1)) for j in range(1, 13)]
+    for a, b in edges:
+        for exponent in (0, 1):
+            assert meas.weighted_interval_mass(a, b, exponent) == \
+                pytest.approx(simpson_weighted_mass(meas, a, b, exponent),
+                              rel=1e-12, abs=0.0), (a, exponent)
+    for r in [0.0, 0.25, 0.5] + [1.0 - 2.0 ** -k for k in range(1, 14)]:
+        assert meas.tail(r) == pytest.approx(
+            simpson_weighted_mass(meas, r, 1.0, 0), rel=1e-12, abs=0.0), r

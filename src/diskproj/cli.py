@@ -453,6 +453,10 @@ def run_oneweight(cfg: ExperimentConfig):
             rep = tw.one_weight_norm_experiment(spec, v, 2.0, min(J, 6))
             bs.append(rep.bp_value)
             rats.append(rep.ratio)
+            if (eta, J) == (0.0, 8):
+                # the structure rows below read only the spec, the
+                # quadrature and the depth, not the weight
+                structure = rep
         series[f"eta={eta:g}"] = bs
         steps = [bs[i + 1] / bs[i] for i in range(len(bs) - 1)]
         if eta == 1.0:
@@ -469,14 +473,12 @@ def run_oneweight(cfg: ExperimentConfig):
     _row(rows, "norm-ratio-spread", "eta in {-1/2,0,1/2}, J=8", spread, 3.0,
          spread <= 3.0)
 
-    v = wt.weight_field(quads[8], eta=0.0)
-    rep = tw.one_weight_norm_experiment(spec, v, 2.0, 6)
-    band = rep.psi_mu_band[1] / rep.psi_mu_band[0]
+    band = structure.psi_mu_band[1] / structure.psi_mu_band[0]
     _row(rows, "profile-mass-band", "Psi|I| mu(S)/|I|", band, 10.0,
          band < 10.0)
     _row(rows, "top-half-mass-share", "mu(S)/mu(T) max",
-         rep.top_half_max_ratio, "finite",
-         math.isfinite(rep.top_half_max_ratio))
+         structure.top_half_max_ratio, "finite",
+         math.isfinite(structure.top_half_max_ratio))
     return rows, series
 
 

@@ -222,8 +222,8 @@ def cz_decompose(f: Field, lam, region: PolarRectangle) -> CZDecomposition:
         b_vals[idx] = vals[idx] - avg
     return CZDecomposition(region=region, threshold=lam, levels=levels,
                            bands=bands, indices=indices,
-                           selected_cells=(np.split(ordered, starts[1:])
-                                           if starts.size else []),
+                           selected_cells=[ordered[a:b] for a, b in zip(
+                               starts.tolist(), (starts + sizes).tolist())],
                            f_cells=f_idx,
                            g=Field(quad, g_vals), b=Field(quad, b_vals),
                            parent_constant=parent_ratio,

@@ -47,8 +47,11 @@ D((u mu)^(1/p)) K D((sigma mu)^(1/p')) is left * fast_apply(x * right),
 with mu inside the two diagonals. Every kernel here is Hermitian, so
 the adjoint is the same apply. At p = 2 the norm is the top singular
 value, by Golub-Kahan-Lanczos bidiagonalization in numpy, with no
-ARPACK. At p != 2, for a nonnegative kernel, it is bracketed by Boyd's
-power iteration below and the Schur test above.
+ARPACK; when u mu and sigma mu are constant on every band, a band-pair
+handle runs that loop on the residue-0 block of its mode matrix
+instead, with no FFT per step (weighted_norm_p2). At p != 2, for a
+nonnegative kernel, it is bracketed by Boyd's power iteration below and
+the Schur test above.
 """
 
 from __future__ import annotations
@@ -121,6 +124,14 @@ class OperatorHandle:
             self.kernel_block(np.arange(s, min(s + step, n))) @ g
             for s in range(0, n, step)])
 
+    def _lanczos_operands(self, left, right):
+        """(matvec, rmatvec, start) for the Lanczos norm of
+        A = D(left) K D(right): the cell-domain products, and the constant
+        unit vector, real for a nonnegative kernel."""
+        n = left.size
+        return (*_cell_products(self, left, right),
+                np.full(n, n ** -0.5, float if self.positive else complex))
+
 
 class _BandPairTable(OperatorHandle):
     """A kernel k(w), w = z_j conj(z_i), tabulated once per ordered band pair.
@@ -140,9 +151,9 @@ class _BandPairTable(OperatorHandle):
     call for every pair a <= b, and per class one conjugated-reversal
     gather for the pairs a > b and one batched inverse FFT: its numpy
     calls grow with the number of distinct spans, not of pairs.
-    build(handle) returns the tables; they and the mode matrix are kept
-    on the quadrature under key, (spec, kind), for every handle of that
-    key.
+    build(handle) returns the tables; they, the mode matrix and its
+    residue-0 block (for radial-weight norms) are kept on the quadrature
+    under key, (spec, kind), for every handle of that key.
     """
 
     def __init__(self, quad: DiskQuadrature, key, build: Callable,
@@ -233,33 +244,41 @@ class _BandPairTable(OperatorHandle):
         """K as one CSR matrix on the concatenated per-band DFTs."""
         return self._cached("modes", self._mode_matrix)
 
-    def _mode_matrix(self):
-        """The mode matrix written in canonical order: row r of band a
-        holds, band b by band b, the entries m = r + k n_a of block
-        (a, b), k ascending (s_a of them), in column order. Every arc
-        count is a power of two, so mod n is a mask and // n a shift."""
-        values, arcs = self.values, self._arcs
+    def _mode_matrix(self, fold=1):
+        """The mode matrix on the modes m = 0 mod fold of every band,
+        written in canonical order: row r of band a holds, band b by band
+        b, the entries m = r + k n_a of block (a, b), k ascending (s_a of
+        them), in column order. Every arc count is a power of two, so
+        mod n is a mask and // n a shift.
+
+        S_ab at the multiples of fold is the inverse DFT of T_ab folded
+        to span / fold entries, T'[m] = sum_s T[m + s span / fold]. So
+        the block is the mode matrix of the folded tables on bands of
+        n / fold arcs; fold = 1 gives all of K's."""
+        values, arcs = self.values, self._arcs // fold
+        starts = np.cumsum(arcs) - arcs
         shift = np.log2(arcs).astype(int)
         row_len = self._step.sum(axis=1)
         # int32 indices, as the incidence has: the cell budget keeps the
         # entry count far below 2^31
-        indptr = np.zeros(self.quad.size + 1, dtype=np.int32)
+        indptr = np.zeros(arcs.sum() + 1, dtype=np.int32)
         np.cumsum(np.repeat(row_len, arcs), out=indptr[1:])
-        first = indptr[self._starts]       # band a's first entry
+        first = indptr[starts]       # band a's first entry
         # where block (a, b) starts within a row of band a
         before = np.cumsum(self._step, axis=1) - self._step
         data = np.empty(indptr[-1], dtype=complex)
         indices = np.empty(indptr[-1], dtype=np.int32)
         for span, a, b, base in self._span_classes():
-            rows = values[base:base + a.size * span].reshape(a.size, span)
+            rows = values[base:base + a.size * span].reshape(
+                a.size, fold, span // fold).sum(axis=1)
+            span //= fold
             m = np.arange(span)
             n_a = arcs[a, None]
             pos = (first[a, None] + (m & n_a - 1) * row_len[a, None]
                    + before[a, b][:, None] + (m >> shift[a, None]))
             data[pos] = np.fft.ifft(rows, norm="forward") * (n_a / span)
-            indices[pos] = self._starts[b, None] + (m & arcs[b, None] - 1)
-        n = self.quad.size
-        return csr_array((data, indices, indptr), shape=(n, n))
+            indices[pos] = starts[b, None] + (m & arcs[b, None] - 1)
+        return csr_array((data, indices, indptr), shape=(arcs.sum(),) * 2)
 
     def fast_apply(self, g):
         """K @ g through the mode-domain matrix, the bands of one arc
@@ -271,6 +290,66 @@ class _BandPairTable(OperatorHandle):
         out = np.concatenate([np.fft.ifft(acc[lo:hi].reshape(-1, n)).ravel()
                               for lo, hi, n in self._groups])
         return out.real if self.positive and not np.iscomplexobj(g) else out
+
+    def _lanczos_operands(self, left, right):
+        """On the residue-0 block of the mode matrix when left and right
+        are each constant on every band; in the cell domain otherwise.
+
+        The kernel depends only on w, so with such weights A commutes
+        with rotation by one core arc (1/c turn, c = 2^(1+j0) the
+        fewest arcs of a band), which multiplies DFT entry m of every
+        band by e^(-2 pi i m / c). The mode matrix M then couples only
+        modes of one residue mod c, and the constant vector lies in
+        residue 0, the modes m = 0, c, 2c, ... of each band. In the
+        unitary per-band DFT, F_b / sqrt(n_b), A is
+        D(left / sqrt n) M D(right sqrt n), n the band's arc count; as
+        K = K^H gives M^H = D(1/n) M D(n), its adjoint is
+        D(right / sqrt n) M D(left sqrt n). The constant unit vector maps
+        to sqrt(n_b / N) at each band's mode 0, N the cell count. No
+        FFT runs per product, and the block is kept on the quadrature
+        beside the mode matrix.
+
+        A nonnegative kernel is real, so it maps the DFT of a real
+        vector, y[-m] = conj y[m], to another. Its operands then take
+        real coordinates, as the cell route does: y[m] at m = -m mod n_b,
+        and sqrt 2 Re y[m] and sqrt 2 Im y[m] for the pair m, -m with
+        0 < m < n_b / 2, an orthonormal basis, so the Lanczos bases stay
+        real."""
+        if not all(np.array_equal(d, np.repeat(d[self._starts], self._arcs))
+                   for d in (left, right)):
+            return super()._lanczos_operands(left, right)
+        q, c = self.quad, self._arcs.min()
+        residue = np.flatnonzero(q.cell_arc % c == 0)
+        block = self._cached("residue0", lambda: self._mode_matrix(c))
+        root = np.sqrt(self._arcs[q.cell_band[residue]])
+        l_out, l_in = left[residue] / root, left[residue] * root
+        r_out, r_in = right[residue] / root, right[residue] * root
+        start = np.where(q.cell_arc[residue] == 0, root / math.sqrt(q.size),
+                         0.0)
+        if not self.positive:
+            return (lambda x: l_out * (block @ (r_in * x)),
+                    lambda y: r_out * (block @ (l_in * y)),
+                    start.astype(complex))
+        # coordinate i is mode k c of a band of d c arcs: for the low
+        # modes 0 < k < d / 2, mode -k c = (d - k) c is d - 2k further on
+        k, d = q.cell_arc[residue] // c, self._arcs[q.cell_band[residue]] // c
+        low = np.flatnonzero((k > 0) & (2 * k < d))
+        high = low + d[low] - 2 * k[low]
+
+        def modes(x):
+            y = x.astype(complex)
+            y[low] = (x[low] + 1j * x[high]) * 0.5 ** 0.5
+            y[high] = np.conj(y[low])
+            return y
+
+        def real(y):
+            x = y.real.copy()
+            x[high] = y.imag[low] * 2.0 ** 0.5
+            x[low] *= 2.0 ** 0.5
+            return x
+
+        return (lambda x: l_out * real(block @ modes(r_in * x)),
+                lambda y: r_out * real(block @ modes(l_in * y)), start)
 
 
 def bergman_handle(spec: KernelSpec, quad: DiskQuadrature) -> OperatorHandle:
@@ -413,12 +492,19 @@ NORM_MAX_STEPS = 500     # Boyd steps before an open bracket is returned,
                          # and the cap on Lanczos steps
 
 
-def _weighted_operator(handle: OperatorHandle, u, sigma, p):
-    """(matvec, rmatvec) of A = D((u mu)^(1/p)) K D((sigma mu)^(1/p')), whose
-    l^p norm is the L^p(sigma mu) -> L^p(u mu) norm of f -> K (sigma mu f)."""
+def _weighted_diagonals(handle: OperatorHandle, u, sigma, p):
+    """(left, right) = ((u mu)^(1/p), (sigma mu)^(1/p')): the diagonals of
+    A = D(left) K D(right), whose l^p norm is the L^p(sigma mu) ->
+    L^p(u mu) norm of f -> K (sigma mu f)."""
     mu = handle.mu
     left = (nonnegative_table(u, mu.shape, "u") * mu) ** (1.0 / p)
     right = (nonnegative_table(sigma, mu.shape, "sigma") * mu) ** (1 - 1 / p)
+    return left, right
+
+
+def _cell_products(handle: OperatorHandle, left, right):
+    """(matvec, rmatvec) of A = D(left) K D(right) by fast_apply on the
+    cells; K is Hermitian, so the adjoint is the same apply."""
     return (lambda x: left * handle.fast_apply(np.ravel(x) * right),
             lambda y: right * handle.fast_apply(np.ravel(y) * left))
 
@@ -446,19 +532,38 @@ def weighted_norm_p2(handle: OperatorHandle, u, sigma):
     vector as well. A zero first product A 1 thus gives 0. For any other
     kernel the space may miss the top singular vector, and a breakdown
     raises NoConvergenceError.
+
+    The loop runs on one of two sets of operands, chosen by the handle
+    from u mu and sigma mu alone. A band-pair kernel (Bergman, its
+    absolute value, K_Psi) under weights for which u mu and sigma mu are
+    each constant on every band, the radial weights, runs on the
+    residue-0 block of its mode matrix, N / 2^(1+j0) coordinates for N
+    cells (real ones for a nonnegative kernel), with no FFT per step
+    (_BandPairTable._lanczos_operands). Every other case, a dyadic
+    SparseOperator or a weight that varies along a band, runs in the
+    cell domain on fast_apply. The block holds the constant vector's
+    whole Krylov space, so both give one result to rounding; when V_k
+    fills the block it is an invariant space, with the rule above, as
+    it is for the cell route, which reaches the same breakdown there.
+    That space misses the other residues on either route, which a
+    nonnegative kernel's top singular vector never needs; the Bergman
+    kernel's can lie there, and then both return the residue-0 norm,
+    below the operator's: 10.3549 against 10.3812 for gamma 2 and the
+    half-atom nu at J = 6, j0 = 2, u = (1-r)^(-1/2) and
+    sigma = (1-r)^0.3 (1 - log(1-r)).
     """
-    matvec, rmatvec = _weighted_operator(handle, u, sigma, 2.0)
-    mu = handle.mu
-    if not (np.any(np.asarray(u) * mu) and np.any(np.asarray(sigma) * mu)):
+    left, right = _weighted_diagonals(handle, u, sigma, 2.0)
+    if not (np.any(left) and np.any(right)):
         return 0.0  # a zero weighted diagonal: the operator is zero
-    n = mu.size
+    matvec, rmatvec, start = handle._lanczos_operands(left, right)
+    n = start.size
     steps = min(n, NORM_MAX_STEPS)
     eps = np.finfo(float).eps
     # rows are only paged in as they are written
-    dtype = float if handle.positive else complex
+    dtype = start.dtype
     U, V = np.empty((steps, n), dtype), np.empty((steps + 1, n), dtype)
     alpha, beta = np.zeros(steps), np.zeros(steps)
-    V[0] = n ** -0.5
+    V[0] = start
     for k in range(steps):
         x = matvec(V[k])
         if k:
@@ -470,9 +575,11 @@ def weighted_norm_p2(handle: OperatorHandle, u, sigma):
             y = _orthogonalize(rmatvec(U[k]) - alpha[k] * V[k], V[:k + 1])
             beta[k] = _product_norm(y)
         P, s, _ = np.linalg.svd(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1))
-        if k + 1 == n:
+        if k + 1 == handle.mu.size:
             return float(s[0])  # V spans the space: B_n has A's spectrum
-        if beta[k] <= eps * s[0]:   # an invariant space; also when alpha_k = 0
+        # an invariant space: V fills the operands' block, or alpha_k = 0,
+        # or beta_k vanishes to rounding
+        if k + 1 == n or beta[k] <= eps * s[0]:
             if handle.positive:
                 return float(s[0])
             raise NoConvergenceError(
@@ -527,7 +634,8 @@ def weighted_norm_bracket(handle: OperatorHandle, u, sigma, p):
     if not (1.0 < p < math.inf and handle.positive):
         raise InvalidRangeError(f"Boyd's iteration needs p in (1, inf), not "
                                 f"{p}, and a nonnegative kernel")
-    matvec, rmatvec = _weighted_operator(handle, u, sigma, p)
+    matvec, rmatvec = _cell_products(
+        handle, *_weighted_diagonals(handle, u, sigma, p))
     n = handle.mu.size
     x = np.full(n, n ** (-1.0 / p))
     lower, upper = 0.0, math.inf

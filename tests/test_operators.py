@@ -22,6 +22,10 @@ Oracles used here:
     iteration from random starts, which must land inside the bracket.
     At J = 10 the p = 2 norm is also pinned against ARPACK (svds) on
     the same applies, the route the library's Lanczos replaced.
+  * under radial weights a band-pair handle's p = 2 norm runs on the
+    residue-0 block of its mode matrix: it is pinned against svdvals,
+    ARPACK, and the cell-domain Lanczos (cell_route), including where
+    that route breaks down and raises.
   * the comparability constants, the extremes over node pairs of
     K_Psi / (K^0 + K^(1/2)), are pinned against the pointwise route the
     library used to sample: psi at |1 - conj(zeta) z| over dyadic
@@ -359,8 +363,13 @@ def test_filled_tables_match_direct_evaluation(nu_name, J, j0):
 def test_span_class_build_matches_per_pair_oracle(nu_name, J, j0):
     """Each (a, b) table at its offset, the mode matrix's indptr,
     indices and data, and fast_apply on real and complex fields, bit
-    for bit against the per-pair build."""
+    for bit against the per-pair build; and the residue-0 block, built
+    from the tables folded by the core arc count, against the per-pair
+    mode matrix's rows and columns at those modes, to 1e-14 of its
+    largest entry."""
     quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=j0)
+    core = quad.bands[0].arc_count
+    residue = np.flatnonzero(quad.cell_arc % core == 0)
     rng = np.random.default_rng(J)
     f = rng.standard_normal(quad.size)
     for name, h, kernel in table_cases(2.0, NUS[nu_name], quad):
@@ -377,6 +386,9 @@ def test_span_class_build_matches_per_pair_oracle(nu_name, J, j0):
         for g in (f, f + 1j * f[::-1]):
             got, oracle = h.fast_apply(g), per_band_apply(h, want, g)
             assert got.dtype == oracle.dtype and np.array_equal(got, oracle)
+        block = want[residue][:, residue].toarray()
+        assert np.max(np.abs(h._mode_matrix(core).toarray() - block)) <= \
+            1e-14 * np.max(np.abs(block)), name
 
 
 def counted_transforms(monkeypatch):
@@ -805,6 +817,16 @@ def matrix_handle(K, mu):
     return MatrixHandle()
 
 
+def cell_route(h):
+    """h's kernel behind the base class's Lanczos operands: the
+    cell-domain route, the oracle for the residue-0 block."""
+    class CellRoute(op.OperatorHandle):
+        quad, positive = h.quad, h.positive
+        fast_apply = staticmethod(h.fast_apply)
+
+    return CellRoute()
+
+
 def weighted_matrix(K, mu, u, sigma, p):
     q = p / (p - 1.0)
     return ((u * mu) ** (1.0 / p))[:, None] * K * \
@@ -830,15 +852,40 @@ def random_start_lower(A, p, starts=16, iters=300, seed=0):
     return best
 
 
+def radial_weights(quad):
+    """(u, sigma) = ((1-r)^(-1/2), (1-r)^0.3 (1 - log(1-r))): each is
+    constant on every band, so a band-pair handle's p = 2 norm runs on
+    the residue-0 block of its mode matrix."""
+    return (wt.weight_field(quad, eta=-0.5).values,
+            wt.weight_field(quad, eta=0.3, log_exp=1.0).values)
+
+
 @pytest.fixture(scope="module", params=[6, 8], ids=["J6", "J8"])
 def norm_instance(request):
-    quad = dk.build_quadrature(ms.lebesgue(), J=request.param)
-    sigma, u, _, _ = tw.random_instance(quad, request.param)
-    return quad, handle_kinds(quad), u.values, sigma.values
+    """At an int J, the seeded bump weights of random_instance on the
+    J-level quadrature; at ("radial", j0), radial_weights at J = 6."""
+    if isinstance(request.param, int):
+        quad = dk.build_quadrature(ms.lebesgue(), J=request.param)
+        sigma, u, _, _ = tw.random_instance(quad, request.param)
+        return quad, handle_kinds(quad), u.values, sigma.values
+    quad = dk.build_quadrature(ms.lebesgue(), J=6, j0=request.param[1])
+    return (quad, handle_kinds(quad), *radial_weights(quad))
 
 
-@pytest.mark.parametrize("kind", ["bergman", "positive", "psi-positive",
-                                  "dyadic-0", "dyadic-1/2"])
+NORM_KINDS = ["bergman", "positive", "psi-positive", "dyadic-0",
+              "dyadic-1/2"]
+
+
+# Under radial weights the Bergman kernel is left out: rotation by one
+# core arc keeps the constant vector's Krylov space in the residue-0
+# modes on either route, and its top singular vector lies elsewhere
+# (j0 = 2: 10.35488 against svdvals' 10.38119).
+@pytest.mark.parametrize("norm_instance, kind", [
+    *(pytest.param(J, kind, id=f"J{J}-{kind}")
+      for J in (6, 8) for kind in NORM_KINDS),
+    *(pytest.param(("radial", j0), kind, id=f"radial-j0={j0}-{kind}")
+      for j0 in (0, 1, 2) for kind in ("positive", "psi-positive"))],
+    indirect=["norm_instance"])
 def test_weighted_norm_p2_matches_svdvals(norm_instance, kind):
     quad, handles, u, sigma = norm_instance
     h = handles[kind]
@@ -1003,18 +1050,64 @@ def test_lanczos_breakdown():
                             one)
 
 
-@pytest.mark.parametrize("kind", ["positive", "dyadic-0", "dyadic-1/2"])
-def test_weighted_norm_p2_matches_arpack(kind):
-    """At J = 10 (4,100 cells) against ARPACK's svds on the same applies."""
+@pytest.mark.parametrize("kind, radial", [
+    *(pytest.param(kind, False, id=kind)
+      for kind in ("positive", "dyadic-0", "dyadic-1/2")),
+    pytest.param("positive", True, id="positive-radial")])
+def test_weighted_norm_p2_matches_arpack(kind, radial):
+    """At J = 10 (4,100 cells) against ARPACK's svds on the same applies,
+    in the cell domain: under radial weights the library's Lanczos runs
+    on the residue-0 block instead."""
     quad = dk.build_quadrature(ms.lebesgue(), J=10)
-    sigma, u, _, _ = tw.random_instance(quad, 10)
+    if radial:
+        u, sigma = radial_weights(quad)
+    else:
+        sigma, u, _, _ = tw.random_instance(quad, 10)
+        u, sigma = u.values, sigma.values
     h = handle_kinds(quad)[kind]
-    left = np.sqrt(u.values * h.mu)
-    right = np.sqrt(sigma.values * h.mu)
+    left = np.sqrt(u * h.mu)
+    right = np.sqrt(sigma * h.mu)
     n = quad.size
     A = LinearOperator((n, n), dtype=float,
                        matvec=lambda x: left * h.fast_apply(x.ravel() * right),
                        rmatvec=lambda y: right * h.fast_apply(y.ravel() * left))
     want = svds(A, k=1, tol=0, v0=np.ones(n), return_singular_vectors=False)[0]
-    assert op.weighted_norm_p2(h, u.values, sigma.values) == \
-        pytest.approx(want, rel=1e-13)
+    assert op.weighted_norm_p2(h, u, sigma) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["bergman", "positive", "psi-positive"])
+def test_radial_norms_run_on_the_residue_block(kind, monkeypatch):
+    """Radial weights take the residue-0 block: no fast_apply call, and
+    the cell route's norm to 1e-14. A weight perturbed in one cell takes
+    the cell route, bit for bit."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=7)
+    h = handle_kinds(quad)[kind]
+    cells = cell_route(h)
+    u, sigma = radial_weights(quad)
+    want = op.weighted_norm_p2(cells, u, sigma)
+    calls = []
+    apply = h.fast_apply
+    monkeypatch.setattr(h, "fast_apply",
+                        lambda g: calls.append(g.size) or apply(g))
+    assert op.weighted_norm_p2(h, u, sigma) == pytest.approx(want, rel=1e-14)
+    assert not calls
+    bumped = u.copy()
+    bumped[quad.size - 1] *= 1.0 + 1e-9
+    assert op.weighted_norm_p2(h, bumped, sigma) == \
+        op.weighted_norm_p2(cells, bumped, sigma)
+    assert calls
+
+
+@pytest.mark.parametrize("J", [3, 4])
+def test_radial_breakdown_matches_the_cell_route(J):
+    """The Bergman handle at j0 = 0, J = 3 and 4 breaks down under radial
+    weights on both routes: the residue-0 block fills, an invariant
+    space, where the cell route meets beta_k = 0 to rounding. A
+    breakdown for a kernel that is not nonnegative raises."""
+    quad = dk.build_quadrature(ms.lebesgue(), J=J, j0=0)
+    h = handle_kinds(quad)["bergman"]
+    one = np.ones(quad.size)
+    for u, sigma in ((one, one), radial_weights(quad)):
+        for route in (h, cell_route(h)):
+            with pytest.raises(NoConvergenceError):
+                op.weighted_norm_p2(route, u, sigma)
